@@ -20,10 +20,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from importlib import resources
 
+from .fixtures import table1_text
 from .markings import admissibility_reason, admissible
-from .ntheory import factorize, is_square_mod, legendre
+from .ntheory import factorize, legendre, square_root_mod
 
 
 class CriterionMismatchError(RuntimeError):
@@ -61,10 +61,10 @@ def k3_witness(d: int) -> int | None:
     """
     _require_admissible(d)
     if d % 22 != 0:
-        return _scan_square(-11, 2 * d)
+        return square_root_mod(-11, 2 * d)
     if d % 121 == 0:
         return None
-    return _scan_square(8 * (d // 11) - 11, 2 * d)
+    return square_root_mod(8 * (d // 11) - 11, 2 * d)
 
 
 def k3_oracle(d: int) -> bool:
@@ -76,10 +76,11 @@ def cubic_closed(d: int) -> bool:
     """Closed-form test for an associated cubic fourfold of discriminant d.
 
     Conditions: (a) d = 0 or 2 mod 6; (b) d divisible by neither 9 nor
-    121; (c) 33 a square modulo every prime divisor of d (0 counts, so
-    p = 3 and p = 11 pass); (d) if 66 | d, the number of prime divisors
-    of d congruent to 2 mod 3, counted with multiplicity and including
-    2 and 11, is odd.
+    121; (c) 33 a square modulo every prime divisor of d, read off the
+    Legendre symbol (0 counts, so p = 3 and p = 11 pass, and so does
+    p = 2, where every residue is a square); (d) if 66 | d, the number
+    of prime divisors of d congruent to 2 mod 3, counted with
+    multiplicity and including 2 and 11, is odd.
     """
     _require_admissible(d)
     if d % 6 not in (0, 2):
@@ -87,7 +88,7 @@ def cubic_closed(d: int) -> bool:
     if d % 9 == 0 or d % 121 == 0:
         return False
     factors = factorize(d)
-    if not all(is_square_mod(33, p) for p, _ in factors):
+    if not all(p == 2 or legendre(33, p) >= 0 for p, _ in factors):
         return False
     if d % 66 == 0:
         count = sum(e for p, e in factors if p % 3 == 2)
@@ -138,14 +139,6 @@ def cubic_witness(d: int) -> int | None:
 def cubic_oracle(d: int) -> bool:
     """Brute-force counterpart of cubic_closed."""
     return cubic_witness(d) is not None
-
-
-def _scan_square(a: int, m: int) -> int | None:
-    a %= m
-    for k in range(m):
-        if k * k % m == a:
-            return k
-    return None
 
 
 def _scan_congruence(coeff: int, rhs: int, m: int) -> int | None:
@@ -207,12 +200,7 @@ def table1_fixture() -> dict[int, AssociationRow]:
     """The shipped reference table, keyed by discriminant."""
     global _FIXTURE_CACHE
     if _FIXTURE_CACHE is None:
-        text = (
-            resources.files("peskine")
-            .joinpath("fixtures/table1.fixture")
-            .read_text(encoding="utf-8")
-        )
-        _FIXTURE_CACHE = parse_table(text)
+        _FIXTURE_CACHE = parse_table(table1_text())
     return _FIXTURE_CACHE
 
 

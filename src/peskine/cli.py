@@ -42,28 +42,20 @@ class MismatchError(RuntimeError):
     pass
 
 
-def _default_primes() -> tuple[int, int]:
-    raw = os.environ.get(PRIME_ENV)
-    if not raw:
-        return DEFAULT_PRIMES
+def _parse_primes(arg: str | None) -> tuple[int, int]:
+    """The prime pair from --primes, else PESKINE_PRIMES, else the default."""
+    if arg is not None:
+        source, raw = "--primes", arg
+    else:
+        source, raw = PRIME_ENV, os.environ.get(PRIME_ENV)
+        if not raw:
+            return DEFAULT_PRIMES
     try:
         parts = [int(x) for x in raw.replace(",", " ").split()]
     except ValueError as exc:
-        raise InputError(f"bad {PRIME_ENV}: {raw!r}") from exc
+        raise InputError(f"bad {source}: {raw!r}") from exc
     if len(parts) != 2:
-        raise InputError(f"{PRIME_ENV} must list exactly two primes")
-    return parts[0], parts[1]
-
-
-def _parse_primes(arg: str | None) -> tuple[int, int]:
-    if arg is None:
-        return _default_primes()
-    try:
-        parts = [int(x) for x in arg.replace(",", " ").split()]
-    except ValueError as exc:
-        raise InputError(f"bad prime list {arg!r}") from exc
-    if len(parts) != 2:
-        raise InputError("expected exactly two primes, e.g. --primes 10007,31013")
+        raise InputError(f"{source} must list exactly two primes, e.g. 10007,31013")
     return parts[0], parts[1]
 
 

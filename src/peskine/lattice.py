@@ -1,6 +1,7 @@
 """Exact integer-lattice arithmetic.
 
-Gram matrices, fraction-free determinants, Smith normal form with
+Gram matrices, fraction-free determinants, row reduction over Q and F_p
+(rank, field kernels, unimodular inverses), Smith normal form with
 unimodular transforms, discriminant groups carrying their Q/2Z quadratic
 form, divisibility, saturation, and orthogonal complements.  Everything
 is arbitrary-precision integer or Fraction arithmetic; no floats.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .ntheory import QmodTwoZ
 
@@ -70,27 +71,69 @@ def bareiss_determinant(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank(m) -> int:
-    """Rank over Q of an integer (or Fraction) matrix."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+def row_reduce(m, p: int | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over Q (p None) or F_p, and its pivot columns.
+
+    The one Gauss-Jordan loop of the package: rank, field kernels and
+    unimodular inverses all read its output.  Over Q the entries are
+    Fractions; over F_p they are ints in [0, p).
+    """
+    if p is None:
+        a = [[Fraction(x) for x in row] for row in m]
+    else:
+        a = [[int(x) % p for x in row] for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
+        if p is None:
+            inv = 1 / a[r][c]
+            a[r] = [x * inv for x in a[r]]
+        else:
+            inv = pow(a[r][c], -1, p)
+            a[r] = [x * inv % p for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+                if p is None:
+                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                else:
+                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def rank(m, p: int | None = None) -> int:
+    """Rank over Q (p None) or F_p of an integer (or Fraction) matrix."""
+    return len(row_reduce(m, p)[1])
+
+
+def field_kernel(m, p: int | None = None) -> list[tuple]:
+    """Basis of the right kernel over Q or F_p, read off the RREF.
+
+    One vector per free column.  Over Q each vector is cleared to an
+    integer tuple; unlike kernel_basis the span is not saturated.
+    """
+    a, pivots = row_reduce(m, p)
+    ncols = len(a[0]) if a else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(a, pivots):
+            vec[pc] = -row[fc] if p is None else -row[fc] % p
+        if p is None:
+            den = lcm(*(x.denominator for x in vec))
+            vec = [int(x * den) for x in vec]
+        basis.append(tuple(vec))
+    return basis
 
 
 @dataclass(frozen=True)
@@ -215,27 +258,15 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
 def unimodular_inverse(m: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix, as an integer matrix."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    reduced, pivots = row_reduce(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
     out = []
-    for row in aug:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(x.numerator)
-        out.append(tuple(ints))
+    for row in reduced:
+        if any(x.denominator != 1 for x in row[n:]):
+            raise ValueError("matrix is not unimodular")
+        out.append(tuple(x.numerator for x in row[n:]))
     return tuple(out)
 
 

@@ -156,24 +156,6 @@ def disc_form_agrees(d: int) -> bool:
     return exhibit_generator(d) is not None
 
 
-def ambient_gram() -> GramLattice:
-    """Gram matrix of U^3 + E8^2 + <-2>, housed for completeness.
-
-    The degree-2 cohomology lattice of the hyperkaehler side; no
-    computation in this package consumes it.
-    """
-    blocks = [((0, 1), (1, 0))] * 3 + [E8_GRAM] * 2 + [((-2,),)]
-    n = sum(len(b) for b in blocks)
-    gram = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                gram[off + i][off + j] = x
-        off += len(b)
-    return GramLattice(tuple(tuple(row) for row in gram))
-
-
 # Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.
 E8_GRAM: Matrix = (
     (2, -1, 0, 0, 0, 0, 0, 0),

@@ -36,11 +36,6 @@ def factorize(n: int) -> Factorization:
     return tuple(out)
 
 
-def prime_divisors(n: int) -> tuple[int, ...]:
-    """Distinct primes dividing n, ascending."""
-    return tuple(p for p, _ in factorize(n))
-
-
 def is_prime(n: int) -> bool:
     """Trial-division primality test; fine at desk scale."""
     if n < 2:

@@ -18,10 +18,14 @@ Exponents = tuple[int, ...]
 
 
 def _coeff_normalize(c, p: int | None):
+    """Canonical coefficient: an int or non-integral Fraction over Q, an
+    int in [0, p) over F_p."""
     if p is None:
-        if isinstance(c, Fraction) and c.denominator == 1:
-            return c.numerator
-        return c
+        if isinstance(c, int):
+            return c
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, Fraction):
         if c.denominator % p == 0:
             raise ValueError(f"coefficient {c} is not defined mod {p}")
@@ -239,49 +243,57 @@ def substitute_linear(poly: MultiPoly, matrix) -> MultiPoly:
     return result
 
 
-def pfaffian(matrix) -> MultiPoly:
-    """Pfaffian of an even-size skew-symmetric matrix of polynomials.
+def principal_pfaffians(matrix, index_sets) -> list[MultiPoly]:
+    """Pfaffians of the principal submatrices on each index set.
 
-    Recursive expansion along the first row; pf of the empty matrix is
-    the constant 1.  The skew check is exact and an odd size or a
-    symmetric slip is an error.
+    Recursive expansion along the first row, with one memo shared by
+    all index sets so that common minors are expanded once; pf of an
+    empty index set is the constant 1.  The skew check is exact and runs
+    once; an odd-size index set or a symmetric slip is an error.
     """
     rows = [list(r) for r in matrix]
+    index_sets = [tuple(idx) for idx in index_sets]
+    for idx in index_sets:
+        if len(idx) % 2 != 0:
+            raise ValueError(f"Pfaffian needs even size, got {len(idx)}")
     k = len(rows)
-    if k % 2 != 0:
-        raise ValueError(f"Pfaffian needs even size, got {k}")
     if k == 0:
         raise ValueError("cannot infer the ring of an empty matrix; use size >= 2")
-    proto = rows[0][0]
-    nvars, p = proto.nvars, proto.p
     for i in range(k):
         if not rows[i][i].is_zero():
             raise ValueError("matrix is not skew-symmetric (nonzero diagonal)")
         for j in range(i):
             if not (rows[i][j] + rows[j][i]).is_zero():
                 raise ValueError("matrix is not skew-symmetric")
-
+    proto = rows[0][0]
+    one = MultiPoly.constant(1, proto.nvars, proto.p)
+    zero = MultiPoly.zero(proto.nvars, proto.p)
     memo: dict[tuple[int, ...], MultiPoly] = {}
 
     def pf(idx: tuple[int, ...]) -> MultiPoly:
         if not idx:
-            return MultiPoly.constant(1, nvars, p)
+            return one
         got = memo.get(idx)
         if got is not None:
             return got
         first = idx[0]
-        acc = MultiPoly.zero(nvars, p)
+        acc = zero
         for t in range(1, len(idx)):
             entry = rows[first][idx[t]]
             if entry.is_zero():
                 continue
-            rest = idx[1:t] + idx[t + 1 :]
-            term = entry * pf(rest)
+            term = entry * pf(idx[1:t] + idx[t + 1 :])
             acc = acc + term if t % 2 == 1 else acc - term
         memo[idx] = acc
         return acc
 
-    return pf(tuple(range(k)))
+    return [pf(idx) for idx in index_sets]
+
+
+def pfaffian(matrix) -> MultiPoly:
+    """Pfaffian of an even-size skew-symmetric matrix of polynomials."""
+    rows = list(matrix)
+    return principal_pfaffians(rows, [range(len(rows))])[0]
 
 
 # -- exact division and GCD ------------------------------------------

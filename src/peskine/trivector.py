@@ -14,31 +14,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .lattice import field_kernel, rank
 from .ntheory import is_prime
 from .polyring import (
     MultiPoly,
+    _coeff_normalize,
     buchberger,
     exact_div,
     gcd_multivariate,
     normal_form,
     only_zero_at_origin,
     primitive_part,
+    principal_pfaffians,
     substitute_linear,
 )
 
 DIM = 10
 PESKINE_RANK_BOUND = 6
-
-
-def _norm_coeff(c, p: int | None):
-    if p is None:
-        f = Fraction(c)
-        return f.numerator if f.denominator == 1 else f
-    if isinstance(c, Fraction):
-        if c.denominator % p == 0:
-            raise ValueError(f"coefficient {c} is not defined mod {p}")
-        return c.numerator * pow(c.denominator, -1, p) % p
-    return int(c) % p
 
 
 def _sort_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -77,7 +69,7 @@ class Trivector:
             if not all(1 <= t <= DIM for t in (i, j, k)):
                 raise ValueError(f"index out of range in {(i, j, k)}")
             key, sign = _sort_triple(i - 1, j - 1, k - 1)
-            c = _norm_coeff(sign * c, p)
+            c = _coeff_normalize(sign * c, p)
             if key in store:
                 raise ValueError(f"duplicate triple {(i, j, k)}")
             if c:
@@ -89,7 +81,7 @@ class Trivector:
         if len({i, j, k}) != 3:
             return 0
         key, sign = _sort_triple(i - 1, j - 1, k - 1)
-        return _norm_coeff(sign * self.coeffs.get(key, 0), self.p)
+        return _coeff_normalize(sign * self.coeffs.get(key, 0), self.p)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -105,7 +97,7 @@ class Trivector:
             )
             if det:
                 total += c * det
-        return _norm_coeff(total, self.p)
+        return _coeff_normalize(total, self.p)
 
 
 def contract(sigma: Trivector, v) -> list[list]:
@@ -120,7 +112,7 @@ def contract(sigma: Trivector, v) -> list[list]:
         m[k][i] += v[j] * c
         m[i][j] += v[k] * c
         m[j][i] -= v[k] * c
-    return [[_norm_coeff(x, sigma.p) for x in row] for row in m]
+    return [[_coeff_normalize(x, sigma.p) for x in row] for row in m]
 
 
 def symbolic_contract(sigma: Trivector) -> list[list[MultiPoly]]:
@@ -167,35 +159,14 @@ def peskine_equations(sigma: Trivector) -> PeskineSystem:
     A skew matrix has even rank, so rank <= 6 is rank < 8, which is the
     simultaneous vanishing of these 45 degree-4 forms.
     """
-    m = symbolic_contract(sigma)
-    memo: dict[tuple[int, ...], MultiPoly] = {}
-    one = MultiPoly.constant(1, DIM, sigma.p)
-    zero = MultiPoly.zero(DIM, sigma.p)
-
-    def pf(idx: tuple[int, ...]) -> MultiPoly:
-        if not idx:
-            return one
-        got = memo.get(idx)
-        if got is not None:
-            return got
-        first = idx[0]
-        acc = zero
-        for t in range(1, len(idx)):
-            entry = m[first][idx[t]]
-            if entry.is_zero():
-                continue
-            term = entry * pf(idx[1:t] + idx[t + 1 :])
-            acc = acc + term if t % 2 == 1 else acc - term
-        memo[idx] = acc
-        return acc
-
-    pairs = []
-    quartics = []
-    for a, b in combinations(range(DIM), 2):
-        idx = tuple(t for t in range(DIM) if t not in (a, b))
-        pairs.append((a + 1, b + 1))
-        quartics.append(pf(idx))
-    return PeskineSystem(tuple(pairs), tuple(quartics))
+    pairs = tuple(combinations(range(DIM), 2))
+    quartics = principal_pfaffians(
+        symbolic_contract(sigma),
+        [[t for t in range(DIM) if t not in pair] for pair in pairs],
+    )
+    return PeskineSystem(
+        tuple((a + 1, b + 1) for a, b in pairs), tuple(quartics)
+    )
 
 
 @dataclass(frozen=True)
@@ -214,9 +185,9 @@ class Flag:
             raise ValueError("flag needs a 10-vector and a 6x10 matrix")
         if all(x == 0 for x in w1):
             raise ValueError("w1 must be nonzero")
-        if _field_rank(w6, None) != 6:
+        if rank(w6) != 6:
             raise ValueError("w6 must have rank 6")
-        if _field_rank(w6 + (w1,), None) != 6:
+        if rank(w6 + (w1,)) != 6:
             raise ValueError("w1 must lie in the span of w6")
 
 
@@ -241,108 +212,22 @@ def verify_flag(sigma: Trivector, flag: Flag) -> bool:
                 mrow = m[j]
                 for k in range(DIM):
                     pair[k] += rj * mrow[k]
-        if any(_norm_coeff(x, sigma.p) for x in pair):
+        if any(_coeff_normalize(x, sigma.p) for x in pair):
             return False
     return True
-
-
-def _field_rank(rows, p: int | None) -> int:
-    """Rank of a matrix over Q (p None) or F_p."""
-    if p is None:
-        a = [[Fraction(x) for x in row] for row in rows]
-    else:
-        a = [[int(x) % p for x in row] for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = (1 / a[r][c]) if p is None else pow(a[r][c], -1, p)
-        a[r] = [x * inv % p if p else x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                if p is None:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                else:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _field_kernel(rows, p: int | None) -> list[tuple]:
-    """Basis of the right kernel over Q or F_p.
-
-    Over Q the basis vectors are cleared to integer tuples.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if p is None:
-        a = [[Fraction(x) for x in row] for row in rows]
-    else:
-        a = [[int(x) % p for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = (1 / a[r][c]) if p is None else pow(a[r][c], -1, p)
-        a[r] = [x * inv % p if p else x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                if p is None:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                else:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols if p is None else [0] * ncols
-        vec[fc] = Fraction(1) if p is None else 1
-        for ri, pc in enumerate(pivots):
-            v = -a[ri][fc]
-            vec[pc] = v if p is None else v % p
-        if p is None:
-            den = 1
-            for x in vec:
-                den = den * x.denominator // __import__("math").gcd(den, x.denominator)
-            basis.append(tuple(int(x * den) for x in vec))
-        else:
-            basis.append(tuple(vec))
-    return basis
 
 
 def rank_at_point(sigma: Trivector, v) -> int:
     """Exact rank of the contraction at v; always even."""
     if all(x == 0 for x in v):
         raise ValueError("rank at the zero vector is undefined")
-    return _field_rank(contract(sigma, v), sigma.p)
+    return rank(contract(sigma, v), sigma.p)
 
 
 def restrict_to_subspace(system: PeskineSystem, w6) -> list[MultiPoly]:
     """Each quartic composed with the parameterization x = y . w6."""
     rows = [tuple(r) for r in w6]
-    if len(rows) != 6 or _field_rank(rows, None) != 6:
+    if len(rows) != 6 or rank(rows) != 6:
         raise ValueError("w6 must be a rank-6 6x10 matrix")
     # substitution matrix: x_i = sum_j w6[j][i] y_j
     a = tuple(tuple(rows[j][i] for j in range(6)) for i in range(DIM))
@@ -477,7 +362,7 @@ def _singular_point_search(partials, p: int) -> tuple[int, ...] | None:
 def x6_membership(sigma: Trivector, v6) -> bool:
     """Whether sigma restricts to zero on the 6-space spanned by v6."""
     rows = [tuple(r) for r in v6]
-    if len(rows) != 6 or _field_rank(rows, sigma.p) != 6:
+    if len(rows) != 6 or rank(rows, sigma.p) != 6:
         raise ValueError("v6 must be a rank-6 6x10 matrix")
     for a, b, c in combinations(range(6), 3):
         if sigma.trilinear(rows[a], rows[b], rows[c]) != 0:
@@ -494,7 +379,7 @@ def x7_kernel(sigma: Trivector, v7, domain: str = "v7") -> list[tuple]:
     if domain not in ("v7", "v10"):
         raise ValueError("domain must be 'v7' or 'v10'")
     rows = [tuple(r) for r in v7]
-    if len(rows) != 7 or _field_rank(rows, sigma.p) != 7:
+    if len(rows) != 7 or rank(rows, sigma.p) != 7:
         raise ValueError("v7 must be a rank-7 7x10 matrix")
     pair_rows = []
     for a, b in combinations(range(7), 2):
@@ -507,16 +392,16 @@ def x7_kernel(sigma: Trivector, v7, domain: str = "v7") -> list[tuple]:
         ]
         pair_rows.append(coeffs)
     if domain == "v10":
-        return _field_kernel(pair_rows, sigma.p)
+        return field_kernel(pair_rows, sigma.p)
     # compose with the inclusion of span(v7)
     composed = [
         [
-            _norm_coeff(sum(row[t] * rows[s][t] for t in range(DIM)), sigma.p)
+            _coeff_normalize(sum(row[t] * rows[s][t] for t in range(DIM)), sigma.p)
             for s in range(7)
         ]
         for row in pair_rows
     ]
-    inside = _field_kernel(composed, sigma.p)
+    inside = field_kernel(composed, sigma.p)
     out = []
     for vec in inside:
         amb = [0] * DIM
@@ -524,7 +409,7 @@ def x7_kernel(sigma: Trivector, v7, domain: str = "v7") -> list[tuple]:
             if vec[s]:
                 for t in range(DIM):
                     amb[t] += vec[s] * rows[s][t]
-        out.append(tuple(_norm_coeff(x, sigma.p) for x in amb))
+        out.append(tuple(_coeff_normalize(x, sigma.p) for x in amb))
     return out
 
 
@@ -535,7 +420,7 @@ def line_in_peskine(sigma: Trivector, v2) -> bool:
     the degeneracy system and checks the binary quartics vanish.
     """
     rows = [tuple(r) for r in v2]
-    if len(rows) != 2 or _field_rank(rows, sigma.p) != 2:
+    if len(rows) != 2 or rank(rows, sigma.p) != 2:
         raise ValueError("v2 must be a rank-2 2x10 matrix")
     system = peskine_equations(sigma)
     a = tuple((rows[0][i], rows[1][i]) for i in range(DIM))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from peskine import associations
@@ -104,6 +106,21 @@ class TestEquivalence:
         for d in admissible_range(2, 400):
             assert k3_closed(d) == k3_oracle(d), d
             assert cubic_closed(d) == cubic_oracle(d), d
+
+    def test_closed_forms_use_no_brute_force_scan(self, monkeypatch):
+        ds = admissible_range(2, 2000)
+        expected = [(k3_oracle(d), cubic_oracle(d)) for d in ds]
+
+        def forbidden(*args):
+            raise AssertionError("closed form called a brute-force scan")
+
+        for name, module in list(sys.modules.items()):
+            if name != "peskine" and not name.startswith("peskine."):
+                continue
+            for attr in ("square_root_mod", "is_square_mod"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+        assert [(k3_closed(d), cubic_closed(d)) for d in ds] == expected
 
 
 class TestFrozenSets:

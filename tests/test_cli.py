@@ -1,9 +1,7 @@
-from pathlib import Path
-
 import pytest
 
 from peskine.cli import main
-from peskine.fixtures import appendix_cubic_text, appendix_sigma_text, table1_text
+from peskine.fixtures import appendix_cubic_text, appendix_sigma_text
 
 
 @pytest.fixture
@@ -189,13 +187,10 @@ class TestVerifyAppendix:
         monkeypatch.setenv("PESKINE_PRIMES", "not,primes")
         code, _, err = run(capsys, "verify-appendix")
         assert code == 2
+        assert "PESKINE_PRIMES" in err
+        for bad in ("10007", "a,b", "1,2,3"):
+            code, _, err = run(capsys, "verify-appendix", "--primes", bad)
+            assert code == 2, bad
+            assert err.startswith("error:") and "--primes" in err, bad
+            assert "Traceback" not in err, bad
 
-
-class TestFixtureMirror:
-    def test_repo_fixtures_match_package(self):
-        root = Path(__file__).resolve().parent.parent / "fixtures"
-        if not root.is_dir():
-            pytest.skip("repository fixtures directory not present")
-        assert (root / "appendix_sigma.tvec").read_text("utf-8") == appendix_sigma_text()
-        assert (root / "appendix_cubic.poly").read_text("utf-8") == appendix_cubic_text()
-        assert (root / "table1.fixture").read_text("utf-8") == table1_text()

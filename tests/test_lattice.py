@@ -11,10 +11,12 @@ from peskine.lattice import (
     determinant,
     discriminant_group,
     divisibility,
+    field_kernel,
     generator_with_q_value,
     kernel_basis,
     mat_mul,
     orthogonal_complement,
+    rank,
     saturation,
     smith_normal_form,
     transpose,
@@ -30,6 +32,10 @@ U_HYPERBOLIC = GramLattice(((0, 1), (1, 0)))
 
 def random_matrix(rng, rows, cols, bound=20):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 class TestDeterminant:
@@ -124,6 +130,37 @@ class TestSmithNormalForm:
                     tuple(int(i == j) for j in range(n)) for i in range(n)
                 )
                 assert mat_mul(w, winv) == n_id
+
+
+class TestRowReduction:
+    @pytest.mark.parametrize("p", [None, 10007])
+    def test_rank_kernel_and_inverse(self, p):
+        rng = random.Random(2024 if p is None else p)
+        for _ in range(100):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            m = random_matrix(rng, rows, cols, bound=3)
+            if rows > 1 and rng.random() < 0.5:
+                m[-1] = [a + 2 * b for a, b in zip(m[0], m[1])]
+            kernel = field_kernel(m, p)
+            assert rank(m, p) + len(kernel) == cols
+            for v in kernel:
+                image = [sum(x * y for x, y in zip(row, v)) for row in m]
+                assert all((x if p is None else x % p) == 0 for x in image)
+            n = rng.randint(1, 5)
+            u = [list(r) for r in identity(n)]
+            for _ in range(8):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    f = rng.randint(-3, 3)
+                    u[i] = [a + f * b for a, b in zip(u[i], u[j])]
+            u = tuple(map(tuple, u))
+            assert mat_mul(unimodular_inverse(u), u) == identity(n)
+
+    def test_inverse_errors(self):
+        with pytest.raises(ValueError, match="singular"):
+            unimodular_inverse(((1, 2), (2, 4)))
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(((2, 0), (0, 1)))
 
 
 class TestDiscriminantGroup:

@@ -12,7 +12,6 @@ from peskine.markings import (
     E8_GRAM,
     admissible,
     admissible_range,
-    ambient_gram,
     disc_form_agrees,
     disc_form_closed,
     exhibit_generator,
@@ -151,8 +150,3 @@ class TestAmbientConstants:
         lat = GramLattice(E8_GRAM)
         assert determinant(lat) == 1
         assert all(E8_GRAM[i][i] % 2 == 0 for i in range(8))
-
-    def test_ambient_gram(self):
-        lat = ambient_gram()
-        assert lat.rank == 23
-        assert abs(determinant(lat)) == 2

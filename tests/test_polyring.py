@@ -15,6 +15,7 @@ from peskine.polyring import (
     parse_poly,
     pfaffian,
     primitive_part,
+    principal_pfaffians,
     substitute_linear,
 )
 
@@ -160,6 +161,25 @@ class TestPfaffian:
             ]
             pf = pfaffian(mp).constant_value()
             assert pf * pf == bareiss_determinant(m)
+
+    def test_principal_minors_share_one_expansion(self):
+        rng = random.Random(6)
+        size = 6
+        x = variables(3)
+        m = [[MultiPoly.zero(3)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                m[i][j] = x[rng.randrange(3)].scalar_mul(rng.randint(-5, 5))
+                m[j][i] = -m[i][j]
+        index_sets = [(0, 1, 2, 3), (1, 2, 4, 5), (), (0, 1, 2, 3, 4, 5)]
+        got = principal_pfaffians(m, index_sets)
+        for idx, pf in zip(index_sets, got):
+            if idx:
+                assert pf == pfaffian([[m[r][c] for c in idx] for r in idx])
+            else:
+                assert pf == MultiPoly.constant(1, 3)
+        with pytest.raises(ValueError, match="even size"):
+            principal_pfaffians(m, [(0, 1, 2)])
 
     def test_prime_field_consistency(self):
         rng = random.Random(30)

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from peskine.fixtures import appendix_cubic, appendix_sigma, appendix_sigma_text
+from peskine.lattice import rank
 from peskine.polyring import MultiPoly, exact_div, pfaffian
 from peskine.trivector import (
     DIM,
@@ -456,10 +457,8 @@ class TestX7Kernel:
         v7 = basis_rows(1, 2, 3, 4, 5, 6, 7)
         kernel = x7_kernel(sigma, v7, domain="v7")
         assert len(kernel) == 2
-        from peskine.trivector import _field_rank
-
         stacked = list(kernel) + [E[0], E[1]]
-        assert _field_rank(stacked, P) == len(kernel)
+        assert rank(stacked, P) == len(kernel)
 
     def test_domain_flag_validated(self):
         with pytest.raises(ValueError):
