@@ -4,8 +4,9 @@ For each admissible discriminant d the association questions are decided
 twice, by independent routes that must agree:
 
   * a closed form in terms of the prime divisors of d, and
-  * a brute-force congruence oracle that scans the full modulus for a
-    solution of the gluing equation between discriminant forms.
+  * a brute-force congruence oracle that scans every residue up to sign
+    (ntheory.square_root_mod) for a solution of the gluing equation
+    between discriminant forms.
 
 The oracle congruences come from matching the generator value of the
 marking complement's discriminant form against the K3 or cubic side.
@@ -56,8 +57,8 @@ def k3_witness(d: int) -> int | None:
     For d not divisible by 22 the congruence is k^2 = -11 (mod 2d).
     For 22 | d with d' = d/11 the discriminant group is cyclic only if
     121 does not divide d, and the congruence is k^2 = 8d' - 11
-    (mod 2d).  The scan runs over the full modulus, with no CRT
-    shortcut, so this route stays independent of k3_closed.
+    (mod 2d).  The scan is exhaustive, with no CRT shortcut, so this
+    route stays independent of k3_closed.
     """
     _require_admissible(d)
     if d % 22 != 0:
@@ -113,7 +114,7 @@ def cubic_witness(d: int) -> int | None:
              (44d' - 3) k^2 = 48d' - 11 (mod 2d)
 
     Cyclicity failures (9 | d in cases 2 and 4, 121 | d in cases 3 and
-    4) return None.  Scans run over the full modulus.
+    4) return None.  Scans are exhaustive, as in k3_witness.
     """
     _require_admissible(d)
     r6 = d % 6
@@ -121,33 +122,24 @@ def cubic_witness(d: int) -> int | None:
         return None
     if d % 22 != 0:
         if r6 == 2:
-            return _scan_congruence(-33, 2 * d - 1, 6 * d)
+            return square_root_mod(2 * d - 1, 6 * d, coeff=-33)
         if d % 9 == 0:
             return None
-        return _scan_congruence(-11, 2 * (d // 3) - 3, 2 * d)
+        return square_root_mod(2 * (d // 3) - 3, 2 * d, coeff=-11)
     if d % 121 == 0:
         return None
     if r6 == 2:
         dp = d // 11
-        return _scan_congruence((2 * d - 1) // 3, 8 * dp - 11, 2 * d)
+        return square_root_mod(8 * dp - 11, 2 * d, coeff=(2 * d - 1) // 3)
     if d % 9 == 0:
         return None
     dp = d // 66
-    return _scan_congruence(44 * dp - 3, 48 * dp - 11, 2 * d)
+    return square_root_mod(48 * dp - 11, 2 * d, coeff=44 * dp - 3)
 
 
 def cubic_oracle(d: int) -> bool:
     """Brute-force counterpart of cubic_closed."""
     return cubic_witness(d) is not None
-
-
-def _scan_congruence(coeff: int, rhs: int, m: int) -> int | None:
-    coeff %= m
-    rhs %= m
-    for k in range(m):
-        if coeff * k * k % m == rhs:
-            return k
-    return None
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,18 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def square_root_mod(a: int, m: int) -> int | None:
-    """Smallest k in [0, m) with k*k = a (mod m), or None; exhaustive scan."""
+def square_root_mod(a: int, m: int, coeff: int = 1) -> int | None:
+    """Smallest k >= 0 with coeff*k*k = a (mod m), or None; exhaustive scan.
+
+    Scans k = 0 .. m // 2: m - k has the same square as k, so the
+    smallest solution, if there is one, lies in that range.
+    """
     if m <= 0:
         raise ValueError(f"modulus must be positive, got {m}")
     a %= m
-    for k in range(m):
-        if k * k % m == a:
+    coeff %= m
+    for k in range(m // 2 + 1):
+        if coeff * k * k % m == a:
             return k
     return None
 

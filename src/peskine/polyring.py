@@ -806,11 +806,8 @@ def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
 def only_zero_at_origin(gens) -> bool:
     """Whether homogeneous generators vanish only at the origin.
 
-    Computes a reduced grevlex basis and checks that every variable
-    contributes a pure power among the leading terms (equivalently the
-    quotient ring is finite-dimensional, so the zero set of the
-    homogeneous ideal over the algebraic closure contains no nonzero
-    point).  Non-homogeneous input is rejected.
+    Computes a reduced grevlex basis and applies basis_has_finite_zeros.
+    Non-homogeneous input is rejected.
     """
     gens = list(gens)
     for g in gens:
@@ -821,8 +818,17 @@ def only_zero_at_origin(gens) -> bool:
         return False
     if any(g.is_constant() for g in gens):
         return True
-    nvars = gens[0].nvars
-    basis = buchberger(gens)
+    return basis_has_finite_zeros(buchberger(gens), gens[0].nvars)
+
+
+def basis_has_finite_zeros(basis: list[MultiPoly], nvars: int) -> bool:
+    """Whether a reduced grevlex basis has finitely many common zeros.
+
+    True when the basis holds a constant or every variable contributes a
+    pure power among the leading terms (equivalently the quotient ring
+    is finite-dimensional).  For a homogeneous ideal this means its zero
+    set over the algebraic closure contains no nonzero point.
+    """
     if any(b.is_constant() for b in basis):
         return True
     seen = [False] * nvars

@@ -2,10 +2,10 @@
 
 Contraction to skew matrices, the 45 quartic equations of the rank <= 6
 degeneracy locus (principal 8x8 Pfaffians), flag verification, exact
-rank at a point, restriction to a 6-dimensional subspace, extraction of
-the distinguished cubic fourfold as a certified GCD, smoothness
-certification through prime-field Jacobian checks, and the auxiliary
-membership, kernel and line verifiers.
+rank at a point, the quartics on a subspace built on its own basis,
+extraction of the distinguished cubic fourfold as a certified GCD,
+smoothness certification through prime-field Jacobian checks, and the
+auxiliary membership, kernel and line verifiers.
 """
 
 from __future__ import annotations
@@ -19,18 +19,23 @@ from .ntheory import is_prime
 from .polyring import (
     MultiPoly,
     _coeff_normalize,
+    basis_has_finite_zeros,
     buchberger,
     exact_div,
     gcd_multivariate,
     normal_form,
-    only_zero_at_origin,
     primitive_part,
     principal_pfaffians,
-    substitute_linear,
 )
 
 DIM = 10
 PESKINE_RANK_BOUND = 6
+_STANDARD_BASIS = tuple(tuple(int(i == j) for i in range(DIM)) for j in range(DIM))
+# the 45 principal 8x8 minors: pair (a, b) deleted, its complement kept
+_PAIRS = tuple(combinations(range(DIM), 2))
+_COMPLEMENTS = tuple(
+    tuple(t for t in range(DIM) if t not in pair) for pair in _PAIRS
+)
 
 
 def _sort_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -115,30 +120,23 @@ def contract(sigma: Trivector, v) -> list[list]:
     return [[_coeff_normalize(x, sigma.p) for x in row] for row in m]
 
 
-def symbolic_contract(sigma: Trivector) -> list[list[MultiPoly]]:
-    """The 10x10 skew matrix of linear forms sum_i sigma_ijk x_i."""
-    entries: dict[tuple[int, int], dict] = {}
+def symbolic_contract(sigma: Trivector, rows=None) -> list[list[MultiPoly]]:
+    """The 10x10 skew matrix of linear forms sum_a y_a contract(sigma, rows[a]).
 
-    def bump(j, k, var, c):
-        exps = tuple(int(t == var) for t in range(DIM))
-        d = entries.setdefault((j, k), {})
-        d[exps] = d.get(exps, 0) + c
-
-    for (i, j, k), c in sigma.coeffs.items():
-        bump(j, k, i, c)
-        bump(k, j, i, -c)
-        bump(i, k, j, -c)
-        bump(k, i, j, c)
-        bump(i, j, k, c)
-        bump(j, i, k, -c)
-    zero = MultiPoly.zero(DIM, sigma.p)
-    return [
-        [
-            MultiPoly(DIM, entries[(j, k)], sigma.p) if (j, k) in entries else zero
-            for k in range(DIM)
-        ]
-        for j in range(DIM)
-    ]
+    The forms live in len(rows) variables; the rows default to the
+    standard basis, which gives the entries sum_i sigma_ijk x_i.
+    """
+    if rows is None:
+        rows = _STANDARD_BASIS
+    n = len(rows)
+    entries = [[{} for _ in range(DIM)] for _ in range(DIM)]
+    for a, row in enumerate(rows):
+        y_a = tuple(int(t == a) for t in range(n))
+        for j, mrow in enumerate(contract(sigma, row)):
+            for k, c in enumerate(mrow):
+                if c:
+                    entries[j][k][y_a] = c
+    return [[MultiPoly(n, entry, sigma.p) for entry in erow] for erow in entries]
 
 
 @dataclass(frozen=True)
@@ -159,13 +157,9 @@ def peskine_equations(sigma: Trivector) -> PeskineSystem:
     A skew matrix has even rank, so rank <= 6 is rank < 8, which is the
     simultaneous vanishing of these 45 degree-4 forms.
     """
-    pairs = tuple(combinations(range(DIM), 2))
-    quartics = principal_pfaffians(
-        symbolic_contract(sigma),
-        [[t for t in range(DIM) if t not in pair] for pair in pairs],
-    )
+    quartics = principal_pfaffians(symbolic_contract(sigma), _COMPLEMENTS)
     return PeskineSystem(
-        tuple((a + 1, b + 1) for a, b in pairs), tuple(quartics)
+        tuple((a + 1, b + 1) for a, b in _PAIRS), tuple(quartics)
     )
 
 
@@ -193,9 +187,7 @@ class Flag:
 
 def standard_flag() -> Flag:
     """w1 = e1 inside w6 = span(e1..e6)."""
-    w1 = tuple(int(i == 0) for i in range(DIM))
-    w6 = tuple(tuple(int(i == j) for i in range(DIM)) for j in range(6))
-    return Flag(w1, w6)
+    return Flag(_STANDARD_BASIS[0], _STANDARD_BASIS[:6])
 
 
 def verify_flag(sigma: Trivector, flag: Flag) -> bool:
@@ -224,14 +216,22 @@ def rank_at_point(sigma: Trivector, v) -> int:
     return rank(contract(sigma, v), sigma.p)
 
 
-def restrict_to_subspace(system: PeskineSystem, w6) -> list[MultiPoly]:
-    """Each quartic composed with the parameterization x = y . w6."""
-    rows = [tuple(r) for r in w6]
-    if len(rows) != 6 or rank(rows) != 6:
-        raise ValueError("w6 must be a rank-6 6x10 matrix")
-    # substitution matrix: x_i = sum_j w6[j][i] y_j
-    a = tuple(tuple(rows[j][i] for j in range(6)) for i in range(DIM))
-    return [substitute_linear(q, a) for q in system.quartics]
+def restrict_to_subspace(sigma: Trivector, rows) -> list[MultiPoly]:
+    """The 45 quartics of sigma on the subspace spanned by rows.
+
+    Entry t is the quartic that peskine_equations lists t-th, composed
+    with x = sum_a y_a rows[a].  Taking a Pfaffian commutes with that
+    substitution, so the forms are the principal Pfaffians of the
+    contraction built on the rows themselves, in len(rows) variables.
+    """
+    rows = [tuple(r) for r in rows]
+    if (
+        not rows
+        or any(len(r) != DIM for r in rows)
+        or rank(rows, sigma.p) != len(rows)
+    ):
+        raise ValueError("rows must be linearly independent 10-vectors")
+    return principal_pfaffians(symbolic_contract(sigma, rows), _COMPLEMENTS)
 
 
 class CubicExtractionError(RuntimeError):
@@ -255,8 +255,7 @@ def extract_cubic(sigma: Trivector, flag: Flag) -> MultiPoly:
         raise ValueError("cubic extraction needs rational coefficients")
     if not verify_flag(sigma, flag):
         raise ValueError("flag does not annihilate the trivector")
-    system = peskine_equations(sigma)
-    restricted = restrict_to_subspace(system, flag.w6)
+    restricted = restrict_to_subspace(sigma, flag.w6)
     nonzero = [q for q in restricted if not q.is_zero()]
     if not nonzero:
         raise CubicExtractionError("all restricted quartics vanish identically")
@@ -292,17 +291,20 @@ class SmoothnessVerdict:
         return self.kind == "smooth"
 
 
-WITNESS_PRIME_BOUND = 101
+WITNESS_PRIME_BOUND = 13
 
 
 def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
     """Jacobian criterion for a cubic fourfold, over F_p.
 
     Reduces the cubic mod p (bad-prime if p is 2 or 3, not prime, or
-    the reduction drops degree), forms the six partials, and reports
-    smooth exactly when their only common zero over the closure is the
-    origin.  When singular and p <= 101 a projective witness is hunted
-    by brute enumeration (O(p^5) work).
+    the reduction drops degree), forms the six partials and computes one
+    reduced Groebner basis of their ideal.  That basis certifies the
+    Euler relation (the cubic lies in the ideal) and decides the verdict:
+    smooth exactly when the partials' only common zero over the closure
+    is the origin.  When singular and p <= WITNESS_PRIME_BOUND a
+    projective witness is hunted by brute enumeration of at most p^5
+    points (13^5 = 371 293); above the bound the witness is None.
     """
     if cubic.p is not None or cubic.nvars != 6:
         raise ValueError("expected a rational cubic in 6 variables")
@@ -324,7 +326,7 @@ def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
     # internal consistency: 3f = sum x_i df/dx_i, so f lies in the ideal
     if not normal_form(reduced, basis).is_zero():
         raise RuntimeError("Euler relation failed against the Groebner basis")
-    if only_zero_at_origin(partials):
+    if basis_has_finite_zeros(basis, 6):
         return SmoothnessVerdict("smooth", p)
     witness = None
     if p <= WITNESS_PRIME_BOUND:
@@ -374,36 +376,25 @@ def x7_kernel(sigma: Trivector, v7, domain: str = "v7") -> list[tuple]:
     """Kernel of v -> (sigma(v, b_i, b_j))_{i<j} for rows b of v7.
 
     domain "v7" restricts v to the span of v7 (vectors are returned in
-    ambient coordinates); domain "v10" takes v through all of V10.
+    ambient coordinates); domain "v10" takes v through all of V10.  The
+    linear forms are written on the domain's own basis: the rows of v7,
+    or the standard basis of V10.
     """
     if domain not in ("v7", "v10"):
         raise ValueError("domain must be 'v7' or 'v10'")
     rows = [tuple(r) for r in v7]
     if len(rows) != 7 or rank(rows, sigma.p) != 7:
         raise ValueError("v7 must be a rank-7 7x10 matrix")
-    pair_rows = []
-    for a, b in combinations(range(7), 2):
-        # linear form v -> sigma(v, rows[a], rows[b])
-        coeffs = [
-            sigma.trilinear(
-                tuple(int(t == e) for t in range(DIM)), rows[a], rows[b]
-            )
-            for e in range(DIM)
-        ]
-        pair_rows.append(coeffs)
-    if domain == "v10":
-        return field_kernel(pair_rows, sigma.p)
-    # compose with the inclusion of span(v7)
-    composed = [
-        [
-            _coeff_normalize(sum(row[t] * rows[s][t] for t in range(DIM)), sigma.p)
-            for s in range(7)
-        ]
-        for row in pair_rows
+    basis = rows if domain == "v7" else _STANDARD_BASIS
+    forms = [
+        [sigma.trilinear(u, rows[a], rows[b]) for u in basis]
+        for a, b in combinations(range(7), 2)
     ]
-    inside = field_kernel(composed, sigma.p)
+    kernel = field_kernel(forms, sigma.p)
+    if domain == "v10":
+        return kernel
     out = []
-    for vec in inside:
+    for vec in kernel:
         amb = [0] * DIM
         for s in range(7):
             if vec[s]:
@@ -416,18 +407,13 @@ def x7_kernel(sigma: Trivector, v7, domain: str = "v7") -> list[tuple]:
 def line_in_peskine(sigma: Trivector, v2) -> bool:
     """Whether the line through rows(v2) lies in the rank <= 6 locus.
 
-    Substitutes the 2-parameter parameterization into every quartic of
-    the degeneracy system and checks the binary quartics vanish.
+    Takes the 45 quartics on the 2-space spanned by the rows (see
+    restrict_to_subspace) and checks that every binary quartic vanishes.
     """
     rows = [tuple(r) for r in v2]
-    if len(rows) != 2 or rank(rows, sigma.p) != 2:
+    if len(rows) != 2:
         raise ValueError("v2 must be a rank-2 2x10 matrix")
-    system = peskine_equations(sigma)
-    a = tuple((rows[0][i], rows[1][i]) for i in range(DIM))
-    for q in system.quartics:
-        if not substitute_linear(q, a).is_zero():
-            return False
-    return True
+    return all(q.is_zero() for q in restrict_to_subspace(sigma, rows))
 
 
 # -- trivector text format --------------------------------------------

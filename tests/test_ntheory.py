@@ -108,6 +108,12 @@ class TestIsSquareMod:
             k = square_root_mod(a, m)
             if k is not None:
                 assert k * k % m == a % m
+            # the half-range scan finds the smallest root of the full range
+            for coeff in (1, 2, -33, a + 1):
+                full = next(
+                    (j for j in range(m) if coeff * j * j % m == a % m), None
+                )
+                assert square_root_mod(a, m, coeff) == full
 
 
 class TestQmodTwoZ:

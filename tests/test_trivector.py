@@ -1,11 +1,18 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from peskine.fixtures import appendix_cubic, appendix_sigma, appendix_sigma_text
 from peskine.lattice import rank
-from peskine.polyring import MultiPoly, exact_div, pfaffian
+from peskine.polyring import (
+    MultiPoly,
+    buchberger,
+    exact_div,
+    pfaffian,
+    substitute_linear,
+)
 from peskine.trivector import (
     DIM,
     CubicExtractionError,
@@ -302,7 +309,7 @@ class TestRestriction:
     def test_coordinate_subspace(self):
         sigma = appendix_sigma()
         system = peskine_equations(sigma)
-        restricted = restrict_to_subspace(system, standard_flag().w6)
+        restricted = restrict_to_subspace(sigma, standard_flag().w6)
         assert len(restricted) == 45
         assert any(not q.is_zero() for q in restricted)
         assert all(q.total_degree() <= 4 for q in restricted)
@@ -314,9 +321,35 @@ class TestRestriction:
             assert q.evaluate(x) == r.evaluate(vals)
 
     def test_rejects_rank_deficient(self):
-        system = peskine_equations(Trivector({}))
         with pytest.raises(ValueError):
-            restrict_to_subspace(system, basis_rows(1, 2, 3, 4, 5, 5))
+            restrict_to_subspace(Trivector({}), basis_rows(1, 2, 3, 4, 5, 5))
+
+    def test_rejects_short_rows(self):
+        with pytest.raises(ValueError):
+            restrict_to_subspace(Trivector({}), [(1, 0, 0), (0, 1, 0)])
+
+    def test_matches_substitution_into_quartics(self):
+        # Pfaffians commute with the substitution x = sum_a y_a rows[a]
+        rng = random.Random(54)
+        for p in (None, 7, P):
+            coeffs = {}
+            for triple in rng.sample(list(combinations(range(1, DIM + 1), 3)), 24):
+                c = rng.randint(-5, 5) if p is None else rng.randrange(p)
+                if c:
+                    coeffs[triple] = c
+            sigma = Trivector(coeffs, p)
+            quartics = peskine_equations(sigma).quartics
+            for dim in (2, 3):
+                while True:
+                    rows = [
+                        tuple(rng.randint(-2, 2) for _ in range(DIM))
+                        for _ in range(dim)
+                    ]
+                    if rank(rows, p) == dim:
+                        break
+                a = [tuple(row[i] for row in rows) for i in range(DIM)]
+                expected = [substitute_linear(q, a) for q in quartics]
+                assert restrict_to_subspace(sigma, rows) == expected
 
 
 class TestExtractCubic:
@@ -327,9 +360,7 @@ class TestExtractCubic:
     def test_divisibility_certificate(self):
         sigma = appendix_sigma()
         cubic = extract_cubic(sigma, standard_flag())
-        restricted = restrict_to_subspace(
-            peskine_equations(sigma), standard_flag().w6
-        )
+        restricted = restrict_to_subspace(sigma, standard_flag().w6)
         for q in restricted:
             if q.is_zero():
                 continue
@@ -380,6 +411,31 @@ class TestSmoothness:
         verdict = smoothness_check(x0**3, P)
         assert verdict.kind == "singular"
         assert verdict.witness is None  # prime too large for the hunt
+
+    def test_witness_hunt_is_bounded(self):
+        # chart 0 (x0 = 1) holds 101^5 points, none of them singular
+        x0 = MultiPoly.variable(0, 6)
+        verdict = smoothness_check(x0**3, 101)
+        assert verdict.kind == "singular"
+        assert verdict.witness is None
+
+    def test_one_groebner_basis_per_prime(self, monkeypatch):
+        calls = []
+
+        def counting(gens):
+            calls.append(1)
+            return buchberger(gens)
+
+        # patch every peskine namespace that binds buchberger by name
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "peskine" and getattr(module, "buchberger", None) is buchberger:
+                monkeypatch.setattr(module, "buchberger", counting)
+        xs = [MultiPoly.variable(i, 6) for i in range(6)]
+        fermat = sum((x**3 for x in xs[1:]), xs[0] ** 3)
+        for cubic in (fermat, xs[0] ** 3, appendix_cubic()):
+            calls.clear()
+            smoothness_check(cubic, P)
+            assert len(calls) == 1
 
     def test_cone_witness_at_small_prime(self):
         x0 = MultiPoly.variable(0, 6)
