@@ -13,6 +13,7 @@ import heapq
 import re
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 Exponents = tuple[int, ...]
 
@@ -43,7 +44,9 @@ class MultiPoly:
 
     field: p = None means Q (int or Fraction coefficients), otherwise
     coefficients live in F_p as ints in [1, p).  Instances are treated
-    as immutable after construction.
+    as immutable after construction.  The constructor validates and
+    normalises its input; results of arithmetic on validated operands
+    are built by _raw, which trusts their exponents.
     """
 
     __slots__ = ("nvars", "p", "terms")
@@ -60,6 +63,33 @@ class MultiPoly:
                     raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
                 clean[e] = c
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict, p: int | None) -> "MultiPoly":
+        """Trusted constructor for results built from validated operands.
+
+        The exponent tuples must already have length nvars and no negative
+        entry; the coefficients (int or Fraction over Q, int over F_p) are
+        brought to canonical form: zeros dropped, c % p over F_p, an
+        integral Fraction turned into an int over Q.
+        """
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.p = p
+        clean = {}
+        if p is None:
+            for e, c in terms.items():
+                if c:
+                    if type(c) is not int and c.denominator == 1:
+                        c = c.numerator
+                    clean[e] = c
+        else:
+            for e, c in terms.items():
+                c %= p
+                if c:
+                    clean[e] = c
+        self.terms = clean
+        return self
 
     # -- constructors ------------------------------------------------
 
@@ -118,29 +148,31 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.nvars, out, self.p)
+        return MultiPoly._raw(self.nvars, out, self.p)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
-        return MultiPoly(self.nvars, out, self.p)
+        return MultiPoly._raw(self.nvars, out, self.p)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()}, self.p)
+        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()}, self.p)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, out, self.p)
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return MultiPoly._raw(self.nvars, out, self.p)
 
     def scalar_mul(self, c) -> "MultiPoly":
-        return MultiPoly(
+        c = _coeff_normalize(c, self.p)
+        return MultiPoly._raw(
             self.nvars, {e: x * c for e, x in self.terms.items()}, self.p
         )
 
@@ -192,7 +224,7 @@ class MultiPoly:
             if e:
                 newe = exps[:i] + (e - 1,) + exps[i + 1 :]
                 out[newe] = out.get(newe, 0) + e * c
-        return MultiPoly(self.nvars, out, self.p)
+        return MultiPoly._raw(self.nvars, out, self.p)
 
     def reduce_mod(self, p: int) -> "MultiPoly":
         """Reduction of a Q-polynomial with p-integral coefficients."""
@@ -204,7 +236,7 @@ class MultiPoly:
             if f.denominator % p == 0:
                 raise ValueError(f"coefficient {c} not p-integral at p = {p}")
             out[e] = f.numerator * pow(f.denominator, -1, p) % p
-        return MultiPoly(self.nvars, out, p)
+        return MultiPoly._raw(self.nvars, out, p)
 
 
 def substitute_linear(poly: MultiPoly, matrix) -> MultiPoly:
@@ -328,7 +360,7 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
                 rem[te] = v
             else:
                 rem.pop(te, None)
-    return MultiPoly(num.nvars, q, p)
+    return MultiPoly._raw(num.nvars, q, p)
 
 
 def integer_content_and_primitive(poly: MultiPoly) -> tuple[Fraction, MultiPoly]:
@@ -349,7 +381,7 @@ def integer_content_and_primitive(poly: MultiPoly) -> tuple[Fraction, MultiPoly]
     for f in fracs.values():
         num_gcd = gcd(num_gcd, f.numerator * (den_lcm // f.denominator))
     content = Fraction(num_gcd, den_lcm)
-    prim = MultiPoly(
+    prim = MultiPoly._raw(
         poly.nvars, {e: f / content for e, f in fracs.items()}, None
     )
     if prim.leading_coefficient() < 0:
@@ -380,7 +412,7 @@ def _univar(poly: MultiPoly, var: int) -> dict[int, MultiPoly]:
         rest = exps[:var] + (0,) + exps[var + 1 :]
         out.setdefault(d, {})[rest] = c
     return {
-        d: MultiPoly(poly.nvars, terms, poly.p) for d, terms in out.items()
+        d: MultiPoly._raw(poly.nvars, terms, poly.p) for d, terms in out.items()
     }
 
 
@@ -390,7 +422,7 @@ def _from_univar(coeffs: dict[int, MultiPoly], var: int, nvars: int) -> MultiPol
         for exps, c in cp.terms.items():
             e = exps[:var] + (d,) + exps[var + 1 :]
             terms[e] = c
-    return MultiPoly(nvars, terms, None)
+    return MultiPoly._raw(nvars, terms, None)
 
 
 def _content_wrt(poly: MultiPoly, var: int) -> MultiPoly:
@@ -595,9 +627,20 @@ class _Packed:
     that complement encoding, larger packed value = larger in grevlex,
     monomial product is add-minus-offset, and divisibility shows up as
     clean guard bits in a single subtraction.
+
+    mul cannot borrow across fields.  A field borrows only when an
+    exponent of the product passes 2^B - 1, so only when its total
+    degree does, and no caller forms such a product.  pack rejects any
+    monomial of total degree above 2^B - 1, and every input term and
+    S-pair lcm is packed.  Grevlex is graded, so a term m of a
+    polynomial with leading term t has deg m <= deg t.  An S-polynomial
+    term m*q with lcm = t*q thus has degree at most deg(lcm), and a
+    reduction step m*q with t*q = lm, the current leading monomial, has
+    degree at most deg(lm), which never exceeds the degree of the
+    polynomial being reduced (an input, or an S-polynomial).
     """
 
-    B = 12  # max exponent 4095, far beyond anything this engine sees
+    B = 12  # max total degree 4095, far beyond anything this engine sees
 
     def __init__(self, nvars: int):
         self.n = nvars
@@ -648,7 +691,7 @@ def _to_packed(poly: MultiPoly, pk: _Packed) -> dict[int, int]:
 
 
 def _from_packed(d: dict[int, int], pk: _Packed, nvars: int, p: int) -> MultiPoly:
-    return MultiPoly(nvars, {pk.unpack(m): c for m, c in d.items()}, p)
+    return MultiPoly._raw(nvars, {pk.unpack(m): c for m, c in d.items()}, p)
 
 
 def _reduce_packed(

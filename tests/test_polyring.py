@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,15 +27,50 @@ def variables(n, p=None):
     return [MultiPoly.variable(i, n, p) for i in range(n)]
 
 
-def random_poly(rng, nvars, degree, terms, p=None, bound=9):
+def random_poly(rng, nvars, degree, terms, p=None, bound=9, den=1):
+    """Random polynomial; over Q with den > 1 the coefficients are
+    Fractions with denominators in 1..den."""
     out = {}
     for _ in range(terms):
         exps = [0] * nvars
         for _ in range(rng.randint(0, degree)):
             exps[rng.randrange(nvars)] += 1
         c = rng.randint(-bound, bound) if p is None else rng.randrange(p)
+        if p is None and den > 1:
+            c = Fraction(c, rng.randint(1, den))
         out[tuple(exps)] = out.get(tuple(exps), 0) + c
     return MultiPoly(nvars, out, p)
+
+
+SCALARS = (0, 3, -2, Fraction(4, 2), Fraction(5, 3))
+
+
+def arithmetic_results(a, b, n):
+    """Every kind of result built from the validated operands a and b."""
+    out = [a + b, a - b, -a, a * b, a**n]
+    out += [a.derivative(i) for i in range(a.nvars)]
+    out += [a.scalar_mul(s) for s in SCALARS]
+    if not b.is_zero():
+        q = exact_div(a * b, b)
+        assert q == a
+        out.append(q)
+    if a.p is None:
+        # denominators stay below 7, so a is integral at both primes
+        out += [a.reduce_mod(7), a.reduce_mod(P)]
+    return out
+
+
+def assert_canonical(r):
+    """r is what the validating constructor makes of its own terms."""
+    rebuilt = MultiPoly(r.nvars, r.terms, r.p)
+    assert r == rebuilt and r.terms == rebuilt.terms
+    for e, c in r.terms.items():
+        assert len(e) == r.nvars and all(type(x) is int and x >= 0 for x in e)
+        if r.p is None:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+            assert c != 0
+        else:
+            assert type(c) is int and 1 <= c < r.p
 
 
 class TestArithmetic:
@@ -53,10 +89,12 @@ class TestArithmetic:
         assert (p + (-p)).is_zero()
 
     def test_ring_mismatch(self):
-        with pytest.raises(ValueError):
-            MultiPoly.variable(0, 2) + MultiPoly.variable(0, 3)
-        with pytest.raises(ValueError):
-            MultiPoly.variable(0, 2) * MultiPoly.variable(0, 2, 7)
+        x = MultiPoly.variable(0, 2)
+        for other in (MultiPoly.variable(0, 3), MultiPoly.variable(0, 2, 7)):
+            with pytest.raises(ValueError, match="different rings"):
+                x + other
+            with pytest.raises(ValueError, match="different rings"):
+                x * other
 
     def test_grevlex_order(self):
         # degree first, then smaller power of the last variable wins
@@ -74,6 +112,77 @@ class TestArithmetic:
     def test_mod_p_normalization(self):
         p = MultiPoly(1, {(1,): 10, (0,): -3}, 7)
         assert p.terms == {(1,): 3, (0,): 4}
+
+
+class TestCanonicalForm:
+    """Arithmetic results are built without re-validation, so each must
+    already be in the form the validating constructor gives."""
+
+    @pytest.mark.parametrize("p", [None, 7, P])
+    def test_results_are_canonical(self, p):
+        rng = random.Random(31 if p is None else p)
+        for _ in range(60):
+            nvars = rng.randint(1, 4)
+            a = random_poly(rng, nvars, 3, rng.randint(0, 6), p, den=6)
+            b = random_poly(rng, nvars, 3, rng.randint(0, 6), p, den=6)
+            for r in arithmetic_results(a, b, rng.randint(0, 3)):
+                assert_canonical(r)
+
+    def test_cancellation_leaves_no_zero_terms(self):
+        for p in (None, 7):
+            x, y = variables(2, p)
+            half = x.scalar_mul(Fraction(1, 2))
+            assert_canonical(half + half - x)
+            assert (half + half - x).terms == {}
+            assert ((x + y) * (x - y) - x * x).terms == (-(y * y)).terms
+
+    def test_results_are_canonical_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def operands(draw):
+            p = draw(st.sampled_from([None, 7, P]))
+            nvars = draw(st.integers(1, 3))
+            exps = st.tuples(*[st.integers(0, 3)] * nvars)
+            if p is None:
+                coeff = st.fractions(-9, 9, max_denominator=6)
+            else:
+                coeff = st.integers(-2 * p, 2 * p)
+            terms = st.dictionaries(exps, coeff, max_size=5)
+            return MultiPoly(nvars, draw(terms), p), MultiPoly(nvars, draw(terms), p)
+
+        @hypothesis.settings(
+            max_examples=150, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(operands(), st.integers(0, 3))
+        def check(pair, n):
+            for r in arithmetic_results(*pair, n):
+                assert_canonical(r)
+
+        check()
+
+
+class TestValidation:
+    """The public constructor checks what comes from outside."""
+
+    def test_exponent_tuple_of_wrong_length(self):
+        for exps in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError, match="bad exponent tuple"):
+                MultiPoly(2, {exps: 1})
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            MultiPoly(2, {(1, -1): 1}, 7)
+
+    def test_scalar_with_denominator_divisible_by_p(self):
+        with pytest.raises(ValueError, match="not defined mod 7"):
+            MultiPoly.variable(0, 2, 7).scalar_mul(Fraction(1, 14))
+
+    def test_integral_fraction_scalar_gives_int(self):
+        r = MultiPoly(2, {(1, 0): 3, (0, 1): Fraction(1, 2)}).scalar_mul(Fraction(4, 2))
+        assert r.terms == {(1, 0): 6, (0, 1): 1}
+        assert all(type(c) is int for c in r.terms.values())
 
 
 class TestSubstituteLinear:
@@ -349,6 +458,16 @@ class TestBuchberger:
         rng = random.Random(25)
         gens = [random_poly(rng, 3, 2, 5, p=P) for _ in range(3)]
         assert buchberger(gens) == buchberger(gens)
+
+    def test_packed_monomial_bound(self):
+        # every packed monomial has total degree <= 4095; an S-pair lcm
+        # or an input above that is refused before any product is formed
+        x, y = variables(2, P)
+        with pytest.raises(ValueError, match="packed-monomial bound"):
+            buchberger([x**3000, x**2000 * y**2000])
+        with pytest.raises(ValueError, match="packed-monomial bound"):
+            normal_form(x**4096, [y])
+        assert buchberger([x**4095]) == [x**4095]
 
 
 def _spoly(f, g):

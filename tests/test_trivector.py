@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -202,6 +203,25 @@ class TestPeskineEquations:
         expected = pfaffian(sub)
         at = system.removed_pairs.index(pair)
         assert system.quartics[at] == expected
+
+    @pytest.mark.parametrize(
+        "which, digest",
+        [
+            ("dense", "acba85b25773efb615a9960feccc6d8cf43569e3ad54a9b57270776cd5c0b8dc"),
+            ("appendix", "2de91a02de2b6c4b4681c095ce0568b1845c561aa940422428cf1f014277e68e"),
+        ],
+    )
+    def test_golden_digest(self, which, digest):
+        # pinned from the implementation that built every polynomial
+        # through the validating constructor
+        if which == "dense":
+            sigma = random_trivector(random.Random(2027), P)
+        else:
+            sigma = appendix_sigma()
+        text = "\n".join(
+            repr(sorted(q.terms.items())) for q in peskine_equations(sigma).quartics
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestFlag:
