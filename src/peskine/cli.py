@@ -32,6 +32,7 @@ from .trivector import (
 
 DEFAULT_PRIMES = (10007, 31013)
 PRIME_ENV = "PESKINE_PRIMES"
+PRIME_LIMIT = 2**31  # keeps the trial division of is_prime below 46 341 steps
 
 
 class InputError(ValueError):
@@ -56,16 +57,29 @@ def _parse_primes(arg: str | None) -> tuple[int, int]:
         raise InputError(f"bad {source}: {raw!r}") from exc
     if len(parts) != 2:
         raise InputError(f"{source} must list exactly two primes, e.g. 10007,31013")
+    for p in parts:
+        if p >= PRIME_LIMIT:
+            raise InputError(f"{source}: {p} is not below the prime bound 2^31")
     return parts[0], parts[1]
+
+
+def _is_basis_spec(spec: str) -> bool:
+    return spec.startswith("e") and spec[1:].isdigit()
+
+
+def _basis_index(spec: str) -> int:
+    """N of a basis-vector spec eN, checked to lie in 1..10."""
+    i = int(spec[1:])
+    if not 1 <= i <= 10:
+        raise InputError(f"basis index out of range in {spec!r}")
+    return i
 
 
 def _parse_vector(spec: str) -> tuple[int, ...]:
     """Either eN for a standard basis vector or 10 comma-separated ints."""
     spec = spec.strip()
-    if spec.startswith("e") and spec[1:].isdigit():
-        i = int(spec[1:])
-        if not 1 <= i <= 10:
-            raise InputError(f"basis index out of range in {spec!r}")
+    if _is_basis_spec(spec):
+        i = _basis_index(spec)
         return tuple(int(t == i - 1) for t in range(10))
     try:
         coords = tuple(int(x) for x in spec.split(","))
@@ -90,9 +104,9 @@ def _parse_flag(spec: str) -> Flag:
         token = token.strip()
         if ".." in token:
             lo, hi = token.split("..", 1)
-            if not (lo.startswith("e") and hi.startswith("e")):
+            if not (_is_basis_spec(lo) and _is_basis_spec(hi)):
                 raise InputError(f"bad range {token!r}")
-            for i in range(int(lo[1:]), int(hi[1:]) + 1):
+            for i in range(_basis_index(lo), _basis_index(hi) + 1):
                 rows.append(tuple(int(t == i - 1) for t in range(10)))
         else:
             rows.append(_parse_vector(token))
@@ -108,10 +122,17 @@ def _q_str(q: QmodTwoZ | None) -> str:
     return "-" if q is None else f"{q} mod 2Z"
 
 
-def cmd_marking(args) -> int:
-    d = args.d
+def _check_d(d: int) -> int:
+    """d itself, once it is admissible and within the ceiling D_MAX."""
+    if d > markings.D_MAX:
+        raise InputError(f"d = {d} is above the supported ceiling D_MAX = {markings.D_MAX}")
     if not markings.admissible(d):
         raise InputError(markings.admissibility_reason(d))
+    return d
+
+
+def cmd_marking(args) -> int:
+    d = _check_d(args.d)
     mg = markings.marking_gram(d)
     closed = markings.disc_form_closed(d)
     group = discriminant_group(mg.lattice())
@@ -142,9 +163,7 @@ def cmd_marking(args) -> int:
 
 
 def cmd_assoc(args) -> int:
-    d = args.d
-    if not markings.admissible(d):
-        raise InputError(markings.admissibility_reason(d))
+    d = _check_d(args.d)
     kinds = ("k3", "cubic") if args.kind == "both" else (args.kind,)
     status = 0
     print(f"d = {d}")
@@ -178,11 +197,12 @@ def _table_ds(args) -> list[int]:
             lo_i, hi_i = int(lo), int(hi)
         except ValueError as exc:
             raise InputError(f"bad range {args.range!r}, expected A..B") from exc
+        if max(lo_i, hi_i) > markings.D_MAX:
+            raise InputError(
+                f"range {args.range!r} passes the supported ceiling D_MAX = {markings.D_MAX}"
+            )
         ds.extend(markings.admissible_range(lo_i, hi_i))
-    for d in args.d or ():
-        if not markings.admissible(d):
-            raise InputError(markings.admissibility_reason(d))
-        ds.append(d)
+    ds.extend(_check_d(d) for d in args.d or ())
     return ds
 
 
@@ -275,6 +295,8 @@ def cmd_verify_appendix(args) -> int:
                 reference = parse_poly(fh.read(), 6, prefix="v")
         except OSError as exc:
             raise InputError(f"cannot read {args.cubic}: {exc}") from exc
+        except ValueError as exc:
+            raise InputError(f"{args.cubic}: {exc}") from exc
     else:
         reference = fixtures.appendix_cubic()
     stage("load", t)

@@ -23,6 +23,10 @@ from .ntheory import QmodTwoZ, qmod2z
 
 ADMISSIBLE_RESIDUES = frozenset({0, 2, 6, 8, 10, 18})
 
+# Largest discriminant the CLI accepts.  The brute-force oracles are
+# linear in d; the slowest takes about 1 s for one d near 10^7.
+D_MAX = 10**7
+
 # (a, b) of the marking Gram per residue of d mod 22; c = (d + offset) / 11.
 _ABC_BY_RESIDUE = {
     0: (0, 0, 0),

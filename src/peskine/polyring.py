@@ -12,10 +12,14 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from math import gcd
-from operator import add
+from functools import lru_cache
+from math import gcd, lcm
+from types import MappingProxyType
 
 Exponents = tuple[int, ...]
+
+MAX_DEGREE = 4095  # the packed-monomial bound on total degree
+_W = 13  # field width: 12 exponent bits and a guard bit
 
 
 def _coeff_normalize(c, p: int | None):
@@ -35,21 +39,88 @@ def _coeff_normalize(c, p: int | None):
 
 
 def grevlex_key(exps: Exponents):
-    """Sort key realizing graded reverse lexicographic order."""
+    """Sort key realizing graded reverse lexicographic order.
+
+    The reference definition of the order; the packed keys of MultiPoly
+    sort the same way (see _layout).
+    """
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+# -- packed monomials -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[int, int]:
+    """(zero, guards) of the packed monomials in n variables.
+
+    MultiPoly keys the monomial x^e by one int.  Layout, most significant
+    first: the total degree, then M - e[n-1], ..., M - e[0] with
+    M = MAX_DEGREE = 4095, each in a field of _W = 13 bits whose top bit
+    is a guard.  So key(e) = zero + sum_i e_i*(2^(n*_W) - 2^(i*_W)) with
+    zero = key(0, ..., 0): a larger key is a larger monomial in grevlex,
+    the leading monomial is max(keys), the product of monomials a and b
+    is a + b - zero, and the total degree is key >> (n*_W).  b divides a
+    exactly when q = a + zero - b is >= 0 with clean guard bits, and q is
+    then the key of a/b: field i of q holds M + b_i - a_i, which lies in
+    [0, 2M], never carries, and reaches the guard bit iff b_i > a_i.
+
+    No product borrows across fields.  A field borrows only when an
+    exponent of the product passes M, so only when its total degree
+    does, and no caller forms such a product.  The constructor, * and **
+    refuse total degree above M; +, -, derivatives, exact quotients and
+    the univariate splits of the GCD never raise a degree, and the GCD
+    checks the degree of what it reassembles.  In the Groebner engine
+    every S-pair lcm is checked.  Grevlex is graded, so a term m of a
+    polynomial with leading term t has deg m <= deg t.  An S-polynomial
+    term m*q with lcm = t*q thus has degree at most deg(lcm), and a
+    reduction step m*q with t*q = lm, the current leading monomial, has
+    degree at most deg(lm), which never exceeds the degree of the
+    polynomial being reduced (an input, or an S-polynomial).
+    """
+    fields = range(0, n * _W, _W)
+    return sum(MAX_DEGREE << s for s in fields), sum((MAX_DEGREE + 1) << s for s in fields)
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise ValueError(f"total degree {d} exceeds the packed-monomial bound {MAX_DEGREE}")
+
+
+def _pack(exps, n: int) -> int:
+    """Packed key of an exponent tuple, validated."""
+    e = tuple(int(x) for x in exps)
+    if len(e) != n or any(x < 0 for x in e):
+        raise ValueError(f"bad exponent tuple {e} for {n} variables")
+    key = sum(e)
+    _check_degree(key)
+    for x in reversed(e):
+        key = (key << _W) | (MAX_DEGREE - x)
+    return key
+
+
+def _unpack(key: int, n: int) -> Exponents:
+    return tuple(MAX_DEGREE - ((key >> (i * _W)) & MAX_DEGREE) for i in range(n))
+
+
+def _var_step(i: int, n: int) -> int:
+    """Key increment of multiplying by x_i."""
+    return (1 << (n * _W)) - (1 << (i * _W))
+
+
 class MultiPoly:
-    """A sparse polynomial: dict from exponent tuples to coefficients.
+    """A sparse polynomial: dict from packed monomials to coefficients.
 
     field: p = None means Q (int or Fraction coefficients), otherwise
     coefficients live in F_p as ints in [1, p).  Instances are treated
-    as immutable after construction.  The constructor validates and
-    normalises its input; results of arithmetic on validated operands
-    are built by _raw, which trusts their exponents.
+    as immutable after construction.  The constructor takes exponent
+    tuples, validates and normalises its input and packs it (see
+    _layout); results of arithmetic on validated operands are built by
+    _raw, which trusts their packed keys.  Total degree is bounded by
+    MAX_DEGREE.
     """
 
-    __slots__ = ("nvars", "p", "terms")
+    __slots__ = ("nvars", "p", "_packed")
 
     def __init__(self, nvars: int, terms=None, p: int | None = None):
         self.nvars = nvars
@@ -58,20 +129,18 @@ class MultiPoly:
         for exps, c in (terms or {}).items():
             c = _coeff_normalize(c, p)
             if c:
-                e = tuple(int(x) for x in exps)
-                if len(e) != nvars or any(x < 0 for x in e):
-                    raise ValueError(f"bad exponent tuple {e} for {nvars} variables")
-                clean[e] = c
-        self.terms = clean
+                clean[_pack(exps, nvars)] = c
+        self._packed = clean
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict, p: int | None) -> "MultiPoly":
         """Trusted constructor for results built from validated operands.
 
-        The exponent tuples must already have length nvars and no negative
-        entry; the coefficients (int or Fraction over Q, int over F_p) are
-        brought to canonical form: zeros dropped, c % p over F_p, an
-        integral Fraction turned into an int over Q.
+        The keys must already be packed monomials in nvars variables of
+        total degree at most MAX_DEGREE; the coefficients (int or Fraction
+        over Q, int over F_p) are brought to canonical form: zeros
+        dropped, c % p over F_p, an integral Fraction turned into an int
+        over Q.
         """
         self = object.__new__(cls)
         self.nvars = nvars
@@ -88,8 +157,15 @@ class MultiPoly:
                 c %= p
                 if c:
                     clean[e] = c
-        self.terms = clean
+        self._packed = clean
         return self
+
+    @property
+    def terms(self):
+        """Read-only view from exponent tuples to coefficients, built on
+        demand."""
+        n = self.nvars
+        return MappingProxyType({_unpack(k, n): c for k, c in self._packed.items()})
 
     # -- constructors ------------------------------------------------
 
@@ -109,33 +185,36 @@ class MultiPoly:
     # -- basic queries -----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return self._packed.keys() <= {_layout(self.nvars)[0]}
 
     def constant_value(self):
-        return self.terms.get((0,) * self.nvars, 0)
+        return self._packed.get(_layout(self.nvars)[0], 0)
 
     def total_degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        if not self._packed:
+            return -1
+        return max(self._packed) >> (self.nvars * _W)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        shift = self.nvars * _W
+        return len({k >> shift for k in self._packed}) <= 1
 
     def leading_monomial(self) -> Exponents:
-        if not self.terms:
+        if not self._packed:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        return _unpack(max(self._packed), self.nvars)
 
     def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
+        return self._packed[max(self._packed)]
 
     def sorted_terms(self):
         """Terms in descending grevlex order."""
-        return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
+        n = self.nvars
+        return [(_unpack(k, n), c) for k, c in sorted(self._packed.items(), reverse=True)]
 
     # -- arithmetic --------------------------------------------------
 
@@ -145,40 +224,48 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._packed)
+        for e, c in other._packed.items():
             out[e] = out.get(e, 0) + c
         return MultiPoly._raw(self.nvars, out, self.p)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._packed)
+        for e, c in other._packed.items():
             out[e] = out.get(e, 0) - c
         return MultiPoly._raw(self.nvars, out, self.p)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()}, self.p)
+        return MultiPoly._raw(self.nvars, {e: -c for e, c in self._packed.items()}, self.p)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
+        a, b = self._packed, other._packed
         out = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
+        if a and b:
+            shift = self.nvars * _W
+            _check_degree((max(a) >> shift) + (max(b) >> shift))
+            get = out.get
+            zero = _layout(self.nvars)[0]
+            for e1, c1 in a.items():
+                e1 -= zero
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
         return MultiPoly._raw(self.nvars, out, self.p)
 
     def scalar_mul(self, c) -> "MultiPoly":
         c = _coeff_normalize(c, self.p)
         return MultiPoly._raw(
-            self.nvars, {e: x * c for e, x in self.terms.items()}, self.p
+            self.nvars, {e: x * c for e, x in self._packed.items()}, self.p
         )
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
+        if n:
+            _check_degree(self.total_degree() * n)
         result = MultiPoly.constant(1, self.nvars, self.p)
         base = self
         while n:
@@ -193,11 +280,11 @@ class MultiPoly:
             isinstance(other, MultiPoly)
             and self.nvars == other.nvars
             and self.p == other.p
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.p, frozenset(self.terms.items())))
+        return hash((self.nvars, self.p, frozenset(self._packed.items())))
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)!r})"
@@ -209,21 +296,24 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
         total = 0
-        for exps, c in self.terms.items():
+        for k, c in self._packed.items():
             v = c
-            for x, e in zip(point, exps):
+            for x in point:
+                e = MAX_DEGREE - (k & MAX_DEGREE)
                 if e:
                     v *= x**e
+                k >>= _W
             total += v
         return _coeff_normalize(total, self.p)
 
     def derivative(self, i: int) -> "MultiPoly":
+        shift = i * _W
+        step = _var_step(i, self.nvars)
         out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
+        for k, c in self._packed.items():
+            e = MAX_DEGREE - ((k >> shift) & MAX_DEGREE)
             if e:
-                newe = exps[:i] + (e - 1,) + exps[i + 1 :]
-                out[newe] = out.get(newe, 0) + e * c
+                out[k - step] = e * c
         return MultiPoly._raw(self.nvars, out, self.p)
 
     def reduce_mod(self, p: int) -> "MultiPoly":
@@ -231,7 +321,7 @@ class MultiPoly:
         if self.p is not None:
             raise ValueError("already over a prime field")
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._packed.items():
             f = Fraction(c)
             if f.denominator % p == 0:
                 raise ValueError(f"coefficient {c} not p-integral at p = {p}")
@@ -336,23 +426,26 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     num._check_compatible(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    q: dict[Exponents, object] = {}
-    rem = dict(num.terms)
-    dlm = den.leading_monomial()
-    dlc = den.leading_coefficient()
+    zero, guards = _layout(num.nvars)
+    q: dict[int, object] = {}
+    rem = dict(num._packed)
+    dterms = den._packed
+    dlm = max(dterms)
+    dlc = dterms[dlm]
     p = num.p
     while rem:
-        lm = max(rem, key=grevlex_key)
-        qe = tuple(a - b for a, b in zip(lm, dlm))
-        if any(x < 0 for x in qe):
+        lm = max(rem)
+        qe = lm + zero - dlm
+        if qe < 0 or qe & guards:
             raise ValueError("division is not exact")
         if p is None:
             qc = Fraction(rem[lm]) / Fraction(dlc)
         else:
             qc = rem[lm] * pow(dlc, -1, p) % p
         q[qe] = qc
-        for e, c in den.terms.items():
-            te = tuple(a + b for a, b in zip(qe, e))
+        qe -= zero
+        for e, c in dterms.items():
+            te = e + qe
             v = rem.get(te, 0) - qc * c
             if p is not None:
                 v %= p
@@ -373,13 +466,9 @@ def integer_content_and_primitive(poly: MultiPoly) -> tuple[Fraction, MultiPoly]
         raise ValueError("content normalization is for Q-coefficients")
     if poly.is_zero():
         return Fraction(0), poly
-    fracs = {e: Fraction(c) for e, c in poly.terms.items()}
-    den_lcm = 1
-    for f in fracs.values():
-        den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-    num_gcd = 0
-    for f in fracs.values():
-        num_gcd = gcd(num_gcd, f.numerator * (den_lcm // f.denominator))
+    fracs = {e: Fraction(c) for e, c in poly._packed.items()}
+    den_lcm = lcm(*(f.denominator for f in fracs.values()))
+    num_gcd = gcd(*(f.numerator * (den_lcm // f.denominator) for f in fracs.values()))
     content = Fraction(num_gcd, den_lcm)
     prim = MultiPoly._raw(
         poly.nvars, {e: f / content for e, f in fracs.items()}, None
@@ -397,31 +486,26 @@ def primitive_part(poly: MultiPoly) -> MultiPoly:
     return integer_content_and_primitive(poly)[1]
 
 
-def _poly_int_content(poly: MultiPoly) -> int:
-    g = 0
-    for c in poly.terms.values():
-        g = gcd(g, int(c))
-    return g
-
-
 def _univar(poly: MultiPoly, var: int) -> dict[int, MultiPoly]:
     """View as a univariate polynomial in var with MultiPoly coefficients."""
+    shift = var * _W
+    step = _var_step(var, poly.nvars)
     out: dict[int, dict] = {}
-    for exps, c in poly.terms.items():
-        d = exps[var]
-        rest = exps[:var] + (0,) + exps[var + 1 :]
-        out.setdefault(d, {})[rest] = c
+    for k, c in poly._packed.items():
+        d = MAX_DEGREE - ((k >> shift) & MAX_DEGREE)
+        out.setdefault(d, {})[k - d * step] = c
     return {
         d: MultiPoly._raw(poly.nvars, terms, poly.p) for d, terms in out.items()
     }
 
 
 def _from_univar(coeffs: dict[int, MultiPoly], var: int, nvars: int) -> MultiPoly:
+    step = _var_step(var, nvars)
     terms = {}
     for d, cp in coeffs.items():
-        for exps, c in cp.terms.items():
-            e = exps[:var] + (d,) + exps[var + 1 :]
-            terms[e] = c
+        _check_degree(d + cp.total_degree())
+        for k, c in cp._packed.items():
+            terms[k + d * step] = c
     return MultiPoly._raw(nvars, terms, None)
 
 
@@ -465,20 +549,16 @@ def _gcd_zz(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_zero():
         return a if a.leading_coefficient() > 0 else -a
     if a.is_constant() or b.is_constant():
-        ca = _poly_int_content(a)
-        cb = _poly_int_content(b)
-        if a.is_constant() and b.is_constant():
-            return MultiPoly.constant(gcd(ca, cb), a.nvars)
-        other = b if a.is_constant() else a
-        const = ca if a.is_constant() else cb
-        return MultiPoly.constant(gcd(const, _poly_int_content(other)), a.nvars)
+        content = gcd(*map(int, a._packed.values()), *map(int, b._packed.values()))
+        return MultiPoly.constant(content, a.nvars)
 
     counts = [0] * a.nvars
     for poly in (a, b):
-        for exps in poly.terms:
-            for i, e in enumerate(exps):
-                if e:
+        for k in poly._packed:
+            for i in range(a.nvars):
+                if k & MAX_DEGREE != MAX_DEGREE:
                     counts[i] += 1
+                k >>= _W
     var = max(range(a.nvars), key=lambda i: counts[i])
 
     ua, ub = _univar(a, var), _univar(b, var)
@@ -497,8 +577,7 @@ def _gcd_zz(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
     one = MultiPoly.constant(1, a.nvars)
     f1, f2 = ppa, ppb
-    g = one
-    h = one
+    g = h = one
     while True:
         delta = max(f1) - max(f2)
         r = _prem(f1, f2)
@@ -510,11 +589,9 @@ def _gcd_zz(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         divisor = g * h**delta
         f1, f2 = f2, {d: exact_div(c, divisor) for d, c in r.items()}
         g = f1[max(f1)]
-        if delta == 0:
-            pass
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
+        elif delta > 1:
             h = exact_div(g**delta, h ** (delta - 1))
     tail = _from_univar(f2, var, a.nvars)
     tail_pp = exact_div(tail, _content_wrt(tail, var))
@@ -533,12 +610,8 @@ def gcd_multivariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     a._check_compatible(b)
     if a.p is not None:
         raise ValueError("gcd_multivariate works over Q")
-    if a.is_zero() and b.is_zero():
-        return a
-    if a.is_zero():
-        return primitive_part(b)
-    if b.is_zero():
-        return primitive_part(a)
+    if a.is_zero() or b.is_zero():
+        return primitive_part(a + b)
     return primitive_part(_gcd_zz(primitive_part(a), primitive_part(b)))
 
 
@@ -619,101 +692,34 @@ def parse_poly(
 # -- Groebner engine (grevlex, F_p) -----------------------------------
 
 
-class _Packed:
-    """Bit-packed monomials whose integer order is grevlex.
-
-    Layout, most significant first: total degree, then M - e[n-1], ...,
-    M - e[0], each in a field of width B+1 bits with a guard bit.  With
-    that complement encoding, larger packed value = larger in grevlex,
-    monomial product is add-minus-offset, and divisibility shows up as
-    clean guard bits in a single subtraction.
-
-    mul cannot borrow across fields.  A field borrows only when an
-    exponent of the product passes 2^B - 1, so only when its total
-    degree does, and no caller forms such a product.  pack rejects any
-    monomial of total degree above 2^B - 1, and every input term and
-    S-pair lcm is packed.  Grevlex is graded, so a term m of a
-    polynomial with leading term t has deg m <= deg t.  An S-polynomial
-    term m*q with lcm = t*q thus has degree at most deg(lcm), and a
-    reduction step m*q with t*q = lm, the current leading monomial, has
-    degree at most deg(lm), which never exceeds the degree of the
-    polynomial being reduced (an input, or an S-polynomial).
-    """
-
-    B = 12  # max total degree 4095, far beyond anything this engine sees
-
-    def __init__(self, nvars: int):
-        self.n = nvars
-        self.w = self.B + 1
-        self.mask = (1 << self.B) - 1
-        self.zero = self.pack((0,) * nvars)
-        guards = 0
-        for i in range(nvars):
-            guards |= 1 << (self.B + i * self.w)
-        self.guards = guards
-
-    def pack(self, exps: Exponents) -> int:
-        v = sum(exps)
-        if v > self.mask:
-            raise ValueError(f"total degree {v} exceeds the packed-monomial bound")
-        for i in range(self.n - 1, -1, -1):
-            v = (v << self.w) | (self.mask - exps[i])
-        return v
-
-    def unpack(self, m: int) -> Exponents:
-        out = []
-        for _ in range(self.n):
-            out.append(self.mask - (m & ((1 << self.w) - 1)))
-            m >>= self.w
-        return tuple(out)
-
-    def mul(self, a: int, b: int) -> int:
-        return a + b - self.zero
-
-    def quotient(self, a: int, b: int) -> int | None:
-        """a / b as monomials, or None when b does not divide a."""
-        q = a + self.zero - b
-        if q < 0 or (q & self.guards):
-            return None
-        return q
-
-    def lcm(self, a: int, b: int) -> int:
-        ea, eb = self.unpack(a), self.unpack(b)
-        return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
-
-    def coprime(self, a: int, b: int) -> bool:
-        ea, eb = self.unpack(a), self.unpack(b)
-        return all(x == 0 or y == 0 for x, y in zip(ea, eb))
+def _lcm(a: int, b: int, n: int) -> int:
+    """Packed lcm of two packed monomials, within the degree bound."""
+    return _pack(tuple(map(max, _unpack(a, n), _unpack(b, n))), n)
 
 
-def _to_packed(poly: MultiPoly, pk: _Packed) -> dict[int, int]:
-    return {pk.pack(e): c for e, c in poly.terms.items()}
-
-
-def _from_packed(d: dict[int, int], pk: _Packed, nvars: int, p: int) -> MultiPoly:
-    return MultiPoly._raw(nvars, {pk.unpack(m): c for m, c in d.items()}, p)
-
-
-def _reduce_packed(
-    poly: dict[int, int], basis: list[tuple[int, dict[int, int]]], pk: _Packed, p: int
+def _reduce(
+    poly: dict[int, int], basis: list[tuple[int, dict[int, int]]], n: int, p: int
 ) -> dict[int, int]:
     """Full normal form of a packed polynomial against monic divisors."""
+    zero, guards = _layout(n)
     work = dict(poly)
+    get, pop = work.get, work.pop
     out: dict[int, int] = {}
     while work:
         lm = max(work)
         lc = work[lm]
         for blm, bterms in basis:
-            q = pk.quotient(lm, blm)
-            if q is not None:
-                # basis is monic, so the head cancels inside this loop
+            q = lm + zero - blm
+            if q >= 0 and not q & guards:
+                # blm divides lm; the basis is monic, so the head cancels
+                q -= zero
                 for m, c in bterms.items():
-                    mm = pk.mul(m, q)
-                    v = (work.get(mm, 0) - lc * c) % p
+                    mm = m + q
+                    v = (get(mm, 0) - lc * c) % p
                     if v:
                         work[mm] = v
                     else:
-                        work.pop(mm, None)
+                        pop(mm, None)
                 break
         else:
             out[lm] = lc
@@ -743,26 +749,33 @@ def buchberger(gens) -> list[MultiPoly]:
     for g in gens:
         if g.nvars != nvars or g.p != p:
             raise ValueError("generators live in different rings")
-    pk = _Packed(nvars)
+    zero, guards = _layout(nvars)
+
+    def divides(a: int, b: int) -> bool:
+        q = b + zero - a
+        return q >= 0 and not q & guards
 
     basis: list[tuple[int, dict[int, int]]] = []
-    for g in gens:
-        t = _make_monic(_to_packed(g, pk), p)
-        basis.append((max(t), t))
-
     pending: set[frozenset[int]] = set()
     heap: list[tuple[int, int, int]] = []
-    for i in range(len(basis)):
-        for j in range(i):
-            pair = frozenset((i, j))
-            pending.add(pair)
-            heapq.heappush(heap, (pk.lcm(basis[i][0], basis[j][0]), j, i))
+
+    def add(terms: dict[int, int]) -> None:
+        """Append terms, made monic, and queue its pairs."""
+        t = _make_monic(terms, p)
+        new = len(basis)
+        basis.append((max(t), t))
+        for k in range(new):
+            pending.add(frozenset((k, new)))
+            heapq.heappush(heap, (_lcm(basis[k][0], basis[new][0], nvars), k, new))
+
+    for g in gens:
+        add(g._packed)
 
     def chain_criterion(i: int, j: int, lcm_ij: int) -> bool:
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if pk.quotient(lcm_ij, basis[k][0]) is None:
+            if not divides(basis[k][0], lcm_ij):
                 continue
             if (
                 frozenset((i, k)) not in pending
@@ -778,54 +791,40 @@ def buchberger(gens) -> list[MultiPoly]:
             continue
         pending.discard(pair)
         lti, ltj = basis[i][0], basis[j][0]
-        if pk.coprime(lti, ltj):
-            continue
+        if not any(map(min, _unpack(lti, nvars), _unpack(ltj, nvars))):
+            continue  # coprime leading monomials
         if chain_criterion(i, j, lcm_ij):
             continue
-        qi = pk.quotient(lcm_ij, lti)
-        qj = pk.quotient(lcm_ij, ltj)
-        s: dict[int, int] = {}
-        for m, c in basis[i][1].items():
-            mm = pk.mul(m, qi)
-            s[mm] = (s.get(mm, 0) + c) % p
+        qi, qj = lcm_ij - lti, lcm_ij - ltj
+        s = {m + qi: c for m, c in basis[i][1].items()}
         for m, c in basis[j][1].items():
-            mm = pk.mul(m, qj)
+            mm = m + qj
             v = (s.get(mm, 0) - c) % p
             if v:
                 s[mm] = v
             else:
-                s.pop(mm, None)
-        s = {m: c for m, c in s.items() if c}
-        r = _reduce_packed(s, basis, pk, p)
-        if not r:
-            continue
-        r = _make_monic(r, p)
-        new = len(basis)
-        basis.append((max(r), r))
-        for k in range(new):
-            pending.add(frozenset((k, new)))
-            heapq.heappush(heap, (pk.lcm(basis[k][0], basis[new][0]), k, new))
+                del s[mm]
+        r = _reduce(s, basis, nvars, p)
+        if r:
+            add(r)
 
     # autoreduce: drop elements whose lead is divisible by another lead,
     # then fully reduce each survivor against the others
-    keep: list[int] = []
-    for i, (lt, _) in enumerate(basis):
-        if any(
-            k != i and pk.quotient(lt, basis[k][0]) is not None
-            for k in range(len(basis))
-            if (basis[k][0] != lt or k < i)
-        ):
-            continue
-        keep.append(i)
-    final: list[tuple[int, dict[int, int]]] = [basis[i] for i in keep]
+    final = [
+        (lt, terms)
+        for i, (lt, terms) in enumerate(basis)
+        if not any(
+            divides(lk, lt) for k, (lk, _) in enumerate(basis) if k != i and (lk != lt or k < i)
+        )
+    ]
     reduced: list[tuple[int, dict[int, int]]] = []
     for idx, (lt, terms) in enumerate(final):
         others = [final[k] for k in range(len(final)) if k != idx]
-        r = _reduce_packed(terms, others, pk, p)
+        r = _reduce(terms, others, nvars, p)
         if r:
             reduced.append((max(r), _make_monic(r, p)))
     reduced.sort(key=lambda t: t[0])
-    return [_from_packed(t, pk, nvars, p) for _, t in reduced]
+    return [MultiPoly._raw(nvars, t, p) for _, t in reduced]
 
 
 def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
@@ -835,15 +834,11 @@ def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
     nvars, p = poly.nvars, poly.p
     if p is None:
         raise ValueError("normal_form works over a prime field")
-    pk = _Packed(nvars)
-    packed_basis = []
     for g in basis:
-        if g.is_zero():
-            continue
-        t = _make_monic(_to_packed(g, pk), p)
-        packed_basis.append((max(t), t))
-    r = _reduce_packed(_to_packed(poly, pk), packed_basis, pk, p)
-    return _from_packed(r, pk, nvars, p)
+        poly._check_compatible(g)  # packed keys only mean something in one ring
+    monic = [_make_monic(g._packed, p) for g in basis if not g.is_zero()]
+    monic = [(max(t), t) for t in monic]
+    return MultiPoly._raw(nvars, _reduce(poly._packed, monic, nvars, p), p)
 
 
 def only_zero_at_origin(gens) -> bool:

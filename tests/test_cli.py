@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from peskine.cli import main
 from peskine.fixtures import appendix_cubic_text, appendix_sigma_text
+from peskine.markings import D_MAX, admissible
 
 
 @pytest.fixture
@@ -194,3 +197,68 @@ class TestVerifyAppendix:
             assert err.startswith("error:") and "--primes" in err, bad
             assert "Traceback" not in err, bad
 
+
+
+class TestBoundedInputs:
+    """Inputs past a documented bound exit 2 at once, with a message."""
+
+    @pytest.mark.parametrize("spec", ["e1:e1..e12", "e1:e0..e5"])
+    def test_flag_range_index_checked_before_expansion(self, capsys, sigma_file, spec):
+        code, _, err = run(capsys, "peskine", sigma_file, "flag-verify", "--flag", spec)
+        assert code == 2
+        assert "basis index out of range" in err
+        assert "Traceback" not in err
+
+    def test_huge_prime_is_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-appendix", "--primes", "1000000000000000003,10007")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "--primes" in err and "2^31" in err
+        assert out == ""
+
+    def test_huge_prime_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("PESKINE_PRIMES", "10007,4294967311")
+        code, _, err = run(capsys, "verify-appendix")
+        assert code == 2
+        assert "PESKINE_PRIMES" in err and "2^31" in err
+
+    def test_largest_prime_below_the_bound_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify-appendix", "--primes", "2147483647,10007")
+        assert code == 0
+        assert "stage smooth-2147483647: pass" in out
+
+    @pytest.mark.parametrize("command", ["assoc", "marking"])
+    def test_discriminant_ceiling(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--d", "1000000000012")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "D_MAX" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--d", str(D_MAX + 12)],
+            ["--range", f"{D_MAX - 100}..{D_MAX + 100}"],
+            ["--range", f"{D_MAX + 100}..{D_MAX + 200}"],
+        ],
+    )
+    def test_table_ceiling(self, capsys, argv):
+        code, out, err = run(capsys, "table", *argv)
+        assert code == 2
+        assert "D_MAX" in err and out == ""
+
+    def test_ceiling_is_inclusive(self, capsys):
+        assert admissible(D_MAX - 4)
+        code, out, _ = run(capsys, "marking", "--d", str(D_MAX - 4))
+        assert code == 0
+        assert out.startswith(f"d = {D_MAX - 4}\n")
+
+    def test_cubic_file_past_the_degree_bound(self, capsys, tmp_path):
+        bad = tmp_path / "big.poly"
+        bad.write_text("v1^5000\n", encoding="utf-8")
+        code, _, err = run(capsys, "verify-appendix", "--cubic", str(bad))
+        assert code == 2
+        assert "packed-monomial bound" in err
+        assert "Traceback" not in err

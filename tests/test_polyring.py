@@ -185,6 +185,99 @@ class TestValidation:
         assert all(type(c) is int for c in r.terms.values())
 
 
+class TestDegreeBound:
+    """Total degree is bounded by the packed-monomial bound, 4095."""
+
+    def test_power_past_the_bound(self):
+        x = MultiPoly.variable(0, 1, P)
+        with pytest.raises(ValueError, match="packed-monomial bound"):
+            x**4096
+
+    def test_constructor_past_the_bound(self):
+        with pytest.raises(ValueError, match="packed-monomial bound"):
+            MultiPoly(1, {(4096,): 1})
+        with pytest.raises(ValueError, match="packed-monomial bound"):
+            MultiPoly(3, {(1000, 3000, 96): 1})
+
+    def test_parse_past_the_bound(self):
+        with pytest.raises(ValueError, match="packed-monomial bound"):
+            parse_poly("x1^4096", 1)
+
+    def test_product_past_the_bound(self):
+        a = MultiPoly(2, {(2048, 0): 1})
+        b = MultiPoly(2, {(0, 2048): 1})
+        with pytest.raises(ValueError, match="packed-monomial bound"):
+            a * b
+
+    def test_bound_itself_is_allowed(self):
+        x, y = variables(2)
+        top = x**4095
+        assert top.total_degree() == 4095
+        assert top.leading_monomial() == (4095, 0)
+        mixed = x**2048 * y**2047
+        assert mixed.terms == {(2048, 2047): 1}
+        assert mixed.derivative(1).terms == {(2048, 2046): 2047}
+
+
+def _random_exponents(rng, n, total=None):
+    """A random exponent tuple of the given total degree, by default a
+    random one up to 4095."""
+    if total is None:
+        total = rng.choice((0, 1, 2, rng.randint(0, 4095), 4095))
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+class TestOrderGoldens:
+    """The packed order, degrees, calculus and evaluation agree with
+    grevlex_key and with tuple arithmetic on .terms."""
+
+    @pytest.mark.parametrize("p", [None, 7, P])
+    def test_against_tuple_arithmetic(self, p):
+        rng = random.Random(4095 + (p or 0))
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            # a third of the polynomials are homogeneous
+            degree = rng.randint(0, 4095) if rng.random() < 0.3 else None
+            raw = {}
+            for _ in range(rng.randint(1, 6)):
+                e = _random_exponents(rng, n, degree)
+                c = rng.randint(-9, 9) if p is None else rng.randrange(1, p)
+                if p is None and rng.random() < 0.3:
+                    c = Fraction(c, rng.randint(2, 5))
+                raw[e] = c
+            f = MultiPoly(n, raw, p)
+            terms = dict(f.terms)
+            assert terms == {e: c for e, c in raw.items() if c}
+            if not terms:
+                continue
+            assert f.leading_monomial() == max(terms, key=grevlex_key)
+            assert f.sorted_terms() == sorted(
+                terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True
+            )
+            assert f.total_degree() == max(sum(e) for e in terms)
+            assert f.is_homogeneous() == (len({sum(e) for e in terms}) == 1)
+            for i in range(n):
+                want = {}
+                for e, c in terms.items():
+                    v = e[i] * c if p is None else e[i] * c % p
+                    if v:
+                        want[e[:i] + (e[i] - 1,) + e[i + 1 :]] = v
+                assert f.derivative(i).terms == want
+            point = [rng.randint(-3, 3) for _ in range(n)]
+            value = 0
+            for e, c in terms.items():
+                for x, k in zip(point, e):
+                    c *= x**k
+                value += c
+            assert f.evaluate(point) == (value if p is None else value % p)
+            g = MultiPoly(n, {_random_exponents(rng, n): 1}, p)
+            if f.total_degree() + g.total_degree() <= 4095:
+                (m, _), = g.terms.items()
+                want = {tuple(a + b for a, b in zip(e, m)): c for e, c in terms.items()}
+                assert (f * g).terms == want
+
+
 class TestSubstituteLinear:
     def test_identity(self):
         x = MultiPoly.variable(0, 2)
@@ -458,6 +551,12 @@ class TestBuchberger:
         rng = random.Random(25)
         gens = [random_poly(rng, 3, 2, 5, p=P) for _ in range(3)]
         assert buchberger(gens) == buchberger(gens)
+
+    def test_normal_form_checks_the_ring(self):
+        x = MultiPoly.variable(0, 2, 7)
+        for other in (MultiPoly.variable(2, 3, 7), MultiPoly.variable(0, 2, 11)):
+            with pytest.raises(ValueError, match="different rings"):
+                normal_form(x, [other])
 
     def test_packed_monomial_bound(self):
         # every packed monomial has total degree <= 4095; an S-pair lcm

@@ -5,12 +5,14 @@ from itertools import combinations
 
 import pytest
 
+from peskine.cli import main
 from peskine.fixtures import appendix_cubic, appendix_sigma, appendix_sigma_text
 from peskine.lattice import rank
 from peskine.polyring import (
     MultiPoly,
     buchberger,
     exact_div,
+    format_poly,
     pfaffian,
     substitute_linear,
 )
@@ -222,6 +224,23 @@ class TestPeskineEquations:
             repr(sorted(q.terms.items())) for q in peskine_equations(sigma).quartics
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_print_order_digests(self, capsys, tmp_path):
+        # the digest above hashes sorted tuples and cannot see the print
+        # order; these pin the rendered text, taken from the tuple-keyed
+        # implementation
+        dense = peskine_equations(random_trivector(random.Random(2027), P))
+        text = "\n".join(format_poly(q) for q in dense.quartics)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e5a2f47ea5758ee355f57ec779a06525478586896125a5275fe8bc3e71309ae5"
+        )
+        path = tmp_path / "appendix_sigma.tvec"
+        path.write_text(appendix_sigma_text(), encoding="utf-8")
+        assert main(["peskine", str(path), "equations"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c239478a3b8716d0ab779c76b15c7af13eecf4f9e702042f92b9a0e933bfba3d"
+        )
 
 
 class TestFlag:
