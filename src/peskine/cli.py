@@ -9,13 +9,14 @@ bodies on stdout are deterministic; timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
 from fractions import Fraction
 
 from . import associations, fixtures, markings
-from .lattice import discriminant_group
+from .lattice import discriminant_group, generator_with_q_value
 from .ntheory import QmodTwoZ
 from .polyring import format_poly, parse_poly
 from .trivector import (
@@ -135,7 +136,8 @@ def cmd_marking(args) -> int:
     d = _check_d(args.d)
     mg = markings.marking_gram(d)
     closed = markings.disc_form_closed(d)
-    group = discriminant_group(mg.lattice())
+    lat = mg.lattice()
+    group = discriminant_group(lat)
     print(f"d = {d}")
     print(f"admissible: yes ({markings.admissibility_reason(d)})")
     print(f"(a, b, c) = {mg.abc}")
@@ -149,7 +151,7 @@ def cmd_marking(args) -> int:
     lat_q = ", ".join(str(q) for q in group.qvals)
     print(f"lattice:     group {lat_factors}, q-values ({lat_q}) mod 2Z")
     if closed.q is not None:
-        witness = markings.exhibit_generator(d)
+        witness = generator_with_q_value(lat, group, closed.q)
         if witness is None:
             raise MismatchError(f"d = {d}: no generator attains the closed form value")
         wstr = ", ".join(str(Fraction(x)) for x in witness)
@@ -343,6 +345,7 @@ def cmd_verify_appendix(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peskine",

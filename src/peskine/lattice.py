@@ -304,7 +304,8 @@ def discriminant_group(lattice: GramLattice) -> DiscGroup:
 
     Generators are the columns of the Smith transform V scaled by the
     invariant factors: with U*G*V = D, the class of V[:,i]/d_i generates
-    a Z/d_i summand.
+    a Z/d_i summand.  The pairing and the form are computed on the
+    integer column; only the stored generator is rational.
     """
     g = lattice.gram
     n = lattice.rank
@@ -314,14 +315,31 @@ def discriminant_group(lattice: GramLattice) -> DiscGroup:
         di = d[i][i]
         if di <= 1:
             continue
-        gen = tuple(Fraction(v[r][i], di) for r in range(n))
-        pairing = [sum(Fraction(g[r][c]) * gen[c] for c in range(n)) for r in range(n)]
-        assert all(x.denominator == 1 for x in pairing), "generator not in dual"
-        q = sum(gen[r] * pairing[r] for r in range(n))
+        col = [v[r][i] for r in range(n)]
+        pairing = mat_vec(g, col)
+        assert all(x % di == 0 for x in pairing), "generator not in dual"
         factors.append(di)
-        gens.append(gen)
-        qvals.append(QmodTwoZ.from_fraction(q))
+        gens.append(tuple(Fraction(x, di) for x in col))
+        qvals.append(QmodTwoZ(sum(c * x for c, x in zip(col, pairing)), di * di))
     return DiscGroup(tuple(factors), tuple(gens), tuple(qvals))
+
+
+def _unit_scan(order: int, q: Fraction, targets, stop: int) -> tuple[int, int] | None:
+    """First u < stop coprime to the order with u^2*q = targets[s] in Q/2Z.
+
+    Returns (u, s), with the least s for that u, or None.  The values are
+    compared as integer numerators over one common denominator den,
+    modulo 2*den.
+    """
+    den = lcm(q.denominator, *(t.denominator for t in targets))
+    mod = 2 * den
+    a = q.numerator * (den // q.denominator)
+    bs = [t.numerator * (den // t.denominator) % mod for t in targets]
+    for u in range(stop):
+        r = u * u * a % mod
+        if r in bs and gcd(u, order) == 1:
+            return u, bs.index(r)
+    return None
 
 
 def cyclic_q_matches(order: int, q1: QmodTwoZ, q2: QmodTwoZ) -> bool:
@@ -334,16 +352,8 @@ def cyclic_q_matches(order: int, q1: QmodTwoZ, q2: QmodTwoZ) -> bool:
     even lattices; on odd lattices use generator_with_q_value, which
     also adjusts the representative by lattice vectors.
     """
-    f1, f2 = q1.as_fraction(), q2.as_fraction()
-    den = (f1.denominator * f2.denominator) // gcd(f1.denominator, f2.denominator)
-    a = f1.numerator * (den // f1.denominator)
-    b = f2.numerator * (den // f2.denominator)
-    mod = 2 * den
-    bound = max(2 * order, mod)
-    for u in range(bound):
-        if gcd(u, order) == 1 and (u * u * a - b) % mod == 0:
-            return True
-    return False
+    bound = max(2 * order, 2 * lcm(q1.den, q2.den))
+    return _unit_scan(order, q1.as_fraction(), (q2.as_fraction(),), bound) is not None
 
 
 def generator_with_q_value(
@@ -354,35 +364,24 @@ def generator_with_q_value(
     Searches unit multiples u*g of the stored generator together with
     representative shifts by basis vectors; on an odd lattice the shift
     can change the value by an odd integer, so the search covers the
-    whole mod-2Z ambiguity.  Returns the dual vector found, or None.
+    whole mod-2Z ambiguity.  G*g is integral, so q(u*g + e_i) equals
+    u^2*q(g) + G_ii mod 2Z and the search is a congruence on u; the
+    vector found is checked by evaluating its q-value exactly.  Returns
+    the dual vector found, or None.
     """
     if not group.is_cyclic() or group.is_trivial():
         raise ValueError("needs a nontrivial cyclic group")
     order = group.invariant_factors[0]
-    g = group.generators[0]
-    n = lattice.rank
-    q1 = group.qvals[0].as_fraction()
+    gram = lattice.gram
     t = target.as_fraction()
-    den = (q1.denominator * t.denominator) // gcd(q1.denominator, t.denominator)
-    a = q1.numerator * (den // q1.denominator)
-    b = t.numerator * (den // t.denominator)
-    shifts = [tuple(Fraction(0) for _ in range(n))]
-    shifts += [
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    ]
-    for u in range(order):
-        if gcd(u, order) != 1 or (u * u * a - b) % den != 0:
-            continue
-        for lam in shifts:
-            x = tuple(u * gi + li for gi, li in zip(g, lam))
-            pairing = [
-                sum(Fraction(lattice.gram[r][c]) * x[c] for c in range(n))
-                for r in range(n)
-            ]
-            q = sum(x[r] * pairing[r] for r in range(n))
-            if QmodTwoZ.from_fraction(q) == target:
-                return x
-    return None
+    targets = [t] + [t - gram[i][i] for i in range(lattice.rank)]
+    hit = _unit_scan(order, group.qvals[0].as_fraction(), targets, order)
+    if hit is None:
+        return None
+    u, s = hit
+    x = tuple(u * gi + int(i == s - 1) for i, gi in enumerate(group.generators[0]))
+    q = sum(a * b for a, b in zip(x, mat_vec(gram, x)))
+    return x if QmodTwoZ.from_fraction(q) == target else None
 
 
 def divisibility(lattice: GramLattice, v) -> int:

@@ -55,7 +55,7 @@ def admissibility_reason(d: int) -> str:
 
 def admissible_range(lo: int, hi: int) -> list[int]:
     """Admissible discriminants in [lo, hi]."""
-    return [d for d in range(lo, hi + 1) if admissible(d)]
+    return [d for d in range(max(lo, 1), hi + 1) if admissible(d)]
 
 
 def hls_set() -> frozenset[int]:
@@ -152,12 +152,13 @@ def disc_form_agrees(d: int) -> bool:
     representative attaining the closed-form q-value exactly.
     """
     closed = disc_form_closed(d)
-    group = discriminant_group(marking_gram(d).lattice())
+    lat = marking_gram(d).lattice()
+    group = discriminant_group(lat)
     if group.invariant_factors != closed.invariant_factors:
         return False
     if closed.q is None:
         return True
-    return exhibit_generator(d) is not None
+    return generator_with_q_value(lat, group, closed.q) is not None
 
 
 # Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.

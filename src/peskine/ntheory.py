@@ -38,14 +38,7 @@ def factorize(n: int) -> Factorization:
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; fine at desk scale."""
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def legendre(a: int, p: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .lattice import field_kernel, rank
 from .ntheory import is_prime
@@ -259,19 +259,25 @@ def extract_cubic(sigma: Trivector, flag: Flag) -> MultiPoly:
     nonzero = [q for q in restricted if not q.is_zero()]
     if not nonzero:
         raise CubicExtractionError("all restricted quartics vanish identically")
+    # Once the running GCD has degree <= 3 the division certificate below
+    # decides the rest: a cubic dividing every quartic is their GCD.
     g = nonzero[0]
     for q in nonzero[1:]:
-        g = gcd_multivariate(g, q)
-        if g.is_constant():
+        if g.total_degree() <= 3:
             break
+        g = gcd_multivariate(g, q)
     g = primitive_part(g)
     if g.total_degree() != 3 or not g.is_homogeneous():
         raise CubicExtractionError(
             f"common factor has degree {g.total_degree()}, expected 3", g
         )
     for q in nonzero:
-        quotient = exact_div(q, g)
-        if quotient.total_degree() != 1 or not quotient.is_homogeneous():
+        try:
+            quotient = exact_div(q, g)
+            linear = quotient.total_degree() == 1 and quotient.is_homogeneous()
+        except ValueError:
+            linear = False
+        if not linear:
             raise CubicExtractionError(
                 "restricted quartic is not cubic times a linear form", g
             )
@@ -335,29 +341,18 @@ def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
 
 
 def _singular_point_search(partials, p: int) -> tuple[int, ...] | None:
-    """First projective point killing every partial, scanning charts."""
+    """First projective point killing every partial, scanning charts.
+
+    In chart c the point is (0, .., 0, 1, x_{c+1}, .., x_5), with x_{c+1}
+    changing fastest.
+    """
     n = 6
     for chart in range(n):
-        tail = n - chart - 1
-        point = [0] * n
-        point[chart] = 1
-        counters = [0] * tail
-        while True:
-            for idx, c in enumerate(counters):
-                point[chart + 1 + idx] = c
+        head = (0,) * chart + (1,)
+        for tail in product(range(p), repeat=n - chart - 1):
+            point = head + tail[::-1]
             if all(q.evaluate(point) == 0 for q in partials):
-                return tuple(point)
-            i = 0
-            while i < tail:
-                counters[i] += 1
-                if counters[i] < p:
-                    break
-                counters[i] = 0
-                i += 1
-            else:
-                break
-            if tail == 0:
-                break
+                return point
     return None
 
 

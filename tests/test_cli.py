@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from peskine.cli import main
+from peskine.cli import build_parser, main
 from peskine.fixtures import appendix_cubic_text, appendix_sigma_text
 from peskine.markings import D_MAX, admissible
 
@@ -110,6 +110,14 @@ class TestTable:
     def test_explicit_non_admissible(self, capsys):
         code, _, err = run(capsys, "table", "--d", "26")
         assert code == 2
+
+    def test_negative_lower_endpoint_is_cheap(self, capsys):
+        # the scan starts at the first positive d, not at the endpoint
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "table", "--range=-100000000..30")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert (code, out) == run(capsys, "table", "--range", "1..30")[:2]
 
 
 class TestPeskine:
@@ -262,3 +270,8 @@ class TestBoundedInputs:
         assert code == 2
         assert "packed-monomial bound" in err
         assert "Traceback" not in err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()

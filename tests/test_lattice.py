@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,8 +23,8 @@ from peskine.lattice import (
     transpose,
     unimodular_inverse,
 )
-from peskine.markings import lambda11, marking_gram
-from peskine.ntheory import qmod2z
+from peskine.markings import admissible_range, disc_form_closed, lambda11, marking_gram
+from peskine.ntheory import QmodTwoZ, qmod2z
 
 from _models import same_lattice, span_eq
 
@@ -219,6 +220,118 @@ class TestCyclicQMatches:
             for r in range(n)
         )
         assert qmod2z(q.numerator, q.denominator) == qmod2z(11, 24)
+
+
+def reference_cyclic_q_matches(order, q1, q2):
+    """Unit loop of the earlier cyclic_q_matches, kept as the reference."""
+    f1, f2 = q1.as_fraction(), q2.as_fraction()
+    den = (f1.denominator * f2.denominator) // gcd(f1.denominator, f2.denominator)
+    a = f1.numerator * (den // f1.denominator)
+    b = f2.numerator * (den // f2.denominator)
+    mod = 2 * den
+    bound = max(2 * order, mod)
+    for u in range(bound):
+        if gcd(u, order) == 1 and (u * u * a - b) % mod == 0:
+            return True
+    return False
+
+
+def reference_generator_with_q_value(lattice, group, target):
+    """Fraction search of the earlier generator_with_q_value: q evaluated
+    exactly on every candidate u*g + shift, kept as the reference."""
+    order = group.invariant_factors[0]
+    g = group.generators[0]
+    n = lattice.rank
+    q1 = group.qvals[0].as_fraction()
+    t = target.as_fraction()
+    den = (q1.denominator * t.denominator) // gcd(q1.denominator, t.denominator)
+    a = q1.numerator * (den // q1.denominator)
+    b = t.numerator * (den // t.denominator)
+    shifts = [tuple(Fraction(0) for _ in range(n))]
+    shifts += [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    for u in range(order):
+        if gcd(u, order) != 1 or (u * u * a - b) % den != 0:
+            continue
+        for lam in shifts:
+            x = tuple(u * gi + li for gi, li in zip(g, lam))
+            pairing = [
+                sum(Fraction(lattice.gram[r][c]) * x[c] for c in range(n))
+                for r in range(n)
+            ]
+            q = sum(x[r] * pairing[r] for r in range(n))
+            if QmodTwoZ.from_fraction(q) == target:
+                return x
+    return None
+
+
+def cyclic_gram_lattices(rng, n, even, count):
+    """Seeded symmetric n x n Gram matrices with a nontrivial cyclic
+    discriminant group, even or odd."""
+    out = []
+    while len(out) < count:
+        m = random_matrix(rng, n, n, 7)
+        for i in range(n):
+            for j in range(i):
+                m[j][i] = m[i][j]
+            m[i][i] = 2 * m[i][i] if even else 2 * m[i][i] + 1
+        if bareiss_determinant(m) == 0:
+            continue
+        lat = GramLattice(m)
+        group = discriminant_group(lat)
+        if group.is_cyclic() and not group.is_trivial():
+            out.append((lat, group))
+    return out
+
+
+class TestUnitScanAgainstReference:
+    def test_marking_lattices(self):
+        rng = random.Random(17)
+        hits = 0
+        for d in admissible_range(2, 3000):
+            closed = disc_form_closed(d)
+            if closed.q is None:
+                continue
+            lat = marking_gram(d).lattice()
+            group = discriminant_group(lat)
+            for target in (closed.q, closed.q + qmod2z(1, 1), qmod2z(rng.randrange(2 * d), d)):
+                got = generator_with_q_value(lat, group, target)
+                assert got == reference_generator_with_q_value(lat, group, target), (d, target)
+                hits += got is not None
+        assert hits > 1000
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("even", [True, False])
+    def test_seeded_gram_matrices(self, n, even):
+        rng = random.Random(100 * n + even)
+        found = missed = 0
+        for lat, group in cyclic_gram_lattices(rng, n, even, 40):
+            order = group.invariant_factors[0]
+            g = group.generators[0]
+            targets = [qmod2z(rng.randrange(4 * order), 2 * order) for _ in range(3)]
+            for _ in range(3):
+                # the value of a random representative of a random unit multiple
+                u = rng.choice([u for u in range(1, order + 1) if gcd(u, order) == 1])
+                x = [u * gi + rng.randint(-3, 3) for gi in g]
+                q = sum(x[r] * sum(lat.gram[r][c] * x[c] for c in range(n)) for r in range(n))
+                targets.append(QmodTwoZ.from_fraction(q))
+            for target in targets:
+                got = generator_with_q_value(lat, group, target)
+                assert got == reference_generator_with_q_value(lat, group, target)
+                found += got is not None
+                missed += got is None
+        assert found >= 120 and missed > 0
+
+    def test_cyclic_q_matches(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(3000):
+            order = rng.randint(1, 60)
+            q1 = qmod2z(rng.randrange(4 * order), rng.choice([1, order, 2 * order]))
+            q2 = qmod2z(rng.randrange(4 * order), rng.choice([1, order, 2 * order]))
+            got = cyclic_q_matches(order, q1, q2)
+            assert got == reference_cyclic_q_matches(order, q1, q2), (order, q1, q2)
+            outcomes.add(got)
+        assert outcomes == {True, False}
 
 
 class TestDivisibility:

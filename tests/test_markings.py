@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from peskine import lattice
 from peskine.lattice import (
     GramLattice,
     determinant,
@@ -109,6 +110,20 @@ class TestCrossValidation:
     def test_sample_discriminants(self):
         for d in (18, 22, 24, 30, 44, 66, 88, 110, 242, 484, 2662):
             assert disc_form_agrees(d), d
+
+    def test_one_smith_form_per_discriminant(self, monkeypatch):
+        calls = []
+        snf = lattice.smith_normal_form
+
+        def counting(m):
+            calls.append(1)
+            return snf(m)
+
+        monkeypatch.setattr(lattice, "smith_normal_form", counting)
+        for d in (24, 30, 242):
+            calls.clear()
+            assert disc_form_agrees(d)
+            assert len(calls) == 1, d
 
     def test_exhibited_generator_value(self):
         lat = marking_gram(30).lattice()

@@ -44,6 +44,19 @@ class TestFactorize:
             assert list(fact) == sorted(fact)
 
 
+class TestIsPrime:
+    def test_against_a_sieve(self):
+        limit = 10**5
+        sieve = [False, False] + [True] * (limit - 2)
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(range(i * i, limit, i))
+        rng = random.Random(5)
+        ns = list(range(-5, 200)) + [limit - 9, limit - 1] + rng.sample(range(limit), 5000)
+        for n in ns:
+            assert is_prime(n) == (n >= 0 and sieve[n]), n
+
+
 class TestLegendre:
     def test_examples(self):
         assert legendre(3, 11) == 1

@@ -13,9 +13,11 @@ from peskine.polyring import (
     buchberger,
     exact_div,
     format_poly,
+    gcd_multivariate,
     pfaffian,
     substitute_linear,
 )
+from peskine import trivector
 from peskine.trivector import (
     DIM,
     CubicExtractionError,
@@ -417,6 +419,30 @@ class TestExtractCubic:
         with pytest.raises(CubicExtractionError):
             extract_cubic(Trivector({}), standard_flag())
 
+    def test_gcd_fold_stops_at_the_cubic(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return gcd_multivariate(a, b)
+
+        for name, module in list(sys.modules.items()):
+            binding = getattr(module, "gcd_multivariate", None)
+            if name.split(".")[0] == "peskine" and binding is gcd_multivariate:
+                monkeypatch.setattr(module, "gcd_multivariate", counting)
+        assert extract_cubic(appendix_sigma(), standard_flag()) == appendix_cubic()
+        assert len(calls) == 1
+
+    def test_quartic_without_the_cubic_fails_the_certificate(self, monkeypatch):
+        # the first two quartics share a cubic, so the fold stops there and
+        # the division certificate must catch the third one
+        v = [MultiPoly.variable(i, 6) for i in range(6)]
+        cubic = v[0] ** 3 + v[1] ** 3 + v[2] * v[3] * v[4]
+        quartics = [cubic * v[0], cubic * v[5], v[5] ** 4]
+        monkeypatch.setattr(trivector, "restrict_to_subspace", lambda sigma, rows: quartics)
+        with pytest.raises(CubicExtractionError, match="not cubic times a linear form"):
+            extract_cubic(appendix_sigma(), standard_flag())
+
     def test_points_found_on_cubic_lie_on_locus(self):
         # intersect the cubic with random lines over a small prime field;
         # each root is a point of the sliced locus, so the contraction of
@@ -475,6 +501,28 @@ class TestSmoothness:
             calls.clear()
             smoothness_check(cubic, P)
             assert len(calls) == 1
+
+    def test_witness_hunt_order(self):
+        # l * quadric is singular exactly on l = quadric = 0.  With l = x4 - 3x0
+        # the first witness in chart 0 lies past the 3p^3 points with x4 < 3;
+        # with l = x0 all of chart 0 is scanned first.  The pinned witnesses
+        # come from the scan order with x1 changing fastest and x5 slowest.
+        x = [MultiPoly.variable(i, 6) for i in range(6)]
+        quadric = sum(
+            (xi * xi for xi in x[1:]),
+            x[1] * x[2] + (x[3] * x[5]).scalar_mul(3) - (x[0] * x[0]).scalar_mul(5),
+        )
+        deep = x[4] - x[0].scalar_mul(3)
+        pinned = [
+            (deep, 7, (1, 1, 1, 0, 3, 0)),
+            (deep, 11, (1, 2, 1, 0, 3, 0)),
+            (deep, 13, (1, 3, 0, 0, 3, 0)),
+            (x[0], 7, (0, 1, 2, 0, 0, 0)),
+        ]
+        for linear, p, witness in pinned:
+            verdict = smoothness_check(linear * quadric, p)
+            assert verdict.kind == "singular"
+            assert verdict.witness == witness, p
 
     def test_cone_witness_at_small_prime(self):
         x0 = MultiPoly.variable(0, 6)
