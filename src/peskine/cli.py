@@ -203,6 +203,12 @@ def _table_ds(args) -> list[int]:
             raise InputError(
                 f"range {args.range!r} passes the supported ceiling D_MAX = {markings.D_MAX}"
             )
+        cost = markings.range_cost(lo_i, hi_i)
+        if cost > markings.RANGE_COST_MAX:
+            raise InputError(
+                f"range {args.range!r} sums to {cost} over its admissible d, above the"
+                f" supported cost RANGE_COST_MAX = {markings.RANGE_COST_MAX}"
+            )
         ds.extend(markings.admissible_range(lo_i, hi_i))
     ds.extend(_check_d(d) for d in args.d or ())
     return ds

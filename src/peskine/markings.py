@@ -27,6 +27,11 @@ ADMISSIBLE_RESIDUES = frozenset({0, 2, 6, 8, 10, 18})
 # linear in d; the slowest takes about 1 s for one d near 10^7.
 D_MAX = 10**7
 
+# Largest cost, sum of d over the admissible d of a range, that the CLI
+# tables in one call.  The oracle scans take about 0.16 us per unit of d,
+# so a range at the cap takes under 2 s.
+RANGE_COST_MAX = 10**7
+
 # (a, b) of the marking Gram per residue of d mod 22; c = (d + offset) / 11.
 _ABC_BY_RESIDUE = {
     0: (0, 0, 0),
@@ -56,6 +61,22 @@ def admissibility_reason(d: int) -> str:
 def admissible_range(lo: int, hi: int) -> list[int]:
     """Admissible discriminants in [lo, hi]."""
     return [d for d in range(max(lo, 1), hi + 1) if admissible(d)]
+
+
+def range_cost(lo: int, hi: int) -> int:
+    """Sum of the admissible d in [lo, hi], without enumerating them.
+
+    Each admissible residue r mod 22 contributes an arithmetic series
+    from its first d >= max(lo, 1) to its last d <= hi.
+    """
+    lo = max(lo, 1)
+    total = 0
+    for r in ADMISSIBLE_RESIDUES:
+        first = lo + (r - lo) % 22
+        last = hi - (hi - r) % 22
+        if first <= last:
+            total += ((last - first) // 22 + 1) * (first + last) // 2
+    return total
 
 
 def hls_set() -> frozenset[int]:

@@ -67,16 +67,18 @@ def _layout(n: int) -> tuple[int, int]:
 
     No product borrows across fields.  A field borrows only when an
     exponent of the product passes M, so only when its total degree
-    does, and no caller forms such a product.  The constructor, * and **
-    refuse total degree above M; +, -, derivatives, exact quotients and
-    the univariate splits of the GCD never raise a degree, and the GCD
-    checks the degree of what it reassembles.  In the Groebner engine
-    every S-pair lcm is checked.  Grevlex is graded, so a term m of a
-    polynomial with leading term t has deg m <= deg t.  An S-polynomial
-    term m*q with lcm = t*q thus has degree at most deg(lcm), and a
-    reduction step m*q with t*q = lm, the current leading monomial, has
-    degree at most deg(lm), which never exceeds the degree of the
-    polynomial being reduced (an input, or an S-polynomial).
+    does, and no caller forms such a product.  The constructor, ** and
+    the product loop _sum_of_products (behind *, the Pfaffians and
+    linear substitution) refuse total degree above M; +, -, derivatives,
+    exact quotients and the univariate splits of the GCD never raise a
+    degree, and the GCD checks the degree of what it reassembles.  In
+    the Groebner engine every S-pair lcm is checked.  Grevlex is graded,
+    so a term m of a polynomial with leading term t has deg m <= deg t.
+    An S-polynomial term m*q with lcm = t*q thus has degree at most
+    deg(lcm), and a reduction step m*q with t*q = lm, the current
+    leading monomial, has degree at most deg(lm), which never exceeds
+    the degree of the polynomial being reduced (an input, or an
+    S-polynomial).
     """
     fields = range(0, n * _W, _W)
     return sum(MAX_DEGREE << s for s in fields), sum((MAX_DEGREE + 1) << s for s in fields)
@@ -241,19 +243,7 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        a, b = self._packed, other._packed
-        out = {}
-        if a and b:
-            shift = self.nvars * _W
-            _check_degree((max(a) >> shift) + (max(b) >> shift))
-            get = out.get
-            zero = _layout(self.nvars)[0]
-            for e1, c1 in a.items():
-                e1 -= zero
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    out[e] = get(e, 0) + c1 * c2
-        return MultiPoly._raw(self.nvars, out, self.p)
+        return _sum_of_products(self.nvars, self.p, ((False, self._packed, other._packed),))
 
     def scalar_mul(self, c) -> "MultiPoly":
         c = _coeff_normalize(c, self.p)
@@ -329,6 +319,32 @@ class MultiPoly:
         return MultiPoly._raw(self.nvars, out, p)
 
 
+def _sum_of_products(nvars: int, p: int | None, products) -> MultiPoly:
+    """The sum of -a*b (negate true) or a*b over (negate, a, b) in products.
+
+    The one product loop of the package.  a and b are the packed term
+    dicts of polynomials in the ring (nvars, p), which the caller has
+    checked; every product is checked against MAX_DEGREE, and the whole
+    sum is accumulated in one dict and built by one _raw.
+    """
+    out = {}
+    get = out.get
+    shift = nvars * _W
+    zero = _layout(nvars)[0]
+    for negate, a, b in products:
+        if not (a and b):
+            continue
+        _check_degree((max(a) >> shift) + (max(b) >> shift))
+        for e1, c1 in a.items():
+            e1 -= zero
+            if negate:
+                c1 = -c1
+            for e2, c2 in b.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    return MultiPoly._raw(nvars, out, p)
+
+
 def substitute_linear(poly: MultiPoly, matrix) -> MultiPoly:
     """Compose poly with x_i -> sum_j matrix[i][j] * y_j.
 
@@ -355,14 +371,22 @@ def substitute_linear(poly: MultiPoly, matrix) -> MultiPoly:
             powers[key] = forms[i] ** e
         return powers[key]
 
-    result = MultiPoly.zero(m, poly.p)
-    for exps, c in poly.terms.items():
-        term = MultiPoly.constant(c, m, poly.p)
-        for i, e in enumerate(exps):
+    one = MultiPoly.constant(1, m, poly.p)
+
+    def image(k: int) -> dict:
+        """Packed terms of prod_i forms[i]^e_i, e the exponents of key k."""
+        img = one
+        for i in range(poly.nvars):
+            e = MAX_DEGREE - (k & MAX_DEGREE)
             if e:
-                term = term * form_power(i, e)
-        result = result + term
-    return result
+                img = img * form_power(i, e)
+            k >>= _W
+        return img._packed
+
+    const = _layout(m)[0]
+    return _sum_of_products(
+        m, poly.p, ((False, {const: c}, image(k)) for k, c in poly._packed.items())
+    )
 
 
 def principal_pfaffians(matrix, index_sets) -> list[MultiPoly]:
@@ -370,8 +394,12 @@ def principal_pfaffians(matrix, index_sets) -> list[MultiPoly]:
 
     Recursive expansion along the first row, with one memo shared by
     all index sets so that common minors are expanded once; pf of an
-    empty index set is the constant 1.  The skew check is exact and runs
-    once; an odd-size index set or a symmetric slip is an error.
+    empty index set is the constant 1.  Each minor is accumulated as one
+    sum of signed products: a nonzero entry of its first row times the
+    Pfaffian with that entry's row and column struck out.  The ring and
+    skew checks are exact and run once over the whole matrix; an
+    odd-size index set, an entry from another ring or a symmetric slip
+    is an error.
     """
     rows = [list(r) for r in matrix]
     index_sets = [tuple(idx) for idx in index_sets]
@@ -381,33 +409,35 @@ def principal_pfaffians(matrix, index_sets) -> list[MultiPoly]:
     k = len(rows)
     if k == 0:
         raise ValueError("cannot infer the ring of an empty matrix; use size >= 2")
+    proto = rows[0][0]
     for i in range(k):
+        proto._check_compatible(rows[i][i])
         if not rows[i][i].is_zero():
             raise ValueError("matrix is not skew-symmetric (nonzero diagonal)")
         for j in range(i):
+            proto._check_compatible(rows[i][j])  # + checks rows[j][i]
             if not (rows[i][j] + rows[j][i]).is_zero():
                 raise ValueError("matrix is not skew-symmetric")
-    proto = rows[0][0]
-    one = MultiPoly.constant(1, proto.nvars, proto.p)
-    zero = MultiPoly.zero(proto.nvars, proto.p)
+    nvars, p = proto.nvars, proto.p
+    one = MultiPoly.constant(1, nvars, p)
     memo: dict[tuple[int, ...], MultiPoly] = {}
 
     def pf(idx: tuple[int, ...]) -> MultiPoly:
         if not idx:
             return one
         got = memo.get(idx)
-        if got is not None:
-            return got
-        first = idx[0]
-        acc = zero
-        for t in range(1, len(idx)):
-            entry = rows[first][idx[t]]
-            if entry.is_zero():
-                continue
-            term = entry * pf(idx[1:t] + idx[t + 1 :])
-            acc = acc + term if t % 2 == 1 else acc - term
-        memo[idx] = acc
-        return acc
+        if got is None:
+            first = rows[idx[0]]
+            got = memo[idx] = _sum_of_products(
+                nvars,
+                p,
+                (
+                    (t % 2 == 0, first[idx[t]]._packed, pf(idx[1:t] + idx[t + 1 :])._packed)
+                    for t in range(1, len(idx))
+                    if first[idx[t]]._packed
+                ),
+            )
+        return got
 
     return [pf(idx) for idx in index_sets]
 

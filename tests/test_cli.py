@@ -4,7 +4,7 @@ import pytest
 
 from peskine.cli import build_parser, main
 from peskine.fixtures import appendix_cubic_text, appendix_sigma_text
-from peskine.markings import D_MAX, admissible
+from peskine.markings import D_MAX, admissible, admissible_range
 
 
 @pytest.fixture
@@ -118,6 +118,17 @@ class TestTable:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert (code, out) == run(capsys, "table", "--range", "1..30")[:2]
+
+    def test_range_cost_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", "--range", "1..3000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "RANGE_COST_MAX" in err and out == ""
+        for lo, hi in ((22, 100), (48000, 48249)):
+            code, out, _ = run(capsys, "table", "--range", f"{lo}..{hi}", "--format", "csv")
+            assert code == 0
+            assert len(out.splitlines()) == 1 + len(admissible_range(lo, hi))
 
 
 class TestPeskine:

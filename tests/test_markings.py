@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from peskine.lattice import (
 )
 from peskine.markings import (
     E8_GRAM,
+    RANGE_COST_MAX,
     admissible,
     admissible_range,
     disc_form_agrees,
@@ -19,6 +21,7 @@ from peskine.markings import (
     hls_set,
     lambda11,
     marking_gram,
+    range_cost,
 )
 from peskine.ntheory import qmod2z
 
@@ -41,6 +44,14 @@ class TestAdmissible:
     def test_range_helper(self):
         assert admissible_range(22, 34) == [22, 24, 28, 30, 32]
         assert admissible_range(25, 27) == []
+
+    def test_range_cost_is_the_sum_of_the_range(self):
+        rng = random.Random(22)
+        spans = [(-50, 30), (1, 1), (22, 22), (23, 43), (10**7 - 100, 10**7)]
+        spans += [(lo, lo + rng.randint(-5, 600)) for lo in rng.sample(range(-30, 5000), 200)]
+        for lo, hi in spans:
+            assert range_cost(lo, hi) == sum(admissible_range(lo, hi))
+        assert range_cost(48000, 48249) < RANGE_COST_MAX < range_cost(1, 10**4)
 
 
 class TestHlsSet:

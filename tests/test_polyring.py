@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -218,6 +220,16 @@ class TestDegreeBound:
         assert mixed.terms == {(2048, 2047): 1}
         assert mixed.derivative(1).terms == {(2048, 2046): 2047}
 
+    def test_pfaffian_past_the_bound(self):
+        x = MultiPoly.variable(0, 1)
+        z = MultiPoly.zero(1)
+        big = x**3000
+        m = [[z if i == j else (big if i < j else -big) for j in range(4)] for i in range(4)]
+        with pytest.raises(ValueError, match="packed-monomial bound"):
+            principal_pfaffians(m, [range(4)])
+        top = x**4095
+        assert principal_pfaffians([[z, top], [-top, z]], [(0, 1)]) == [top]
+
 
 def _random_exponents(rng, n, total=None):
     """A random exponent tuple of the given total degree, by default a
@@ -402,6 +414,118 @@ class TestPfaffian:
             ]
         ).constant_value()
         assert pf_p == pf_q % P
+
+    def test_mixed_rings_raise(self):
+        zq, xq = MultiPoly.zero(1), MultiPoly.variable(0, 1)
+        z7, x7 = MultiPoly.zero(1, 7), MultiPoly.variable(0, 1, 7)
+        x2 = MultiPoly.variable(0, 2)
+        four = [
+            [z7 if i == j else (xq if i < j else -xq) for j in range(4)]
+            for i in range(4)
+        ]
+        # the last one has every entry off the diagonal in one ring
+        for m in ([[zq, x7], [-x7, z7]], four, [[zq, x2], [-x2, zq]], [[zq, xq], [-xq, z7]]):
+            with pytest.raises(ValueError, match="different rings"):
+                principal_pfaffians(m, [range(len(m))])
+
+    @pytest.mark.parametrize("p", [None, 7, P])
+    def test_against_perfect_matchings(self, p):
+        rng = random.Random(808 + (p or 0))
+        for size in (2, 4, 6, 8):
+            for density in (1.0, 0.6, 0.25):
+                nvars = rng.randint(1, 3)
+                m = _random_skew(rng, size, nvars, p, density)
+                subsets = [tuple(range(size))]
+                for _ in range(2):
+                    k = rng.randrange(0, size + 1, 2)
+                    subsets.append(tuple(sorted(rng.sample(range(size), k))))
+                for idx, r in zip(subsets, principal_pfaffians(m, subsets)):
+                    sub = [[m[a][b] for b in idx] for a in idx]
+                    assert r.terms == _matching_pfaffian(sub, nvars, p)
+                    assert_canonical(r)
+
+    def test_fractions_cancel_against_perfect_matchings(self):
+        rng = random.Random(809)
+        for size in (4, 6, 8):
+            for _ in range(3):
+                nvars = rng.randint(1, 3)
+                m = _random_skew(rng, size, nvars, None, 0.7)
+                ints = _random_skew(rng, size, nvars, None, 0.7, den=1)
+                # two equal rows and columns: the Pfaffian cancels to zero
+                i, j = rng.sample(range(size), 2)
+                dup = [row[:] for row in m]
+                for k in range(size):
+                    if k not in (i, j):
+                        dup[j][k], dup[k][j] = m[i][k], m[k][i]
+                dup[i][j] = dup[j][i] = MultiPoly.zero(nvars)
+                # D m D with det D = 1: Fraction entries, an integral Pfaffian
+                d = [Fraction(1, 2), Fraction(2, 3), Fraction(3)] + [1] * (size - 3)
+                rng.shuffle(d)
+                scaled = [
+                    [ints[a][b].scalar_mul(d[a] * d[b]) for b in range(size)]
+                    for a in range(size)
+                ]
+                coeffs = [c for row in scaled for e in row for c in e.terms.values()]
+                assert any(type(c) is Fraction for c in coeffs)
+                zero, whole, integral = principal_pfaffians(dup, [range(size)]) + [
+                    pfaffian(ints),
+                    pfaffian(scaled),
+                ]
+                assert zero.is_zero() and not _matching_pfaffian(dup, nvars, None)
+                assert integral == whole
+                assert integral.terms == _matching_pfaffian(scaled, nvars, None)
+                assert all(type(c) is int for c in integral.terms.values())
+                for r in (zero, integral):
+                    assert_canonical(r)
+
+
+@lru_cache(maxsize=None)
+def _perfect_matchings(n):
+    """(sign, pairs) for the perfect matchings of range(n): the
+    permutations (i1 j1 i2 j2 ...) with each i < j and i1 < i2 < ...,
+    signed by the parity of their inversion count."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        pairs = [perm[k : k + 2] for k in range(0, n, 2)]
+        if all(a < b for a, b in pairs) and all(
+            s[0] < t[0] for s, t in zip(pairs, pairs[1:])
+        ):
+            inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+            out.append((-1 if inversions % 2 else 1, pairs))
+    return out
+
+
+def _matching_pfaffian(m, nvars, p):
+    """Reference Pfaffian: the sum over perfect matchings of sign times
+    the product of the matched entries, on exponent tuples."""
+    total = {}
+    for sign, pairs in _perfect_matchings(len(m)):
+        prod = {(0,) * nvars: sign}
+        for i, j in pairs:
+            nxt = {}
+            for e1, c1 in prod.items():
+                for e2, c2 in m[i][j].terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    nxt[e] = nxt.get(e, 0) + c1 * c2
+            prod = nxt
+        for e, c in prod.items():
+            total[e] = total.get(e, 0) + c
+    if p is not None:
+        total = {e: c % p for e, c in total.items()}
+    return {e: c for e, c in total.items() if c}
+
+
+def _random_skew(rng, size, nvars, p, density, den=3):
+    """A skew matrix of random polynomials, each entry above the
+    diagonal nonzero with the given probability; over Q the
+    coefficients have denominators up to den."""
+    m = [[MultiPoly.zero(nvars, p) for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < density:
+                entry = random_poly(rng, nvars, 2, rng.randint(1, 3), p, den=den)
+                m[i][j], m[j][i] = entry, -entry
+    return m
 
 
 class TestGcd:
