@@ -2,13 +2,16 @@
 
 Subcommands: marking, assoc, table, peskine, verify-appendix.  Exit
 codes: 0 success, 1 mathematical mismatch (closed/oracle disagreement,
-fixture mismatch, failed pipeline stage), 2 input error.  All report
-bodies on stdout are deterministic; timings go to stderr.
+fixture mismatch, failed pipeline stage), 2 input error.  main is the one
+place that maps exceptions to exit codes: a mismatch exception gives 1,
+a ValueError 2.  All report bodies on stdout are deterministic; timings
+go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -18,7 +21,7 @@ from fractions import Fraction
 from . import associations, fixtures, markings
 from .lattice import discriminant_group, generator_with_q_value
 from .ntheory import QmodTwoZ
-from .polyring import format_poly, parse_poly
+from .polyring import MultiPoly, format_poly, parse_poly
 from .trivector import (
     CubicExtractionError,
     Flag,
@@ -36,10 +39,6 @@ PRIME_ENV = "PESKINE_PRIMES"
 PRIME_LIMIT = 2**31  # keeps the trial division of is_prime below 46 341 steps
 
 
-class InputError(ValueError):
-    pass
-
-
 class MismatchError(RuntimeError):
     pass
 
@@ -55,12 +54,12 @@ def _parse_primes(arg: str | None) -> tuple[int, int]:
     try:
         parts = [int(x) for x in raw.replace(",", " ").split()]
     except ValueError as exc:
-        raise InputError(f"bad {source}: {raw!r}") from exc
+        raise ValueError(f"bad {source}: {raw!r}") from exc
     if len(parts) != 2:
-        raise InputError(f"{source} must list exactly two primes, e.g. 10007,31013")
+        raise ValueError(f"{source} must list exactly two primes, e.g. 10007,31013")
     for p in parts:
         if p >= PRIME_LIMIT:
-            raise InputError(f"{source}: {p} is not below the prime bound 2^31")
+            raise ValueError(f"{source}: {p} is not below the prime bound 2^31")
     return parts[0], parts[1]
 
 
@@ -72,7 +71,7 @@ def _basis_index(spec: str) -> int:
     """N of a basis-vector spec eN, checked to lie in 1..10."""
     i = int(spec[1:])
     if not 1 <= i <= 10:
-        raise InputError(f"basis index out of range in {spec!r}")
+        raise ValueError(f"basis index out of range in {spec!r}")
     return i
 
 
@@ -85,9 +84,9 @@ def _parse_vector(spec: str) -> tuple[int, ...]:
     try:
         coords = tuple(int(x) for x in spec.split(","))
     except ValueError as exc:
-        raise InputError(f"cannot parse vector {spec!r}") from exc
+        raise ValueError(f"cannot parse vector {spec!r}") from exc
     if len(coords) != 10:
-        raise InputError(f"vector {spec!r} must have 10 coordinates")
+        raise ValueError(f"vector {spec!r} must have 10 coordinates")
     return coords
 
 
@@ -98,7 +97,7 @@ def _parse_flag(spec: str) -> Flag:
     """
     parts = spec.split(":")
     if len(parts) < 2:
-        raise InputError("flag spec needs w1:rows, e.g. e1:e1..e6")
+        raise ValueError("flag spec needs w1:rows, e.g. e1:e1..e6")
     w1 = _parse_vector(parts[0])
     rows: list[tuple[int, ...]] = []
     for token in parts[1:]:
@@ -106,17 +105,14 @@ def _parse_flag(spec: str) -> Flag:
         if ".." in token:
             lo, hi = token.split("..", 1)
             if not (_is_basis_spec(lo) and _is_basis_spec(hi)):
-                raise InputError(f"bad range {token!r}")
+                raise ValueError(f"bad range {token!r}")
             for i in range(_basis_index(lo), _basis_index(hi) + 1):
                 rows.append(tuple(int(t == i - 1) for t in range(10)))
         else:
             rows.append(_parse_vector(token))
     if len(rows) != 6:
-        raise InputError(f"flag needs 6 row vectors, got {len(rows)}")
-    try:
-        return Flag(w1, tuple(rows))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"flag needs 6 row vectors, got {len(rows)}")
+    return Flag(w1, tuple(rows))
 
 
 def _q_str(q: QmodTwoZ | None) -> str:
@@ -126,9 +122,9 @@ def _q_str(q: QmodTwoZ | None) -> str:
 def _check_d(d: int) -> int:
     """d itself, once it is admissible and within the ceiling D_MAX."""
     if d > markings.D_MAX:
-        raise InputError(f"d = {d} is above the supported ceiling D_MAX = {markings.D_MAX}")
+        raise ValueError(f"d = {d} is above the supported ceiling D_MAX = {markings.D_MAX}")
     if not markings.admissible(d):
-        raise InputError(markings.admissibility_reason(d))
+        raise ValueError(markings.admissibility_reason(d))
     return d
 
 
@@ -190,28 +186,29 @@ def cmd_assoc(args) -> int:
 
 
 def _table_ds(args) -> list[int]:
+    """The admissible d of --range, then each --d, their sum within RANGE_COST_MAX."""
     if args.fixture_check and not (args.range or args.d):
         return sorted(associations.table1_fixture())
-    ds: list[int] = []
+    lo_i, hi_i = 1, 0  # the empty range, when --range is not given
     if args.range:
         try:
             lo, hi = args.range.split("..", 1)
             lo_i, hi_i = int(lo), int(hi)
         except ValueError as exc:
-            raise InputError(f"bad range {args.range!r}, expected A..B") from exc
+            raise ValueError(f"bad range {args.range!r}, expected A..B") from exc
         if max(lo_i, hi_i) > markings.D_MAX:
-            raise InputError(
+            raise ValueError(
                 f"range {args.range!r} passes the supported ceiling D_MAX = {markings.D_MAX}"
             )
-        cost = markings.range_cost(lo_i, hi_i)
-        if cost > markings.RANGE_COST_MAX:
-            raise InputError(
-                f"range {args.range!r} sums to {cost} over its admissible d, above the"
-                f" supported cost RANGE_COST_MAX = {markings.RANGE_COST_MAX}"
-            )
-        ds.extend(markings.admissible_range(lo_i, hi_i))
-    ds.extend(_check_d(d) for d in args.d or ())
-    return ds
+    explicit = [_check_d(d) for d in args.d or ()]
+    cost = markings.range_cost(lo_i, hi_i) + sum(explicit)
+    if cost > markings.RANGE_COST_MAX:
+        asked = [f"range {args.range!r}"] * bool(args.range) + ["--d"] * bool(explicit)
+        raise ValueError(
+            f"{' plus '.join(asked)} sums to {cost} over its admissible d, above the"
+            f" supported cost RANGE_COST_MAX = {markings.RANGE_COST_MAX}"
+        )
+    return markings.admissible_range(lo_i, hi_i) + explicit
 
 
 def cmd_table(args) -> int:
@@ -229,18 +226,39 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _load_sigma(path: str):
+def _read(path: str, parse):
+    """parse(text) of a UTF-8 file; a failure to read or parse names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_trivector(fh.read())
+            return parse(fh.read())
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_cubic(text: str) -> MultiPoly:
+    return parse_poly(text, 6, prefix="v")
+
+
+def _cubic(sigma, flag: Flag) -> MultiPoly:
+    """extract_cubic, any failure of which is a mismatch."""
+    try:
+        return extract_cubic(sigma, flag)
+    except (ValueError, CubicExtractionError) as exc:
+        raise MismatchError(str(exc)) from exc
+
+
+def _smoothness(cubic: MultiPoly, p: int):
+    """smoothness_check, a bad prime being an input error."""
+    verdict = smoothness_check(cubic, p)
+    if verdict.kind == "bad-prime":
+        raise ValueError(f"p = {p}: {verdict.reason}")
+    return verdict
 
 
 def cmd_peskine(args) -> int:
-    sigma = _load_sigma(args.sigma)
+    sigma = _read(args.sigma, parse_trivector)
     action = args.action
     if action == "equations":
         system = peskine_equations(sigma)
@@ -250,7 +268,7 @@ def cmd_peskine(args) -> int:
         return 0
     if action == "rank":
         if not args.at:
-            raise InputError("rank needs --at VECTOR")
+            raise ValueError("rank needs --at VECTOR")
         v = _parse_vector(args.at)
         print(rank_at_point(sigma, v))
         return 0
@@ -260,90 +278,55 @@ def cmd_peskine(args) -> int:
         print("flag annihilates trivector" if ok else "flag does NOT annihilate trivector")
         return 0 if ok else 1
     if action == "cubic":
-        try:
-            cubic = extract_cubic(sigma, flag)
-        except (ValueError, CubicExtractionError) as exc:
-            raise MismatchError(str(exc)) from exc
-        print(format_poly(cubic, prefix="v"))
+        print(format_poly(_cubic(sigma, flag), prefix="v"))
         return 0
-    if action == "smooth":
-        p1, p2 = _parse_primes(args.primes)
-        try:
-            cubic = extract_cubic(sigma, flag)
-        except (ValueError, CubicExtractionError) as exc:
-            raise MismatchError(str(exc)) from exc
-        verdicts = []
-        for p in (p1, p2):
-            v = smoothness_check(cubic, p)
-            if v.kind == "bad-prime":
-                raise InputError(f"p = {p}: {v.reason}")
-            verdicts.append(v)
-            print(f"p = {p}: {v.kind}")
-        print("combined verdict: " + ("Smooth" if all(v.is_smooth() for v in verdicts) else "Singular"))
-        return 0 if all(v.is_smooth() for v in verdicts) else 1
-    raise InputError(f"unknown peskine action {action!r}")
+    primes = _parse_primes(args.primes)  # action == "smooth"
+    cubic = _cubic(sigma, flag)
+    smooth = True
+    for p in primes:
+        kind = _smoothness(cubic, p).kind
+        smooth = smooth and kind == "smooth"
+        print(f"p = {p}: {kind}")
+    print("combined verdict: " + ("Smooth" if smooth else "Singular"))
+    return 0 if smooth else 1
 
 
 def cmd_verify_appendix(args) -> int:
-    p1, p2 = _parse_primes(args.primes)
+    primes = _parse_primes(args.primes)
     stages: list[tuple[str, float]] = []
 
-    def stage(name: str, started: float):
+    @contextlib.contextmanager
+    def stage(name: str, fails=(MismatchError, ValueError)):
+        """Time one stage; print FAIL if it raises one of fails, else pass."""
+        started = time.perf_counter()
+        try:
+            yield
+        except fails:
+            print(f"stage {name}: FAIL")
+            raise
         stages.append((name, time.perf_counter() - started))
         print(f"stage {name}: pass")
 
-    t = time.perf_counter()
-    if args.sigma:
-        sigma = _load_sigma(args.sigma)
-    else:
-        sigma = fixtures.appendix_sigma()
-    if args.cubic:
-        try:
-            with open(args.cubic, "r", encoding="utf-8") as fh:
-                reference = parse_poly(fh.read(), 6, prefix="v")
-        except OSError as exc:
-            raise InputError(f"cannot read {args.cubic}: {exc}") from exc
-        except ValueError as exc:
-            raise InputError(f"{args.cubic}: {exc}") from exc
-    else:
-        reference = fixtures.appendix_cubic()
-    stage("load", t)
-
+    # an unreadable or malformed input file is an input error, not a failed stage
+    with stage("load", fails=()):
+        sigma = _read(args.sigma, parse_trivector) if args.sigma else fixtures.appendix_sigma()
+        reference = _read(args.cubic, _parse_cubic) if args.cubic else fixtures.appendix_cubic()
     flag = standard_flag()
-    t = time.perf_counter()
-    if not verify_flag(sigma, flag):
-        print("stage flag-verify: FAIL")
-        raise MismatchError("flag does not annihilate the trivector")
-    stage("flag-verify", t)
-
-    t = time.perf_counter()
-    r = rank_at_point(sigma, flag.w1)
-    if r != 4:
-        print("stage rank: FAIL")
-        raise MismatchError(f"rank at the distinguished point is {r}, expected 4")
-    stage("rank", t)
-
-    t = time.perf_counter()
-    try:
-        cubic = extract_cubic(sigma, flag)
-    except (ValueError, CubicExtractionError) as exc:
-        print("stage cubic: FAIL")
-        raise MismatchError(str(exc)) from exc
-    if cubic != reference:
-        print("stage cubic: FAIL")
-        raise MismatchError("extracted cubic does not match the reference")
-    stage("cubic", t)
-
-    for p in (p1, p2):
-        t = time.perf_counter()
-        v = smoothness_check(cubic, p)
-        if v.kind == "bad-prime":
-            print(f"stage smooth-{p}: FAIL")
-            raise InputError(f"p = {p}: {v.reason}")
-        if not v.is_smooth():
-            print(f"stage smooth-{p}: FAIL")
-            raise MismatchError(f"cubic is singular mod {p}")
-        stage(f"smooth-{p}", t)
+    with stage("flag-verify"):
+        if not verify_flag(sigma, flag):
+            raise MismatchError("flag does not annihilate the trivector")
+    with stage("rank"):
+        r = rank_at_point(sigma, flag.w1)
+        if r != 4:
+            raise MismatchError(f"rank at the distinguished point is {r}, expected 4")
+    with stage("cubic"):
+        cubic = _cubic(sigma, flag)
+        if cubic != reference:
+            raise MismatchError("extracted cubic does not match the reference")
+    for p in primes:
+        with stage(f"smooth-{p}"):
+            if not _smoothness(cubic, p).is_smooth():
+                raise MismatchError(f"cubic is singular mod {p}")
 
     print("verify-appendix: PASS")
     for name, dt in stages:
@@ -401,13 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MismatchError as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return 1
-    except associations.CriterionMismatchError as exc:
+    except (MismatchError, associations.CriterionMismatchError) as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

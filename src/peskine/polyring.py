@@ -486,16 +486,16 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(num.nvars, q, p)
 
 
-def integer_content_and_primitive(poly: MultiPoly) -> tuple[Fraction, MultiPoly]:
-    """Write a Q-polynomial as content * primitive-integer-polynomial.
+def primitive_part(poly: MultiPoly) -> MultiPoly:
+    """Integer-primitive, positive-leading-coefficient normalization.
 
-    The primitive part has integer coefficients with gcd 1 and positive
-    leading coefficient under grevlex; the content is a Fraction (signed).
+    A nonzero Q-polynomial divided by its content: integer coefficients
+    with gcd 1 and a positive leading coefficient under grevlex.
     """
+    if poly.is_zero():
+        return poly
     if poly.p is not None:
         raise ValueError("content normalization is for Q-coefficients")
-    if poly.is_zero():
-        return Fraction(0), poly
     fracs = {e: Fraction(c) for e, c in poly._packed.items()}
     den_lcm = lcm(*(f.denominator for f in fracs.values()))
     num_gcd = gcd(*(f.numerator * (den_lcm // f.denominator) for f in fracs.values()))
@@ -503,17 +503,7 @@ def integer_content_and_primitive(poly: MultiPoly) -> tuple[Fraction, MultiPoly]
     prim = MultiPoly._raw(
         poly.nvars, {e: f / content for e, f in fracs.items()}, None
     )
-    if prim.leading_coefficient() < 0:
-        prim = -prim
-        content = -content
-    return content, prim
-
-
-def primitive_part(poly: MultiPoly) -> MultiPoly:
-    """Integer-primitive, positive-leading-coefficient normalization."""
-    if poly.is_zero():
-        return poly
-    return integer_content_and_primitive(poly)[1]
+    return -prim if prim.leading_coefficient() < 0 else prim
 
 
 def _univar(poly: MultiPoly, var: int) -> dict[int, MultiPoly]:
@@ -540,7 +530,10 @@ def _from_univar(coeffs: dict[int, MultiPoly], var: int, nvars: int) -> MultiPol
 
 
 def _content_wrt(poly: MultiPoly, var: int) -> MultiPoly:
-    cs = list(_univar(poly, var).values())
+    # fold from the sparsest coefficient, ties by power, so the GCD work is the same
+    # whatever the order of the terms
+    univar = _univar(poly, var)
+    cs = [univar[d] for d in sorted(univar, key=lambda d: (len(univar[d]._packed), d))]
     g = cs[0]
     for c in cs[1:]:
         g = _gcd_zz(g, c)
@@ -700,10 +693,10 @@ def parse_poly(
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
         cstr, varpart = m.group(1), m.group(2) or ""
-        if cstr in (None, ""):
-            coeff = Fraction(1)
-        else:
-            coeff = Fraction(cstr)
+        try:
+            coeff = Fraction(cstr or 1)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in term {chunk!r}") from exc
         exps = [0] * nvars
         for name, idx, exp in _VAR_RE.findall(varpart):
             if prefix is not None and name != prefix:

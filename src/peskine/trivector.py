@@ -29,7 +29,6 @@ from .polyring import (
 )
 
 DIM = 10
-PESKINE_RANK_BOUND = 6
 _STANDARD_BASIS = tuple(tuple(int(i == j) for i in range(DIM)) for j in range(DIM))
 # the 45 principal 8x8 minors: pair (a, b) deleted, its complement kept
 _PAIRS = tuple(combinations(range(DIM), 2))
@@ -237,10 +236,6 @@ def restrict_to_subspace(sigma: Trivector, rows) -> list[MultiPoly]:
 class CubicExtractionError(RuntimeError):
     """The restricted quartics did not share a degree-3 factor."""
 
-    def __init__(self, message: str, gcd_poly: MultiPoly | None = None):
-        super().__init__(message)
-        self.gcd_poly = gcd_poly
-
 
 def extract_cubic(sigma: Trivector, flag: Flag) -> MultiPoly:
     """The distinguished cubic: common degree-3 factor of the restrictions.
@@ -268,9 +263,7 @@ def extract_cubic(sigma: Trivector, flag: Flag) -> MultiPoly:
         g = gcd_multivariate(g, q)
     g = primitive_part(g)
     if g.total_degree() != 3 or not g.is_homogeneous():
-        raise CubicExtractionError(
-            f"common factor has degree {g.total_degree()}, expected 3", g
-        )
+        raise CubicExtractionError(f"common factor has degree {g.total_degree()}, expected 3")
     for q in nonzero:
         try:
             quotient = exact_div(q, g)
@@ -278,9 +271,7 @@ def extract_cubic(sigma: Trivector, flag: Flag) -> MultiPoly:
         except ValueError:
             linear = False
         if not linear:
-            raise CubicExtractionError(
-                "restricted quartic is not cubic times a linear form", g
-            )
+            raise CubicExtractionError("restricted quartic is not cubic times a linear form")
     return g
 
 
@@ -434,6 +425,8 @@ def parse_trivector(text: str, p: int | None = None) -> Trivector:
             c = Fraction(parts[3])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise ValueError(f"line {lineno}: zero denominator in {parts[3]!r}") from exc
         if len({i, j, k}) != 3 or not all(1 <= t <= DIM for t in (i, j, k)):
             raise ValueError(f"line {lineno}: bad index triple {i} {j} {k}")
         if c == 0:

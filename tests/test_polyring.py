@@ -567,6 +567,26 @@ class TestGcd:
             assert g == m, (format_poly(m), format_poly(g))
             trials += 1
 
+    def test_content_does_not_depend_on_term_order(self, monkeypatch):
+        # the content in v1 of a polynomial and of the same polynomial
+        # with its terms inserted in reverse order: same value, same work
+        from peskine import polyring
+
+        rng = random.Random(5)
+        x = variables(3)
+        poly = random_poly(rng, 3, 3, 12) * (x[1] + x[2].scalar_mul(2)) * (x[0] - x[1])
+        reverse = MultiPoly(3, dict(reversed(list(poly.terms.items()))))
+        assert reverse == poly and list(reverse.terms) != list(poly.terms)
+        calls = []
+        gcd_zz = polyring._gcd_zz
+        monkeypatch.setattr(polyring, "_gcd_zz", lambda a, b: calls.append(1) or gcd_zz(a, b))
+        contents = []
+        for p in (poly, reverse):
+            calls.clear()
+            contents.append((polyring._content_wrt(p, 0), len(calls)))
+        assert contents[0] == contents[1]
+        assert contents[0][1] > 0
+
     def test_gcd_divides_inputs(self):
         rng = random.Random(23)
         for _ in range(25):
@@ -620,6 +640,10 @@ class TestTextFormat:
         for bad in ("--5", "3*x1 + + 2", "3*x1 -", "+", "3**x1"):
             with pytest.raises(ValueError):
                 parse_poly(bad, 2)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match=r"zero denominator in term '1/0\*v1\^3'"):
+            parse_poly("v2^3 + 1/0*v1^3", 2, prefix="v")
 
 
 class TestBuchberger:

@@ -663,6 +663,10 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="zero"):
             parse_trivector("1 2 3 0\n")
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="line 2: zero denominator in '1/0'"):
+            parse_trivector("1 2 3 4\n1 2 4 1/0\n")
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_trivector("1 2 3\n")
