@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 from .fixtures import table1_text
 from .markings import admissibility_reason, admissible
-from .ntheory import factorize, legendre, square_root_mod
+from .ntheory import CertificateError, factorize, legendre, square_root_mod
 
 
-class CriterionMismatchError(RuntimeError):
+class CriterionMismatchError(CertificateError):
     """Closed form and oracle disagree; always a bug, never data."""
 
 

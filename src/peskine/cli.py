@@ -2,10 +2,10 @@
 
 Subcommands: marking, assoc, table, peskine, verify-appendix.  Exit
 codes: 0 success, 1 mathematical mismatch (closed/oracle disagreement,
-fixture mismatch, failed pipeline stage), 2 input error.  main is the one
-place that maps exceptions to exit codes: a mismatch exception gives 1,
-a ValueError 2.  All report bodies on stdout are deterministic; timings
-go to stderr.
+fixture mismatch, failed pipeline stage or certificate), 2 input error.
+main is the one place that maps exceptions to exit codes: a
+CertificateError gives 1, a ValueError 2.  All report bodies on stdout
+are deterministic; timings go to stderr.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import time
 from fractions import Fraction
 
 from . import associations, fixtures, markings
-from .lattice import discriminant_group, generator_with_q_value
-from .ntheory import QmodTwoZ
+from .lattice import determinant, discriminant_group, generator_with_q_value
+from .ntheory import CertificateError, QmodTwoZ
 from .polyring import MultiPoly, format_poly, parse_poly
 from .trivector import (
-    CubicExtractionError,
     Flag,
     extract_cubic,
     parse_trivector,
@@ -37,10 +36,6 @@ from .trivector import (
 DEFAULT_PRIMES = (10007, 31013)
 PRIME_ENV = "PESKINE_PRIMES"
 PRIME_LIMIT = 2**31  # keeps the trial division of is_prime below 46 341 steps
-
-
-class MismatchError(RuntimeError):
-    pass
 
 
 def _parse_primes(arg: str | None) -> tuple[int, int]:
@@ -60,6 +55,8 @@ def _parse_primes(arg: str | None) -> tuple[int, int]:
     for p in parts:
         if p >= PRIME_LIMIT:
             raise ValueError(f"{source}: {p} is not below the prime bound 2^31")
+    if parts[0] == parts[1]:
+        raise ValueError(f"{source}: the two primes must differ, got {parts[0]} twice")
     return parts[0], parts[1]
 
 
@@ -140,22 +137,21 @@ def cmd_marking(args) -> int:
     print("gram:")
     for row in mg.gram:
         print("  " + "  ".join(f"{x:4d}" for x in row))
-    print(f"det = {d}")
+    print(f"det = {determinant(lat)}")
     factors = " x ".join(f"Z/{f}" for f in closed.invariant_factors)
     print(f"closed form: group {factors}, q(generator) = {_q_str(closed.q)}")
     lat_factors = " x ".join(f"Z/{f}" for f in group.invariant_factors)
     lat_q = ", ".join(str(q) for q in group.qvals)
     print(f"lattice:     group {lat_factors}, q-values ({lat_q}) mod 2Z")
+    if group.invariant_factors != closed.invariant_factors:
+        raise CertificateError(f"d = {d}: invariant factors disagree")
     if closed.q is not None:
         witness = generator_with_q_value(lat, group, closed.q)
         if witness is None:
-            raise MismatchError(f"d = {d}: no generator attains the closed form value")
+            raise CertificateError(f"d = {d}: no generator attains the closed form value")
         wstr = ", ".join(str(Fraction(x)) for x in witness)
         print(f"agreement: yes, generator ({wstr}) attains {closed.q}")
     else:
-        ok = group.invariant_factors == closed.invariant_factors
-        if not ok:
-            raise MismatchError(f"d = {d}: invariant factors disagree")
         print("agreement: yes (non-cyclic branch, groups match)")
     return 0
 
@@ -181,7 +177,7 @@ def cmd_assoc(args) -> int:
             status = 1
         print(line)
     if status:
-        raise MismatchError(f"d = {d}: closed form and oracle disagree")
+        raise CertificateError(f"d = {d}: closed form and oracle disagree")
     return 0
 
 
@@ -221,7 +217,7 @@ def cmd_table(args) -> int:
         if problems:
             for p in problems:
                 print(f"fixture mismatch: {p}", file=sys.stderr)
-            raise MismatchError(f"{len(problems)} fixture mismatches")
+            raise CertificateError(f"{len(problems)} fixture mismatches")
         print(f"fixture check: all {len(associations.table1_fixture())} rows match")
     return 0
 
@@ -242,19 +238,11 @@ def _parse_cubic(text: str) -> MultiPoly:
 
 
 def _cubic(sigma, flag: Flag) -> MultiPoly:
-    """extract_cubic, any failure of which is a mismatch."""
+    """extract_cubic; a flag that does not annihilate sigma is a mismatch."""
     try:
         return extract_cubic(sigma, flag)
-    except (ValueError, CubicExtractionError) as exc:
-        raise MismatchError(str(exc)) from exc
-
-
-def _smoothness(cubic: MultiPoly, p: int):
-    """smoothness_check, a bad prime being an input error."""
-    verdict = smoothness_check(cubic, p)
-    if verdict.kind == "bad-prime":
-        raise ValueError(f"p = {p}: {verdict.reason}")
-    return verdict
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from exc
 
 
 def cmd_peskine(args) -> int:
@@ -284,7 +272,7 @@ def cmd_peskine(args) -> int:
     cubic = _cubic(sigma, flag)
     smooth = True
     for p in primes:
-        kind = _smoothness(cubic, p).kind
+        kind = smoothness_check(cubic, p).kind
         smooth = smooth and kind == "smooth"
         print(f"p = {p}: {kind}")
     print("combined verdict: " + ("Smooth" if smooth else "Singular"))
@@ -296,7 +284,7 @@ def cmd_verify_appendix(args) -> int:
     stages: list[tuple[str, float]] = []
 
     @contextlib.contextmanager
-    def stage(name: str, fails=(MismatchError, ValueError)):
+    def stage(name: str, fails=(CertificateError, ValueError)):
         """Time one stage; print FAIL if it raises one of fails, else pass."""
         started = time.perf_counter()
         try:
@@ -314,19 +302,19 @@ def cmd_verify_appendix(args) -> int:
     flag = standard_flag()
     with stage("flag-verify"):
         if not verify_flag(sigma, flag):
-            raise MismatchError("flag does not annihilate the trivector")
+            raise CertificateError("flag does not annihilate the trivector")
     with stage("rank"):
         r = rank_at_point(sigma, flag.w1)
         if r != 4:
-            raise MismatchError(f"rank at the distinguished point is {r}, expected 4")
+            raise CertificateError(f"rank at the distinguished point is {r}, expected 4")
     with stage("cubic"):
         cubic = _cubic(sigma, flag)
         if cubic != reference:
-            raise MismatchError("extracted cubic does not match the reference")
+            raise CertificateError("extracted cubic does not match the reference")
     for p in primes:
         with stage(f"smooth-{p}"):
-            if not _smoothness(cubic, p).is_smooth():
-                raise MismatchError(f"cubic is singular mod {p}")
+            if not smoothness_check(cubic, p).is_smooth():
+                raise CertificateError(f"cubic is singular mod {p}")
 
     print("verify-appendix: PASS")
     for name, dt in stages:
@@ -384,7 +372,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MismatchError, associations.CriterionMismatchError) as exc:
+    except CertificateError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .ntheory import QmodTwoZ
+from .ntheory import CertificateError, QmodTwoZ
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -249,9 +249,8 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
         if a[t][t] < 0:
             negate_row(t)
         t += 1
-    for i in range(t, rows):
-        for j in range(t, cols):
-            assert a[i][j] == 0
+    if any(a[i][j] for i in range(t, rows) for j in range(t, cols)):
+        raise CertificateError("Smith normal form left a nonzero entry past its pivots")
     return _to_matrix(u), _to_matrix(a), _to_matrix(v)
 
 
@@ -317,7 +316,8 @@ def discriminant_group(lattice: GramLattice) -> DiscGroup:
             continue
         col = [v[r][i] for r in range(n)]
         pairing = mat_vec(g, col)
-        assert all(x % di == 0 for x in pairing), "generator not in dual"
+        if any(x % di for x in pairing):
+            raise CertificateError("discriminant group generator not in the dual lattice")
         factors.append(di)
         gens.append(tuple(Fraction(x, di) for x in col))
         qvals.append(QmodTwoZ(sum(c * x for c, x in zip(col, pairing)), di * di))

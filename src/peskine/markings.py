@@ -19,7 +19,7 @@ from .lattice import (
     discriminant_group,
     generator_with_q_value,
 )
-from .ntheory import QmodTwoZ, qmod2z
+from .ntheory import CertificateError, QmodTwoZ, qmod2z
 
 ADMISSIBLE_RESIDUES = frozenset({0, 2, 6, 8, 10, 18})
 
@@ -113,7 +113,9 @@ def marking_gram(d: int) -> MarkingGram:
     c = (d + off) // 11
     gram = ((15, 7, a), (7, 4, b), (a, b, c))
     mg = MarkingGram(d, (a, b, c), gram)
-    assert determinant(mg.lattice()) == d
+    det = determinant(mg.lattice())
+    if det != d:
+        raise CertificateError(f"d = {d}: the marking Gram has determinant {det}")
     return mg
 
 

@@ -13,6 +13,10 @@ from fractions import Fraction
 Factorization = tuple[tuple[int, int], ...]
 
 
+class CertificateError(RuntimeError):
+    """A certificate failed: the computation contradicts itself, never the input."""
+
+
 def factorize(n: int) -> Factorization:
     """Prime factorization by trial division, pairs sorted by prime.
 

@@ -676,7 +676,7 @@ def parse_poly(
     text: str, nvars: int, p: int | None = None, prefix: str | None = None
 ) -> MultiPoly:
     """Parse the text format; duplicate monomials accumulate."""
-    compact = text.replace(" ", "").replace("\n", "")
+    compact = "".join(text.split())
     if compact in ("", "0"):
         return MultiPoly.zero(nvars, p)
     compact = compact.replace("-", "+-")

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .lattice import field_kernel, rank
-from .ntheory import is_prime
+from .ntheory import CertificateError, is_prime
 from .polyring import (
     MultiPoly,
     _coeff_normalize,
@@ -233,7 +233,7 @@ def restrict_to_subspace(sigma: Trivector, rows) -> list[MultiPoly]:
     return principal_pfaffians(symbolic_contract(sigma, rows), _COMPLEMENTS)
 
 
-class CubicExtractionError(RuntimeError):
+class CubicExtractionError(CertificateError):
     """The restricted quartics did not share a degree-3 factor."""
 
 
@@ -279,72 +279,40 @@ def extract_cubic(sigma: Trivector, flag: Flag) -> MultiPoly:
 class SmoothnessVerdict:
     """Outcome of a prime-field Jacobian check."""
 
-    kind: str  # "smooth" | "singular" | "bad-prime"
+    kind: str  # "smooth" | "singular"
     prime: int
-    witness: tuple[int, ...] | None = None
-    reason: str = ""
 
     def is_smooth(self) -> bool:
         return self.kind == "smooth"
 
 
-WITNESS_PRIME_BOUND = 13
-
-
 def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
     """Jacobian criterion for a cubic fourfold, over F_p.
 
-    Reduces the cubic mod p (bad-prime if p is 2 or 3, not prime, or
-    the reduction drops degree), forms the six partials and computes one
-    reduced Groebner basis of their ideal.  That basis certifies the
-    Euler relation (the cubic lies in the ideal) and decides the verdict:
-    smooth exactly when the partials' only common zero over the closure
-    is the origin.  When singular and p <= WITNESS_PRIME_BOUND a
-    projective witness is hunted by brute enumeration of at most p^5
-    points (13^5 = 371 293); above the bound the witness is None.
+    Reduces the cubic mod p (a ValueError if p is 2 or 3 or not prime),
+    forms the six partials and computes one reduced Groebner basis of
+    their ideal.  The primitive part has coprime integer coefficients,
+    so its reduction keeps degree 3 for every p.  The basis certifies
+    the Euler relation (the cubic lies in the ideal; CertificateError if
+    not) and decides the verdict: smooth exactly when the partials' only
+    common zero over the closure is the origin.
     """
     if cubic.p is not None or cubic.nvars != 6:
         raise ValueError("expected a rational cubic in 6 variables")
     if cubic.total_degree() != 3 or not cubic.is_homogeneous():
         raise ValueError("polynomial is not a homogeneous cubic")
     if not is_prime(p):
-        return SmoothnessVerdict("bad-prime", p, reason=f"{p} is not prime")
+        raise ValueError(f"p = {p}: {p} is not prime")
     if p in (2, 3):
-        return SmoothnessVerdict(
-            "bad-prime", p, reason=f"characteristic {p} is excluded"
-        )
+        raise ValueError(f"p = {p}: characteristic {p} is excluded")
     reduced = primitive_part(cubic).reduce_mod(p)
-    if reduced.total_degree() != 3:
-        return SmoothnessVerdict(
-            "bad-prime", p, reason=f"reduction mod {p} drops degree"
-        )
     partials = [reduced.derivative(i) for i in range(6)]
     basis = buchberger([q for q in partials if not q.is_zero()])
     # internal consistency: 3f = sum x_i df/dx_i, so f lies in the ideal
     if not normal_form(reduced, basis).is_zero():
-        raise RuntimeError("Euler relation failed against the Groebner basis")
-    if basis_has_finite_zeros(basis, 6):
-        return SmoothnessVerdict("smooth", p)
-    witness = None
-    if p <= WITNESS_PRIME_BOUND:
-        witness = _singular_point_search(partials, p)
-    return SmoothnessVerdict("singular", p, witness=witness)
-
-
-def _singular_point_search(partials, p: int) -> tuple[int, ...] | None:
-    """First projective point killing every partial, scanning charts.
-
-    In chart c the point is (0, .., 0, 1, x_{c+1}, .., x_5), with x_{c+1}
-    changing fastest.
-    """
-    n = 6
-    for chart in range(n):
-        head = (0,) * chart + (1,)
-        for tail in product(range(p), repeat=n - chart - 1):
-            point = head + tail[::-1]
-            if all(q.evaluate(point) == 0 for q in partials):
-                return point
-    return None
+        raise CertificateError(f"Euler relation failed against the Groebner basis mod {p}")
+    kind = "smooth" if basis_has_finite_zeros(basis, 6) else "singular"
+    return SmoothnessVerdict(kind, p)
 
 
 def x6_membership(sigma: Trivector, v6) -> bool:

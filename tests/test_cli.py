@@ -240,6 +240,13 @@ class TestVerifyAppendix:
             assert err.startswith("error:") and "--primes" in err, bad
             assert "Traceback" not in err, bad
 
+    def test_tab_separated_cubic_file(self, capsys, tmp_path):
+        cubic = tmp_path / "tabs.poly"
+        cubic.write_text(appendix_cubic_text().replace(" ", "\t"), encoding="utf-8")
+        code, out, _ = run(capsys, "verify-appendix", "--cubic", str(cubic))
+        assert code == 0
+        assert out.endswith("verify-appendix: PASS\n")
+
 
 
 class TestBoundedInputs:
@@ -472,6 +479,8 @@ GOLDEN = [
      "error: --primes: 1000000000000000003 is not below the prime bound 2^31\n"),
     (None, "verify-appendix --primes 1,2,3", 2, EMPTY,
      "error: --primes must list exactly two primes, e.g. 10007,31013\n"),
+    (None, "verify-appendix --primes 10007,10007", 2, EMPTY,
+     "error: --primes: the two primes must differ, got 10007 twice\n"),
     (None, "verify-appendix --sigma {tmp}/sigma.tvec --primes 10007,31013", 0, "5d8cfc27aa56d104",
      _stage_times(10007, 31013)),
     (None, "verify-appendix --sigma {tmp}/corrupt.tvec", 1, "2b14a7492f21b240",
@@ -516,6 +525,8 @@ GOLDEN = [
     ("3,31013", "peskine {tmp}/sigma.tvec smooth", 2, EMPTY,
      "error: p = 3: characteristic 3 is excluded\n"),
     ("3,31013", "peskine {tmp}/sigma.tvec smooth --primes 10007,31013", 0, "465b225a22abc5a5", ""),
+    ("10007,10007", "verify-appendix", 2, EMPTY,
+     "error: PESKINE_PRIMES: the two primes must differ, got 10007 twice\n"),
     ("x,y", "verify-appendix", 2, EMPTY, "error: bad PESKINE_PRIMES: 'x,y'\n"),
     ("x,y", "verify-appendix --primes 31013,10007", 0, "d8fa5f934de77b5a",
      _stage_times(31013, 10007)),

@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import pytest
 
+from peskine.fixtures import appendix_cubic, appendix_cubic_text
 from peskine.lattice import bareiss_determinant
 from peskine.polyring import (
     MultiPoly,
@@ -644,6 +645,11 @@ class TestTextFormat:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match=r"zero denominator in term '1/0\*v1\^3'"):
             parse_poly("v2^3 + 1/0*v1^3", 2, prefix="v")
+
+    def test_any_whitespace_between_tokens(self):
+        text = appendix_cubic_text()
+        for variant in (text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+            assert parse_poly(variant, 6, prefix="v") == appendix_cubic()
 
 
 class TestBuchberger:

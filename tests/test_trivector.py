@@ -471,19 +471,6 @@ class TestSmoothness:
         fermat = sum((x**3 for x in xs[1:]), xs[0] ** 3)
         assert smoothness_check(fermat, P).is_smooth()
 
-    def test_cone_singular(self):
-        x0 = MultiPoly.variable(0, 6)
-        verdict = smoothness_check(x0**3, P)
-        assert verdict.kind == "singular"
-        assert verdict.witness is None  # prime too large for the hunt
-
-    def test_witness_hunt_is_bounded(self):
-        # chart 0 (x0 = 1) holds 101^5 points, none of them singular
-        x0 = MultiPoly.variable(0, 6)
-        verdict = smoothness_check(x0**3, 101)
-        assert verdict.kind == "singular"
-        assert verdict.witness is None
-
     def test_one_groebner_basis_per_prime(self, monkeypatch):
         calls = []
 
@@ -502,41 +489,32 @@ class TestSmoothness:
             smoothness_check(cubic, P)
             assert len(calls) == 1
 
-    def test_witness_hunt_order(self):
-        # l * quadric is singular exactly on l = quadric = 0.  With l = x4 - 3x0
-        # the first witness in chart 0 lies past the 3p^3 points with x4 < 3;
-        # with l = x0 all of chart 0 is scanned first.  The pinned witnesses
-        # come from the scan order with x1 changing fastest and x5 slowest.
+    @pytest.mark.parametrize(
+        "shape, p",
+        [("cone", 7), ("cone", 101), ("cone", P), ("l*quadric", 7), ("l*quadric", 11),
+         ("l*quadric", 13), ("x0*quadric", 7)],
+        ids=str,
+    )
+    def test_singular(self, shape, p):
         x = [MultiPoly.variable(i, 6) for i in range(6)]
+        # l * quadric is singular exactly on l = quadric = 0
         quadric = sum(
             (xi * xi for xi in x[1:]),
             x[1] * x[2] + (x[3] * x[5]).scalar_mul(3) - (x[0] * x[0]).scalar_mul(5),
         )
-        deep = x[4] - x[0].scalar_mul(3)
-        pinned = [
-            (deep, 7, (1, 1, 1, 0, 3, 0)),
-            (deep, 11, (1, 2, 1, 0, 3, 0)),
-            (deep, 13, (1, 3, 0, 0, 3, 0)),
-            (x[0], 7, (0, 1, 2, 0, 0, 0)),
-        ]
-        for linear, p, witness in pinned:
-            verdict = smoothness_check(linear * quadric, p)
-            assert verdict.kind == "singular"
-            assert verdict.witness == witness, p
-
-    def test_cone_witness_at_small_prime(self):
-        x0 = MultiPoly.variable(0, 6)
-        verdict = smoothness_check(x0**3, 7)
-        assert verdict.kind == "singular"
-        assert verdict.witness is not None
-        assert verdict.witness[0] == 0
+        cubic = {
+            "cone": x[0] ** 3,
+            "l*quadric": (x[4] - x[0].scalar_mul(3)) * quadric,
+            "x0*quadric": x[0] * quadric,
+        }[shape]
+        assert smoothness_check(cubic, p).kind == "singular"
 
     def test_bad_primes(self):
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
         fermat = sum((x**3 for x in xs[1:]), xs[0] ** 3)
-        assert smoothness_check(fermat, 2).kind == "bad-prime"
-        assert smoothness_check(fermat, 3).kind == "bad-prime"
-        assert smoothness_check(fermat, 10).kind == "bad-prime"
+        for p in (2, 3, 10):
+            with pytest.raises(ValueError, match=f"p = {p}: "):
+                smoothness_check(fermat, p)
 
     def test_rejects_non_cubic(self):
         x0 = MultiPoly.variable(0, 6)
