@@ -19,21 +19,17 @@ every row of the reference table, which is shipped as a fixture.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
 from .fixtures import table1_text
-from .markings import admissibility_reason, admissible
+from .markings import require_admissible
 from .ntheory import CertificateError, factorize, legendre, square_root_mod
 
 
 class CriterionMismatchError(CertificateError):
     """Closed form and oracle disagree; always a bug, never data."""
-
-
-def _require_admissible(d: int) -> None:
-    if not admissible(d):
-        raise ValueError(f"not an admissible discriminant: {admissibility_reason(d)}")
 
 
 def k3_closed(d: int) -> bool:
@@ -43,7 +39,7 @@ def k3_closed(d: int) -> bool:
     dividing d is a square modulo 11 (p = 11 itself counts as a square,
     which is what makes d = 22 succeed).
     """
-    _require_admissible(d)
+    require_admissible(d)
     if d % 4 == 0 or d % 121 == 0:
         return False
     return all(
@@ -60,7 +56,7 @@ def k3_witness(d: int) -> int | None:
     (mod 2d).  The scan is exhaustive, with no CRT shortcut, so this
     route stays independent of k3_closed.
     """
-    _require_admissible(d)
+    require_admissible(d)
     if d % 22 != 0:
         return square_root_mod(-11, 2 * d)
     if d % 121 == 0:
@@ -83,7 +79,7 @@ def cubic_closed(d: int) -> bool:
     of prime divisors of d congruent to 2 mod 3, counted with
     multiplicity and including 2 and 11, is odd.
     """
-    _require_admissible(d)
+    require_admissible(d)
     if d % 6 not in (0, 2):
         return False
     if d % 9 == 0 or d % 121 == 0:
@@ -116,7 +112,7 @@ def cubic_witness(d: int) -> int | None:
     Cyclicity failures (9 | d in cases 2 and 4, 121 | d in cases 3 and
     4) return None.  Scans are exhaustive, as in k3_witness.
     """
-    _require_admissible(d)
+    require_admissible(d)
     r6 = d % 6
     if r6 not in (0, 2):
         return None
@@ -142,6 +138,26 @@ def cubic_oracle(d: int) -> bool:
     return cubic_witness(d) is not None
 
 
+def agreed_witness(kind: str, d: int) -> int | None:
+    """The oracle witness of kind "k3" or "cubic", once the closed form agrees.
+
+    The one comparison of the two routes: CriterionMismatchError when
+    the closed form and the oracle disagree on whether d is associated.
+    """
+    if kind == "k3":
+        label, closed, witness = "K3", k3_closed(d), k3_witness(d)
+    elif kind == "cubic":
+        label, closed, witness = "cubic", cubic_closed(d), cubic_witness(d)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    oracle = witness is not None
+    if closed != oracle:
+        raise CriterionMismatchError(
+            f"d = {d}: {label} closed form says {closed}, oracle says {oracle}"
+        )
+    return witness
+
+
 @dataclass(frozen=True)
 class AssociationRow:
     """One discriminant's association verdicts plus table fixtures.
@@ -160,21 +176,13 @@ class AssociationRow:
 
 def association_row(d: int) -> AssociationRow:
     """Compute both verdicts for d, erroring on closed/oracle mismatch."""
-    k3c, k3o = k3_closed(d), k3_oracle(d)
-    if k3c != k3o:
-        raise CriterionMismatchError(
-            f"d = {d}: K3 closed form says {k3c}, oracle says {k3o}"
-        )
-    cc, co = cubic_closed(d), cubic_oracle(d)
-    if cc != co:
-        raise CriterionMismatchError(
-            f"d = {d}: cubic closed form says {cc}, oracle says {co}"
-        )
+    k3 = agreed_witness("k3", d) is not None
+    cubic = agreed_witness("cubic", d) is not None
     fix = table1_fixture().get(d)
     return AssociationRow(
         d,
-        k3c,
-        cc,
+        k3,
+        cubic,
         hilb2_fixture=fix.hilb2_fixture if fix else None,
         fano_fixture=fix.fano_fixture if fix else None,
     )
@@ -185,15 +193,10 @@ def table1(ds) -> list[AssociationRow]:
     return [association_row(d) for d in ds]
 
 
-_FIXTURE_CACHE: dict[int, AssociationRow] | None = None
-
-
+@functools.cache
 def table1_fixture() -> dict[int, AssociationRow]:
     """The shipped reference table, keyed by discriminant."""
-    global _FIXTURE_CACHE
-    if _FIXTURE_CACHE is None:
-        _FIXTURE_CACHE = parse_table(table1_text())
-    return _FIXTURE_CACHE
+    return parse_table(table1_text())
 
 
 def parse_table(text: str) -> dict[int, AssociationRow]:

@@ -2,10 +2,10 @@
 
 Subcommands: marking, assoc, table, peskine, verify-appendix.  Exit
 codes: 0 success, 1 mathematical mismatch (closed/oracle disagreement,
-fixture mismatch, failed pipeline stage or certificate), 2 input error.
-main is the one place that maps exceptions to exit codes: a
-CertificateError gives 1, a ValueError 2.  All report bodies on stdout
-are deterministic; timings go to stderr.
+fixture mismatch, failed pipeline stage or certificate), 2 input error,
+refused before anything is printed.  The library certifies and bounds;
+main alone maps a CertificateError to 1 and a ValueError to 2.  All
+report bodies on stdout are deterministic; timings go to stderr.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import functools
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import associations, fixtures, markings
-from .lattice import determinant, discriminant_group, generator_with_q_value
-from .ntheory import CertificateError, QmodTwoZ
+from .ntheory import CertificateError
 from .polyring import MultiPoly, format_poly, parse_poly
 from .trivector import (
     Flag,
@@ -28,6 +26,7 @@ from .trivector import (
     parse_trivector,
     peskine_equations,
     rank_at_point,
+    require_prime,
     smoothness_check,
     standard_flag,
     verify_flag,
@@ -57,7 +56,7 @@ def _parse_primes(arg: str | None) -> tuple[int, int]:
             raise ValueError(f"{source}: {p} is not below the prime bound 2^31")
     if parts[0] == parts[1]:
         raise ValueError(f"{source}: the two primes must differ, got {parts[0]} twice")
-    return parts[0], parts[1]
+    return require_prime(parts[0]), require_prime(parts[1])
 
 
 def _is_basis_spec(spec: str) -> bool:
@@ -112,72 +111,38 @@ def _parse_flag(spec: str) -> Flag:
     return Flag(w1, tuple(rows))
 
 
-def _q_str(q: QmodTwoZ | None) -> str:
-    return "-" if q is None else f"{q} mod 2Z"
-
-
-def _check_d(d: int) -> int:
-    """d itself, once it is admissible and within the ceiling D_MAX."""
-    if d > markings.D_MAX:
-        raise ValueError(f"d = {d} is above the supported ceiling D_MAX = {markings.D_MAX}")
-    if not markings.admissible(d):
-        raise ValueError(markings.admissibility_reason(d))
-    return d
-
-
 def cmd_marking(args) -> int:
-    d = _check_d(args.d)
-    mg = markings.marking_gram(d)
-    closed = markings.disc_form_closed(d)
-    lat = mg.lattice()
-    group = discriminant_group(lat)
-    print(f"d = {d}")
-    print(f"admissible: yes ({markings.admissibility_reason(d)})")
+    cert = markings.certify_disc_form(args.d)
+    mg, closed, group = cert.marking, cert.closed, cert.group
+    print(f"d = {mg.d}")
+    print(f"admissible: yes ({markings.admissibility_reason(mg.d)})")
     print(f"(a, b, c) = {mg.abc}")
     print("gram:")
     for row in mg.gram:
         print("  " + "  ".join(f"{x:4d}" for x in row))
-    print(f"det = {determinant(lat)}")
-    factors = " x ".join(f"Z/{f}" for f in closed.invariant_factors)
-    print(f"closed form: group {factors}, q(generator) = {_q_str(closed.q)}")
-    lat_factors = " x ".join(f"Z/{f}" for f in group.invariant_factors)
+    print(f"det = {mg.det}")
+    closed_q = "-" if closed.q is None else f"{closed.q} mod 2Z"
+    closed_group = markings.group_name(closed.invariant_factors)
+    print(f"closed form: group {closed_group}, q(generator) = {closed_q}")
     lat_q = ", ".join(str(q) for q in group.qvals)
-    print(f"lattice:     group {lat_factors}, q-values ({lat_q}) mod 2Z")
-    if group.invariant_factors != closed.invariant_factors:
-        raise CertificateError(f"d = {d}: invariant factors disagree")
-    if closed.q is not None:
-        witness = generator_with_q_value(lat, group, closed.q)
-        if witness is None:
-            raise CertificateError(f"d = {d}: no generator attains the closed form value")
-        wstr = ", ".join(str(Fraction(x)) for x in witness)
-        print(f"agreement: yes, generator ({wstr}) attains {closed.q}")
-    else:
+    lat_group = markings.group_name(group.invariant_factors)
+    print(f"lattice:     group {lat_group}, q-values ({lat_q}) mod 2Z")
+    if cert.generator is None:
         print("agreement: yes (non-cyclic branch, groups match)")
+    else:
+        wstr = ", ".join(map(str, cert.generator))
+        print(f"agreement: yes, generator ({wstr}) attains {closed.q}")
     return 0
 
 
 def cmd_assoc(args) -> int:
-    d = _check_d(args.d)
     kinds = ("k3", "cubic") if args.kind == "both" else (args.kind,)
-    status = 0
-    print(f"d = {d}")
-    for kind in kinds:
-        if kind == "k3":
-            closed = associations.k3_closed(d)
-            witness = associations.k3_witness(d)
-        else:
-            closed = associations.cubic_closed(d)
-            witness = associations.cubic_witness(d)
-        oracle = witness is not None
-        line = f"{kind}: closed={'yes' if closed else 'no'} oracle={'yes' if oracle else 'no'}"
-        if witness is not None:
-            line += f" witness k={witness}"
-        if closed != oracle:
-            line += "  DISAGREEMENT"
-            status = 1
-        print(line)
-    if status:
-        raise CertificateError(f"d = {d}: closed form and oracle disagree")
+    witnesses = [(kind, associations.agreed_witness(kind, args.d)) for kind in kinds]
+    print(f"d = {args.d}")
+    for kind, witness in witnesses:
+        verdict = "no" if witness is None else "yes"
+        found = "" if witness is None else f" witness k={witness}"
+        print(f"{kind}: closed={verdict} oracle={verdict}{found}")
     return 0
 
 
@@ -196,7 +161,7 @@ def _table_ds(args) -> list[int]:
             raise ValueError(
                 f"range {args.range!r} passes the supported ceiling D_MAX = {markings.D_MAX}"
             )
-    explicit = [_check_d(d) for d in args.d or ()]
+    explicit = [markings.require_admissible(d) for d in args.d or ()]
     cost = markings.range_cost(lo_i, hi_i) + sum(explicit)
     if cost > markings.RANGE_COST_MAX:
         asked = [f"range {args.range!r}"] * bool(args.range) + ["--d"] * bool(explicit)
@@ -208,16 +173,13 @@ def _table_ds(args) -> list[int]:
 
 
 def cmd_table(args) -> int:
-    ds = _table_ds(args)
-    rows = associations.table1(ds)
+    rows = associations.table1(_table_ds(args))
+    problems = associations.check_fixture() if args.fixture_check else []
+    if problems:
+        raise CertificateError(f"{len(problems)} fixture mismatches: {'; '.join(problems)}")
     out = associations.render_csv(rows) if args.format == "csv" else associations.render_text(rows)
     sys.stdout.write(out)
     if args.fixture_check:
-        problems = associations.check_fixture()
-        if problems:
-            for p in problems:
-                print(f"fixture mismatch: {p}", file=sys.stderr)
-            raise CertificateError(f"{len(problems)} fixture mismatches")
         print(f"fixture check: all {len(associations.table1_fixture())} rows match")
     return 0
 
@@ -284,19 +246,19 @@ def cmd_verify_appendix(args) -> int:
     stages: list[tuple[str, float]] = []
 
     @contextlib.contextmanager
-    def stage(name: str, fails=(CertificateError, ValueError)):
-        """Time one stage; print FAIL if it raises one of fails, else pass."""
+    def stage(name: str):
+        """Time one stage; print FAIL if a certificate fails in it, else pass."""
         started = time.perf_counter()
         try:
             yield
-        except fails:
+        except CertificateError:
             print(f"stage {name}: FAIL")
             raise
         stages.append((name, time.perf_counter() - started))
         print(f"stage {name}: pass")
 
     # an unreadable or malformed input file is an input error, not a failed stage
-    with stage("load", fails=()):
+    with stage("load"):
         sigma = _read(args.sigma, parse_trivector) if args.sigma else fixtures.appendix_sigma()
         reference = _read(args.cubic, _parse_cubic) if args.cubic else fixtures.appendix_cubic()
     flag = standard_flag()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
+    DiscGroup,
     GramLattice,
     Matrix,
     determinant,
@@ -23,8 +24,8 @@ from .ntheory import CertificateError, QmodTwoZ, qmod2z
 
 ADMISSIBLE_RESIDUES = frozenset({0, 2, 6, 8, 10, 18})
 
-# Largest discriminant the CLI accepts.  The brute-force oracles are
-# linear in d; the slowest takes about 1 s for one d near 10^7.
+# Largest discriminant the package accepts (require_admissible).  The
+# brute-force oracles are linear in d; the slowest takes about 1 s near it.
 D_MAX = 10**7
 
 # Largest cost, sum of d over the admissible d of a range, that the CLI
@@ -56,6 +57,19 @@ def admissibility_reason(d: int) -> str:
     if d % 22 not in ADMISSIBLE_RESIDUES:
         return f"{d} mod 22 = {d % 22} not admissible"
     return f"{d} mod 22 = {d % 22}"
+
+
+def require_admissible(d: int) -> int:
+    """d itself, once it is admissible and at most D_MAX; ValueError if not.
+
+    The one admissibility check of the package: every function that takes
+    a discriminant calls it first, so each is bounded by D_MAX.
+    """
+    if d > D_MAX:
+        raise ValueError(f"d = {d} is above the supported ceiling D_MAX = {D_MAX}")
+    if not admissible(d):
+        raise ValueError(admissibility_reason(d))
+    return d
 
 
 def admissible_range(lo: int, hi: int) -> list[int]:
@@ -96,6 +110,7 @@ class MarkingGram:
     d: int
     abc: tuple[int, int, int]
     gram: Matrix
+    det: int  # computed from gram; marking_gram certifies det == d
 
     def lattice(self) -> GramLattice:
         return GramLattice(self.gram)
@@ -107,16 +122,14 @@ def marking_gram(d: int) -> MarkingGram:
     The Gram matrix has rows (15, 7, a), (7, 4, b), (a, b, c) with
     (a, b, c) determined by d mod 22; its determinant is exactly d.
     """
-    if not admissible(d):
-        raise ValueError(f"no marking: {admissibility_reason(d)}")
+    require_admissible(d)
     a, b, off = _ABC_BY_RESIDUE[d % 22]
     c = (d + off) // 11
     gram = ((15, 7, a), (7, 4, b), (a, b, c))
-    mg = MarkingGram(d, (a, b, c), gram)
-    det = determinant(mg.lattice())
+    det = determinant(GramLattice(gram))
     if det != d:
         raise CertificateError(f"d = {d}: the marking Gram has determinant {det}")
-    return mg
+    return MarkingGram(d, (a, b, c), gram, det)
 
 
 @dataclass(frozen=True)
@@ -142,8 +155,7 @@ def disc_form_closed(d: int) -> ClosedDiscForm:
     generator.  For 22 | d write d' = d/11: the group is Z/11 x Z/d',
     cyclic with q = 3/11 + 1/d' exactly when 11 does not divide d'.
     """
-    if not admissible(d):
-        raise ValueError(f"no marking: {admissibility_reason(d)}")
+    require_admissible(d)
     if d % 22 != 0:
         return ClosedDiscForm((d,), qmod2z(11, d))
     dp = d // 11
@@ -152,36 +164,62 @@ def disc_form_closed(d: int) -> ClosedDiscForm:
     return ClosedDiscForm((d,), qmod2z(3, 11) + qmod2z(1, dp))
 
 
-def exhibit_generator(d: int) -> tuple[Fraction, ...] | None:
-    """An explicit generator of D(M_d) attaining the closed-form q-value.
+def group_name(invariant_factors) -> str:
+    """Z/d1 x Z/d2 ... for the given invariant factors."""
+    return " x ".join(f"Z/{f}" for f in invariant_factors)
 
-    The marking lattices are odd, so the mod-2Z value of the form moves
-    under representative shifts; this returns a concrete dual vector
-    whose value equals disc_form_closed(d).q exactly, certifying the
-    closed form against the generic lattice computation.
+
+@dataclass(frozen=True)
+class DiscFormCertificate:
+    """The discriminant group of a marking, certified against the closed form."""
+
+    marking: MarkingGram
+    closed: ClosedDiscForm
+    group: DiscGroup
+    generator: tuple[Fraction, ...] | None  # attains closed.q; None if not cyclic
+
+
+def certify_disc_form(d: int) -> DiscFormCertificate:
+    """Cross-validate the closed form against the lattice machinery.
+
+    On one lattice with one Smith form, the discriminant group of
+    marking_gram(d) must have the closed form's invariant factors and, if
+    cyclic, an explicit dual vector attaining the closed-form q-value
+    exactly (shifts by basis vectors included, as the lattice is odd).
+    CertificateError otherwise.
     """
     closed = disc_form_closed(d)
-    if closed.q is None:
+    mg = marking_gram(d)
+    lat = mg.lattice()
+    group = discriminant_group(lat)
+    if group.invariant_factors != closed.invariant_factors:
+        raise CertificateError(
+            f"d = {d}: the lattice group {group_name(group.invariant_factors)}"
+            f" is not the closed form's {group_name(closed.invariant_factors)}"
+        )
+    generator = None
+    if closed.q is not None:
+        generator = generator_with_q_value(lat, group, closed.q)
+        if generator is None:
+            raise CertificateError(f"d = {d}: no generator attains the closed form value")
+    return DiscFormCertificate(mg, closed, group, generator)
+
+
+def exhibit_generator(d: int) -> tuple[Fraction, ...]:
+    """The certified generator of D(M_d); ValueError if the group is not cyclic."""
+    generator = certify_disc_form(d).generator
+    if generator is None:
         raise ValueError(f"d = {d}: discriminant group is not cyclic")
-    lat = marking_gram(d).lattice()
-    return generator_with_q_value(lat, discriminant_group(lat), closed.q)
+    return generator
 
 
 def disc_form_agrees(d: int) -> bool:
-    """Cross-validate the closed form against the lattice machinery.
-
-    Compares the invariant factors of the discriminant group of
-    marking_gram(d), and on cyclic cases demands an explicit generator
-    representative attaining the closed-form q-value exactly.
-    """
-    closed = disc_form_closed(d)
-    lat = marking_gram(d).lattice()
-    group = discriminant_group(lat)
-    if group.invariant_factors != closed.invariant_factors:
+    """Whether certify_disc_form(d) succeeds."""
+    try:
+        certify_disc_form(d)
+    except CertificateError:
         return False
-    if closed.q is None:
-        return True
-    return generator_with_q_value(lat, group, closed.q) is not None
+    return True
 
 
 # Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.

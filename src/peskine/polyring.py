@@ -310,12 +310,7 @@ class MultiPoly:
         """Reduction of a Q-polynomial with p-integral coefficients."""
         if self.p is not None:
             raise ValueError("already over a prime field")
-        out = {}
-        for e, c in self._packed.items():
-            f = Fraction(c)
-            if f.denominator % p == 0:
-                raise ValueError(f"coefficient {c} not p-integral at p = {p}")
-            out[e] = f.numerator * pow(f.denominator, -1, p) % p
+        out = {e: _coeff_normalize(c, p) for e, c in self._packed.items()}
         return MultiPoly._raw(self.nvars, out, p)
 
 
@@ -650,26 +645,14 @@ def format_poly(poly: MultiPoly, prefix: str = "x") -> str:
         return "0"
     pieces = []
     for exps, c in poly.sorted_terms():
-        if poly.p is None:
-            f = Fraction(c)
-            mag = abs(f)
-            sign = "-" if f < 0 else "+"
-            cstr = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        else:
-            sign = "+"
-            cstr = str(c)
-        vars_part = "*".join(
-            f"{prefix}{i + 1}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(exps)
-            if e
+        monomial = "".join(
+            f"*{prefix}{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e
         )
-        body = cstr if not vars_part else f"{cstr}*{vars_part}"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        # a canonical coefficient is an int or a non-integral Fraction: str gives a or a/b
+        pieces.append(("- " if c < 0 else "+ ") + f"{abs(c)}{monomial}")
+    head = pieces[0]
+    pieces[0] = head[2:] if head[0] == "+" else "-" + head[2:]
+    return " ".join(pieces)
 
 
 def parse_poly(

@@ -286,6 +286,18 @@ class SmoothnessVerdict:
         return self.kind == "smooth"
 
 
+def require_prime(p: int) -> int:
+    """p itself, once it is a prime other than 2 and 3; ValueError if not.
+
+    The one test of which characteristics smoothness_check accepts.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p = {p}: {p} is not prime")
+    if p in (2, 3):
+        raise ValueError(f"p = {p}: characteristic {p} is excluded")
+    return p
+
+
 def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
     """Jacobian criterion for a cubic fourfold, over F_p.
 
@@ -301,10 +313,7 @@ def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
         raise ValueError("expected a rational cubic in 6 variables")
     if cubic.total_degree() != 3 or not cubic.is_homogeneous():
         raise ValueError("polynomial is not a homogeneous cubic")
-    if not is_prime(p):
-        raise ValueError(f"p = {p}: {p} is not prime")
-    if p in (2, 3):
-        raise ValueError(f"p = {p}: characteristic {p} is excluded")
+    require_prime(p)
     reduced = primitive_part(cubic).reduce_mod(p)
     partials = [reduced.derivative(i) for i in range(6)]
     basis = buchberger([q for q in partials if not q.is_zero()])
@@ -411,8 +420,5 @@ def format_trivector(sigma: Trivector) -> str:
     """One `i j k c` line per stored triple, sorted."""
     lines = []
     for (i, j, k) in sorted(sigma.coeffs):
-        c = sigma.coeffs[(i, j, k)]
-        f = Fraction(c) if sigma.p is None else Fraction(int(c))
-        cstr = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-        lines.append(f"{i + 1} {j + 1} {k + 1} {cstr}")
+        lines.append(f"{i + 1} {j + 1} {k + 1} {Fraction(sigma.coeffs[(i, j, k)])}")
     return "\n".join(lines) + "\n"

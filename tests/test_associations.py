@@ -151,7 +151,7 @@ class TestTable:
         assert len(table1_fixture()) == 20
 
     def test_mismatch_is_loud(self, monkeypatch):
-        monkeypatch.setattr(associations, "k3_oracle", lambda d: False)
+        monkeypatch.setattr(associations, "k3_witness", lambda d: None)
         with pytest.raises(CriterionMismatchError):
             association_row(22)
 

@@ -1,10 +1,11 @@
 """Planted faults: a failed certificate exits 1 with one message, never a traceback.
 
-Each case breaks one certificate with monkeypatch and runs the CLI in
-process.  The failure must surface as a `mismatch:` line on stderr (and,
-in verify-appendix, a `stage ...: FAIL` line on stdout) with exit status
-1.  One case runs the det = d fault under `python -O`, where an `assert`
-would be switched off.
+Each case breaks one certificate with monkeypatch, in the library module
+that owns it, and runs the CLI in process.  The failure must surface as a
+`mismatch:` line on stderr with exit status 1; verify-appendix adds a
+`stage ...: FAIL` line on stdout, and the other commands print no report.
+One case runs the det = d fault under `python -O`, where an `assert` would
+be switched off.
 """
 
 import ast
@@ -15,7 +16,7 @@ import subprocess
 import sys
 
 import peskine
-from peskine import associations, cli, markings, trivector
+from peskine import associations, markings, trivector
 from peskine.cli import main
 from peskine.polyring import MultiPoly
 
@@ -41,14 +42,27 @@ class TestRouteAgreement:
     def test_assoc(self, capsys, monkeypatch):
         self.negate_k3_closed(monkeypatch)
         code, out, err = run(capsys, "assoc", "--d", "24")
-        assert "k3: closed=yes oracle=no  DISAGREEMENT" in out
-        assert_mismatch(code, err, "d = 24: closed form and oracle disagree")
+        assert out == ""
+        assert_mismatch(code, err, "d = 24: K3 closed form says True, oracle says False")
 
     def test_table(self, capsys, monkeypatch):
         self.negate_k3_closed(monkeypatch)
         code, out, err = run(capsys, "table", "--range", "24..30")
         assert out == ""
         assert_mismatch(code, err, "d = 24: K3 closed form says True, oracle says False")
+
+
+class TestFixture:
+    def test_table(self, capsys, monkeypatch):
+        real = associations.table1_fixture()
+        flipped = dict(real)
+        flipped[22] = dataclasses.replace(real[22], assoc_k3=not real[22].assoc_k3)
+        monkeypatch.setattr(associations, "table1_fixture", lambda: flipped)
+        code, out, err = run(capsys, "table", "--range", "22..30", "--fixture-check")
+        assert out == ""
+        assert_mismatch(
+            code, err, "1 fixture mismatches: d = 22: computed assoc_k3 = True, fixture says False"
+        )
 
 
 class TestMarkingDeterminant:
@@ -81,21 +95,23 @@ class TestMarkingDeterminant:
 
 class TestMarkingGroup:
     def test_no_generator(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "generator_with_q_value", lambda lat, group, q: None)
+        monkeypatch.setattr(markings, "generator_with_q_value", lambda lat, group, q: None)
         code, out, err = run(capsys, "marking", "--d", "24")
-        assert "agreement" not in out
+        assert out == ""
         assert_mismatch(code, err, "d = 24: no generator attains the closed form value")
 
     def test_non_cyclic_where_closed_form_is_cyclic(self, capsys, monkeypatch):
-        real = cli.discriminant_group
+        real = markings.discriminant_group
         monkeypatch.setattr(
-            cli,
+            markings,
             "discriminant_group",
             lambda lat: dataclasses.replace(real(lat), invariant_factors=(2, 12)),
         )
         code, out, err = run(capsys, "marking", "--d", "24")
-        assert "lattice:     group Z/2 x Z/12" in out
-        assert_mismatch(code, err, "d = 24: invariant factors disagree")
+        assert out == ""
+        assert_mismatch(
+            code, err, "d = 24: the lattice group Z/2 x Z/12 is not the closed form's Z/24"
+        )
 
 
 def verify_appendix_fails_at(capsys, stage, message):

@@ -447,7 +447,7 @@ GOLDEN = [
      "mismatch: flag does not annihilate the trivector\n"),
     (None, "peskine {tmp}/sigma.tvec smooth --primes 3,31013", 2, EMPTY,
      "error: p = 3: characteristic 3 is excluded\n"),
-    (None, "peskine {tmp}/sigma.tvec smooth --primes 10007,4", 2, "77d18c75eaa9dd73",
+    (None, "peskine {tmp}/sigma.tvec smooth --primes 10007,4", 2, EMPTY,
      "error: p = 4: 4 is not prime\n"),
     (None, "peskine {tmp}/sigma.tvec smooth --primes 10007", 2, EMPTY,
      "error: --primes must list exactly two primes, e.g. 10007,31013\n"),
@@ -472,7 +472,7 @@ GOLDEN = [
     (None, "peskine {tmp}/corrupt.tvec smooth", 0, "465b225a22abc5a5", ""),
     (None, "peskine {tmp}/flagbad.tvec cubic", 1, EMPTY,
      "mismatch: flag does not annihilate the trivector\n"),
-    (None, "verify-appendix --primes 10007,3", 2, "c93414d75dd46c23",
+    (None, "verify-appendix --primes 10007,3", 2, EMPTY,
      "error: p = 3: characteristic 3 is excluded\n"),
     (None, "verify-appendix --primes a,b", 2, EMPTY, "error: bad --primes: 'a,b'\n"),
     (None, "verify-appendix --primes 1000000000000000003,10007", 2, EMPTY,
@@ -518,7 +518,7 @@ GOLDEN = [
     ("31013 10007", "peskine {tmp}/sigma.tvec smooth", 0, "db2be3967187c7ce", ""),
     ("31013 10007", "peskine {tmp}/sigma.tvec smooth --primes 10007,31013", 0, "465b225a22abc5a5",
      ""),
-    ("3,31013", "verify-appendix", 2, "49acdf65c30f82b4",
+    ("3,31013", "verify-appendix", 2, EMPTY,
      "error: p = 3: characteristic 3 is excluded\n"),
     ("3,31013", "verify-appendix --primes 31013,10007", 0, "d8fa5f934de77b5a",
      _stage_times(31013, 10007)),
@@ -557,6 +557,12 @@ class TestGolden:
         assert golden_observe(argv, directory) == (code, digest, err)
 
 
+def test_input_errors_print_nothing():
+    """An input error is refused before any work: every exit-2 case has an empty stdout."""
+    printed = [(env, argv) for env, argv, code, digest, _ in GOLDEN if code == 2 and digest != EMPTY]
+    assert printed == []
+
+
 class TestFuzz:
     """No argv and no input file ends in a traceback.
 
@@ -564,7 +570,7 @@ class TestFuzz:
     values; the trivector and cubic files are generated with duplicates,
     zero coefficients, zero denominators, out-of-range indices, unicode,
     bytes that are not UTF-8 and empty text.  Every call returns 0, 1 or 2, or is refused by
-    argparse with exit status 2.
+    argparse with exit status 2, and exit status 2 leaves stdout empty.
     """
 
     def test_cli_exits_cleanly(self, tmp_path):
@@ -669,6 +675,12 @@ class TestFuzz:
             cubic_texts,
             st.sampled_from([None, "10007,31013", "3,31013", "x,y"]),
         )
+        # a valid input with a bad prime: the whole pipeline could run before the refusal
+        @hypothesis.example(["verify-appendix", "--primes", "10007,3"], "", "", None)
+        @hypothesis.example(["verify-appendix"], "", "", "3,31013")
+        @hypothesis.example(
+            ["peskine", sigma_path, "smooth", "--primes", "10007,4"], appendix_sigma_text(), "", None
+        )
         def check(argv, sigma_text, cubic_text, env):
             # \udcff is written as the byte 0xff, which is not UTF-8
             for path, text in ((sigma_path, sigma_text), (cubic_path, cubic_text)):
@@ -690,5 +702,6 @@ class TestFuzz:
                     os.environ["PESKINE_PRIMES"] = saved
             assert code in (0, 1, 2), (argv, code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+            assert code != 2 or out.getvalue() == "", (argv, env, out.getvalue())
 
         check()

@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from peskine import lattice
+from peskine import associations, lattice, markings
 from peskine.lattice import (
     GramLattice,
     determinant,
@@ -11,6 +12,7 @@ from peskine.lattice import (
     divisibility,
 )
 from peskine.markings import (
+    D_MAX,
     E8_GRAM,
     RANGE_COST_MAX,
     admissible,
@@ -52,6 +54,34 @@ class TestAdmissible:
         for lo, hi in spans:
             assert range_cost(lo, hi) == sum(admissible_range(lo, hi))
         assert range_cost(48000, 48249) < RANGE_COST_MAX < range_cost(1, 10**4)
+
+
+class TestRequireAdmissible:
+    """Every library entry point that takes a discriminant is bounded by D_MAX."""
+
+    ABOVE = 100000006  # admissible (100000006 mod 22 = 18), but above D_MAX
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            markings.marking_gram,
+            markings.disc_form_closed,
+            associations.k3_closed,
+            associations.k3_witness,
+            associations.cubic_closed,
+            associations.cubic_witness,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_ceiling_is_refused_at_once(self, function):
+        assert admissible(self.ABOVE) and self.ABOVE > D_MAX
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            function(self.ABOVE)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            f"d = {self.ABOVE} is above the supported ceiling D_MAX = {D_MAX}"
+        )
 
 
 class TestHlsSet:
