@@ -13,9 +13,6 @@ from .lattice import (
     GramLattice,
     determinant,
     discriminant_group,
-    divisibility,
-    orthogonal_complement,
-    saturation,
     smith_normal_form,
 )
 from .markings import (

@@ -199,14 +199,6 @@ def _parse_cubic(text: str) -> MultiPoly:
     return parse_poly(text, 6, prefix="v")
 
 
-def _cubic(sigma, flag: Flag) -> MultiPoly:
-    """extract_cubic; a flag that does not annihilate sigma is a mismatch."""
-    try:
-        return extract_cubic(sigma, flag)
-    except ValueError as exc:
-        raise CertificateError(str(exc)) from exc
-
-
 def cmd_peskine(args) -> int:
     sigma = _read(args.sigma, parse_trivector)
     action = args.action
@@ -228,10 +220,10 @@ def cmd_peskine(args) -> int:
         print("flag annihilates trivector" if ok else "flag does NOT annihilate trivector")
         return 0 if ok else 1
     if action == "cubic":
-        print(format_poly(_cubic(sigma, flag), prefix="v"))
+        print(format_poly(extract_cubic(sigma, flag), prefix="v"))
         return 0
     primes = _parse_primes(args.primes)  # action == "smooth"
-    cubic = _cubic(sigma, flag)
+    cubic = extract_cubic(sigma, flag)
     smooth = True
     for p in primes:
         kind = smoothness_check(cubic, p).kind
@@ -270,7 +262,7 @@ def cmd_verify_appendix(args) -> int:
         if r != 4:
             raise CertificateError(f"rank at the distinguished point is {r}, expected 4")
     with stage("cubic"):
-        cubic = _cubic(sigma, flag)
+        cubic = extract_cubic(sigma, flag)
         if cubic != reference:
             raise CertificateError("extracted cubic does not match the reference")
     for p in primes:

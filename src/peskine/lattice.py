@@ -1,10 +1,10 @@
 """Exact integer-lattice arithmetic.
 
 Gram matrices, fraction-free determinants, row reduction over Q and F_p
-(rank, field kernels, unimodular inverses), Smith normal form with
-unimodular transforms, discriminant groups carrying their Q/2Z quadratic
-form, divisibility, saturation, and orthogonal complements.  Everything
-is arbitrary-precision integer or Fraction arithmetic; no floats.
+(rank, field kernels), Smith normal form with unimodular transforms,
+discriminant groups carrying their Q/2Z quadratic form, and the search
+for a generator with a given q-value.  Everything is arbitrary-precision
+integer or Fraction arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -28,17 +28,6 @@ def _to_matrix(rows) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_mul(a, b) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def mat_vec(m, v) -> tuple[int, ...]:
@@ -74,8 +63,8 @@ def bareiss_determinant(m) -> int:
 def row_reduce(m, p: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form over Q (p None) or F_p, and its pivot columns.
 
-    The one Gauss-Jordan loop of the package: rank, field kernels and
-    unimodular inverses all read its output.  Over Q the entries are
+    The one Gauss-Jordan loop of the package: rank and field kernels
+    read its output.  Over Q the entries are
     Fractions; over F_p they are ints in [0, p).
     """
     if p is None:
@@ -119,7 +108,7 @@ def field_kernel(m, p: int | None = None) -> list[tuple]:
     """Basis of the right kernel over Q or F_p, read off the RREF.
 
     One vector per free column.  Over Q each vector is cleared to an
-    integer tuple; unlike kernel_basis the span is not saturated.
+    integer tuple; the span is not saturated.
     """
     a, pivots = row_reduce(m, p)
     ncols = len(a[0]) if a else 0
@@ -254,21 +243,6 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
     return _to_matrix(u), _to_matrix(a), _to_matrix(v)
 
 
-def unimodular_inverse(m: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    n = len(m)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    reduced, pivots = row_reduce(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    out = []
-    for row in reduced:
-        if any(x.denominator != 1 for x in row[n:]):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(x.numerator for x in row[n:]))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class DiscGroup:
     """The finite quotient L^v / L of a nondegenerate lattice.
@@ -276,8 +250,8 @@ class DiscGroup:
     invariant_factors: d1 | d2 | ... (each > 1), generators as rational
     vectors in the lattice basis, and the value g.G.g mod 2Z on each
     generator.  On an odd lattice the mod-2Z value depends on the chosen
-    representative; callers that need an invariant comparison should use
-    cyclic_q_matches().
+    representative; generator_with_q_value() searches the representatives
+    too.
     """
 
     invariant_factors: tuple[int, ...]
@@ -324,8 +298,8 @@ def discriminant_group(lattice: GramLattice) -> DiscGroup:
     return DiscGroup(tuple(factors), tuple(gens), tuple(qvals))
 
 
-def _unit_scan(order: int, q: Fraction, targets, stop: int) -> tuple[int, int] | None:
-    """First u < stop coprime to the order with u^2*q = targets[s] in Q/2Z.
+def _unit_scan(order: int, q: Fraction, targets) -> tuple[int, int] | None:
+    """First u < order coprime to the order with u^2*q = targets[s] in Q/2Z.
 
     Returns (u, s), with the least s for that u, or None.  The values are
     compared as integer numerators over one common denominator den,
@@ -335,25 +309,11 @@ def _unit_scan(order: int, q: Fraction, targets, stop: int) -> tuple[int, int] |
     mod = 2 * den
     a = q.numerator * (den // q.denominator)
     bs = [t.numerator * (den // t.denominator) % mod for t in targets]
-    for u in range(stop):
+    for u in range(order):
         r = u * u * a % mod
         if r in bs and gcd(u, order) == 1:
             return u, bs.index(r)
     return None
-
-
-def cyclic_q_matches(order: int, q1: QmodTwoZ, q2: QmodTwoZ) -> bool:
-    """Whether q1 and q2 agree on some generator of a cyclic group.
-
-    Generators of Z/order are unit multiples u of a fixed one, and the
-    quadratic form scales by u^2, so this scans u coprime to the order
-    for u^2*q1 = q2 in Q/2Z.  Lifts of the same unit differing by the
-    order are scanned too.  This mod-2Z comparison is the right one for
-    even lattices; on odd lattices use generator_with_q_value, which
-    also adjusts the representative by lattice vectors.
-    """
-    bound = max(2 * order, 2 * lcm(q1.den, q2.den))
-    return _unit_scan(order, q1.as_fraction(), (q2.as_fraction(),), bound) is not None
 
 
 def generator_with_q_value(
@@ -375,72 +335,10 @@ def generator_with_q_value(
     gram = lattice.gram
     t = target.as_fraction()
     targets = [t] + [t - gram[i][i] for i in range(lattice.rank)]
-    hit = _unit_scan(order, group.qvals[0].as_fraction(), targets, order)
+    hit = _unit_scan(order, group.qvals[0].as_fraction(), targets)
     if hit is None:
         return None
     u, s = hit
     x = tuple(u * gi + int(i == s - 1) for i, gi in enumerate(group.generators[0]))
     q = sum(a * b for a, b in zip(x, mat_vec(gram, x)))
     return x if QmodTwoZ.from_fraction(q) == target else None
-
-
-def divisibility(lattice: GramLattice, v) -> int:
-    """Positive generator of the pairing ideal v.L inside Z."""
-    vec = tuple(int(x) for x in v)
-    if all(x == 0 for x in vec):
-        raise ValueError("divisibility of the zero vector is undefined")
-    pairings = mat_vec(lattice.gram, vec)
-    g = 0
-    for x in pairings:
-        g = gcd(g, x)
-    return g
-
-
-def saturation(ambient_rank: int, basis) -> Matrix:
-    """Basis of span_Q(basis) intersected with Z^n, computed via SNF.
-
-    The result spans a saturated sublattice: the quotient of Z^n by it
-    is torsion-free.  Rejects dependent input.
-    """
-    b = _to_matrix(basis)
-    k = len(b)
-    if k == 0:
-        return ()
-    if any(len(row) != ambient_rank for row in b):
-        raise ValueError("basis vectors must have the ambient rank")
-    if rank(b) != k:
-        raise ValueError("basis is linearly dependent")
-    _, _, v = smith_normal_form(b)
-    vinv = unimodular_inverse(v)
-    return tuple(vinv[i] for i in range(k))
-
-
-def kernel_basis(m) -> Matrix:
-    """Basis of the integer kernel {x : M x = 0}, automatically saturated."""
-    mm = _to_matrix(m)
-    if not mm:
-        raise ValueError("empty matrix")
-    cols = len(mm[0])
-    _, d, v = smith_normal_form(mm)
-    nonzero = sum(1 for i in range(min(len(mm), cols)) if d[i][i] != 0)
-    vt = transpose(v)
-    return tuple(vt[j] for j in range(nonzero, cols))
-
-
-def orthogonal_complement(lattice: GramLattice, sub) -> GramLattice:
-    """Gram matrix of {w : w.G.s = 0 for all s in sub}, saturated.
-
-    Degenerate complements (the subspace meets its own orthogonal) raise
-    DegenerateLatticeError rather than returning a rank-deficient form.
-    """
-    s = _to_matrix(sub)
-    if not s:
-        raise ValueError("empty sublattice basis")
-    if rank(s) != len(s):
-        raise ValueError("sublattice basis is linearly dependent")
-    pairing = mat_mul(s, lattice.gram)
-    comp = kernel_basis(pairing)
-    gram = mat_mul(comp, mat_mul(lattice.gram, transpose(comp)))
-    if bareiss_determinant(gram) == 0:
-        raise DegenerateLatticeError("orthogonal complement is degenerate")
-    return GramLattice(gram)

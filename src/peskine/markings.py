@@ -8,8 +8,8 @@ generic lattice machinery in :mod:`peskine.lattice`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
 from fractions import Fraction
 
 from .lattice import (
@@ -73,7 +73,9 @@ def require_admissible(d: int) -> int:
 
 
 def admissible_range(lo: int, hi: int) -> list[int]:
-    """Admissible discriminants in [lo, hi]."""
+    """Admissible discriminants in [lo, hi]; ValueError if hi passes D_MAX."""
+    if hi > D_MAX:
+        raise ValueError(f"range end {hi} is above the supported ceiling D_MAX = {D_MAX}")
     return [d for d in range(max(lo, 1), hi + 1) if admissible(d)]
 
 
@@ -98,6 +100,7 @@ def hls_set() -> frozenset[int]:
     return frozenset({2, 6, 8, 10, 18})
 
 
+@functools.cache
 def lambda11() -> GramLattice:
     """The fixed rank-2 lattice ((15, 7), (7, 4)) of discriminant 11."""
     return GramLattice(((15, 7), (7, 4)))
@@ -125,7 +128,8 @@ def marking_gram(d: int) -> MarkingGram:
     require_admissible(d)
     a, b, off = _ABC_BY_RESIDUE[d % 22]
     c = (d + off) // 11
-    gram = ((15, 7, a), (7, 4, b), (a, b, c))
+    row1, row2 = lambda11().gram
+    gram = (row1 + (a,), row2 + (b,), (a, b, c))
     det = determinant(GramLattice(gram))
     if det != d:
         raise CertificateError(f"d = {d}: the marking Gram has determinant {det}")
@@ -221,15 +225,3 @@ def disc_form_agrees(d: int) -> bool:
         return False
     return True
 
-
-# Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.
-E8_GRAM: Matrix = (
-    (2, -1, 0, 0, 0, 0, 0, 0),
-    (-1, 2, -1, 0, 0, 0, 0, 0),
-    (0, -1, 2, -1, 0, 0, 0, 0),
-    (0, 0, -1, 2, -1, 0, 0, 0),
-    (0, 0, 0, -1, 2, -1, 0, -1),
-    (0, 0, 0, 0, -1, 2, -1, 0),
-    (0, 0, 0, 0, 0, -1, 2, 0),
-    (0, 0, 0, 0, -1, 0, 0, 2),
-)

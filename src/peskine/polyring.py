@@ -792,10 +792,7 @@ def buchberger(gens) -> list[MultiPoly]:
 
     while heap:
         lcm_ij, j, i = heapq.heappop(heap)
-        pair = frozenset((i, j))
-        if pair not in pending:
-            continue
-        pending.discard(pair)
+        pending.remove(frozenset((i, j)))
         lti, ltj = basis[i][0], basis[j][0]
         if not any(map(min, _unpack(lti, nvars), _unpack(ltj, nvars))):
             continue  # coprime leading monomials

@@ -234,7 +234,7 @@ def restrict_to_subspace(sigma: Trivector, rows) -> list[MultiPoly]:
 
 
 class CubicExtractionError(CertificateError):
-    """The restricted quartics did not share a degree-3 factor."""
+    """The flag does not annihilate sigma, or no degree-3 factor is shared."""
 
 
 def extract_cubic(sigma: Trivector, flag: Flag) -> MultiPoly:
@@ -249,7 +249,7 @@ def extract_cubic(sigma: Trivector, flag: Flag) -> MultiPoly:
     if sigma.p is not None:
         raise ValueError("cubic extraction needs rational coefficients")
     if not verify_flag(sigma, flag):
-        raise ValueError("flag does not annihilate the trivector")
+        raise CubicExtractionError("flag does not annihilate the trivector")
     restricted = restrict_to_subspace(sigma, flag.w6)
     nonzero = [q for q in restricted if not q.is_zero()]
     if not nonzero:

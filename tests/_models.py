@@ -1,4 +1,5 @@
-"""Shared helpers for tests: block lattices and membership checks.
+"""Shared helpers for tests: block lattices, orthogonal complements, the
+cyclic q-value match and membership checks.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -8,8 +9,21 @@ association criteria talk about, which makes them an independent
 ground truth for the congruence constants.
 """
 
-from peskine.lattice import GramLattice, orthogonal_complement
-from peskine.markings import E8_GRAM
+from math import gcd, lcm
+
+from peskine.lattice import GramLattice, mat_vec, row_reduce, smith_normal_form
+
+# Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.
+E8_GRAM = (
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, 0),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, -1),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, 0, 0, -1, 0, 0, 2),
+)
 
 U_GRAM = ((0, 1), (1, 0))
 Q11_GRAM = ((2, 1), (1, 6))  # even, positive definite, determinant 11
@@ -31,6 +45,52 @@ def block_diagonal(*blocks) -> GramLattice:
                 g[off + i][off + j] = x
         off += len(b)
     return GramLattice(tuple(tuple(r) for r in g))
+
+
+def integer_kernel(m) -> list[tuple[int, ...]]:
+    """Saturated basis of {x in Z^n : M x = 0}, read off the Smith form.
+
+    With U*M*V = D, it is the columns of V past the nonzero diagonal.
+    """
+    _, d, v = smith_normal_form(m)
+    n = len(v)
+    nonzero = sum(1 for i in range(min(len(d), n)) if d[i][i])
+    return [tuple(row[j] for row in v) for j in range(nonzero, n)]
+
+
+def orthogonal_complement(lattice: GramLattice, sub) -> GramLattice:
+    """Gram lattice of {w : w.G.s = 0 for all s in sub}, on a saturated basis.
+
+    GramLattice raises DegenerateLatticeError when the complement meets
+    its own orthogonal.
+    """
+    g = lattice.gram
+    comp = integer_kernel([mat_vec(g, s) for s in sub])
+    return GramLattice([[sum(a * b for a, b in zip(x, mat_vec(g, y))) for y in comp] for x in comp])
+
+
+def cyclic_q_matches(order: int, q1, q2) -> bool:
+    """Whether q1 and q2 agree on some generator of a cyclic group.
+
+    Generators of Z/order are the unit multiples u of a fixed one, and
+    the form scales by u^2, so this looks for u coprime to the order with
+    u^2*q1 = q2 in Q/2Z, lifts differing by the order included.  The
+    mod-2Z comparison is the right one for the even models here.
+    """
+    f1, f2 = q1.as_fraction(), q2.as_fraction()
+    den = lcm(f1.denominator, f2.denominator)
+    a = f1.numerator * (den // f1.denominator)
+    b = f2.numerator * (den // f2.denominator)
+    mod = 2 * den
+    bound = max(2 * order, mod)
+    return any(gcd(u, order) == 1 and (u * u * a - b) % mod == 0 for u in range(bound))
+
+
+def integer_inverse(m) -> list[list[int]]:
+    """Inverse of a unimodular integer matrix, read off the RREF of [M | I]."""
+    n = len(m)
+    reduced, _ = row_reduce([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    return [[int(x) for x in row[n:]] for row in reduced]
 
 
 def vanishing_lattice_model() -> GramLattice:
@@ -95,15 +155,6 @@ def div3_cubic_complement_model(d: int) -> GramLattice:
     return orthogonal_complement(gamma, [w])
 
 
-def span_eq(rows_a, rows_b) -> bool:
-    """Equality of Q-spans of two row sets."""
-    from peskine.lattice import rank
-
-    ra = rank(rows_a)
-    rb = rank(rows_b)
-    return ra == rb == rank(list(rows_a) + list(rows_b))
-
-
 def same_lattice(rows_a, rows_b) -> bool:
     """Whether two bases generate the same integer lattice."""
     return _contains(rows_a, rows_b) and _contains(rows_b, rows_a)
@@ -111,8 +162,6 @@ def same_lattice(rows_a, rows_b) -> bool:
 
 def _contains(big, small) -> bool:
     """Whether every row of small is an integer combination of rows of big."""
-    from peskine.lattice import smith_normal_form
-
     big = [list(r) for r in big]
     u, dmat, v = smith_normal_form(big)
     k = len(big)

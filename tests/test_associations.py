@@ -20,11 +20,12 @@ from peskine.associations import (
     table1,
     table1_fixture,
 )
-from peskine.lattice import cyclic_q_matches, discriminant_group
+from peskine.lattice import discriminant_group
 from peskine.markings import admissible_range
 
 from _models import (
     cubic_marking_complement_model,
+    cyclic_q_matches,
     div3_cubic_complement_model,
     div11_marking_complement_model,
     k3_polarization_complement_model,

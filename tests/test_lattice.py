@@ -8,25 +8,17 @@ from peskine.lattice import (
     DegenerateLatticeError,
     GramLattice,
     bareiss_determinant,
-    cyclic_q_matches,
     determinant,
     discriminant_group,
-    divisibility,
     field_kernel,
     generator_with_q_value,
-    kernel_basis,
-    mat_mul,
-    orthogonal_complement,
     rank,
-    saturation,
     smith_normal_form,
-    transpose,
-    unimodular_inverse,
 )
 from peskine.markings import admissible_range, disc_form_closed, lambda11, marking_gram
 from peskine.ntheory import QmodTwoZ, qmod2z
 
-from _models import same_lattice, span_eq
+from _models import cyclic_q_matches, integer_inverse, integer_kernel, orthogonal_complement
 
 U_HYPERBOLIC = GramLattice(((0, 1), (1, 0)))
 
@@ -37,6 +29,10 @@ def random_matrix(rng, rows, cols, bound=20):
 
 def identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 class TestDeterminant:
@@ -119,19 +115,6 @@ class TestSmithNormalForm:
                     if i != j:
                         assert d[i][j] == 0
 
-    def test_unimodular_inverse(self):
-        rng = random.Random(12)
-        for _ in range(50):
-            n = rng.randint(1, 5)
-            m = random_matrix(rng, n, n)
-            u, _, v = smith_normal_form(m)
-            for w in (u, v):
-                winv = unimodular_inverse(w)
-                n_id = tuple(
-                    tuple(int(i == j) for j in range(n)) for i in range(n)
-                )
-                assert mat_mul(w, winv) == n_id
-
 
 class TestRowReduction:
     @pytest.mark.parametrize("p", [None, 10007])
@@ -154,14 +137,7 @@ class TestRowReduction:
                 if i != j:
                     f = rng.randint(-3, 3)
                     u[i] = [a + f * b for a, b in zip(u[i], u[j])]
-            u = tuple(map(tuple, u))
-            assert mat_mul(unimodular_inverse(u), u) == identity(n)
-
-    def test_inverse_errors(self):
-        with pytest.raises(ValueError, match="singular"):
-            unimodular_inverse(((1, 2), (2, 4)))
-        with pytest.raises(ValueError, match="not unimodular"):
-            unimodular_inverse(((2, 0), (0, 1)))
+            assert mat_mul(integer_inverse(u), u) == identity(n)
 
 
 class TestDiscriminantGroup:
@@ -220,20 +196,6 @@ class TestCyclicQMatches:
             for r in range(n)
         )
         assert qmod2z(q.numerator, q.denominator) == qmod2z(11, 24)
-
-
-def reference_cyclic_q_matches(order, q1, q2):
-    """Unit loop of the earlier cyclic_q_matches, kept as the reference."""
-    f1, f2 = q1.as_fraction(), q2.as_fraction()
-    den = (f1.denominator * f2.denominator) // gcd(f1.denominator, f2.denominator)
-    a = f1.numerator * (den // f1.denominator)
-    b = f2.numerator * (den // f2.denominator)
-    mod = 2 * den
-    bound = max(2 * order, mod)
-    for u in range(bound):
-        if gcd(u, order) == 1 and (u * u * a - b) % mod == 0:
-            return True
-    return False
 
 
 def reference_generator_with_q_value(lattice, group, target):
@@ -321,91 +283,10 @@ class TestUnitScanAgainstReference:
                 missed += got is None
         assert found >= 120 and missed > 0
 
-    def test_cyclic_q_matches(self):
-        rng = random.Random(23)
-        outcomes = set()
-        for _ in range(3000):
-            order = rng.randint(1, 60)
-            q1 = qmod2z(rng.randrange(4 * order), rng.choice([1, order, 2 * order]))
-            q2 = qmod2z(rng.randrange(4 * order), rng.choice([1, order, 2 * order]))
-            got = cyclic_q_matches(order, q1, q2)
-            assert got == reference_cyclic_q_matches(order, q1, q2), (order, q1, q2)
-            outcomes.add(got)
-        assert outcomes == {True, False}
-
-
-class TestDivisibility:
-    def test_hyperbolic(self):
-        assert divisibility(U_HYPERBOLIC, (1, 0)) == 1
-
-    def test_minus_two(self):
-        assert divisibility(GramLattice(((-2,),)), (1,)) == 2
-
-    def test_lambda11(self):
-        assert divisibility(lambda11(), (1, 1)) == 11
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            divisibility(lambda11(), (0, 0))
-
-    def test_divides_norm(self):
-        rng = random.Random(14)
-        lat = marking_gram(46).lattice()
-        for _ in range(50):
-            v = [rng.randint(-9, 9) for _ in range(3)]
-            if all(x == 0 for x in v):
-                continue
-            div = divisibility(lat, v)
-            norm = sum(
-                v[i] * lat.gram[i][j] * v[j] for i in range(3) for j in range(3)
-            )
-            assert norm % div == 0
-
-
-class TestSaturation:
-    def test_scaled_vector(self):
-        sat = saturation(2, [(2, 0)])
-        assert same_lattice(sat, [(1, 0)])
-
-    def test_already_saturated(self):
-        sat = saturation(2, [(1, 0), (0, 1)])
-        assert same_lattice(sat, [(1, 0), (0, 1)])
-
-    def test_plane_in_three_space(self):
-        sat = saturation(3, [(2, 2, 0), (0, 2, 2)])
-        assert len(sat) == 2
-        for a, b, c in sat:
-            assert a - b + c == 0
-        assert same_lattice(sat, [(1, 1, 0), (0, 1, 1)])
-
-    def test_rejects_dependent(self):
-        with pytest.raises(ValueError):
-            saturation(2, [(1, 0), (2, 0)])
-
-    def test_idempotent(self):
-        rng = random.Random(15)
-        for _ in range(40):
-            n = rng.randint(2, 5)
-            k = rng.randint(1, n)
-            rows = random_matrix(rng, k, n, 9)
-            from peskine.lattice import rank
-
-            if rank(rows) != k:
-                continue
-            once = saturation(n, rows)
-            twice = saturation(n, once)
-            assert span_eq(rows, once)
-            assert same_lattice(once, twice)
-
-    def test_result_is_saturated(self):
-        # the quotient by a saturated sublattice is torsion-free, which
-        # shows up as an all-ones Smith diagonal
-        sat = saturation(4, [(2, 4, 6, 8), (0, 10, 4, 2), (4, 4, 4, 1)])
-        _, d, _ = smith_normal_form(sat)
-        assert all(d[i][i] == 1 for i in range(len(sat)))
-
 
 class TestOrthogonalComplement:
+    """The complement and integer kernel the glue models in _models build on."""
+
     def test_diagonal_split(self):
         comp = orthogonal_complement(GramLattice(((1, 0), (0, 1))), [(1, 0)])
         assert comp.gram == ((1,),)
@@ -438,18 +319,16 @@ class TestOrthogonalComplement:
         while done < 20:
             k = rng.randint(1, n - 1)
             rows = random_matrix(rng, k, n, 4)
-            from peskine.lattice import rank
-
             if rank(rows) != k:
                 continue
-            sat = saturation(n, rows)
-            sub = GramLattice(mat_mul(sat, mat_mul(gram, transpose(sat))))
-            comp = orthogonal_complement(lat, sat)
+            sat = integer_kernel(integer_kernel(rows))  # the saturation of the rows
+            sub = GramLattice(mat_mul(sat, tuple(zip(*sat))))
+            comp = orthogonal_complement(lat, rows)
             assert abs(determinant(sub)) == abs(determinant(comp))
             done += 1
 
     def test_kernel_basis(self):
-        basis = kernel_basis([[1, 2, 3], [4, 5, 6]])
+        basis = integer_kernel([[1, 2, 3], [4, 5, 6]])
         assert len(basis) == 1
         (v,) = basis
         assert v[0] * 1 + v[1] * 2 + v[2] * 3 == 0

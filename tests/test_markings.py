@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,11 +10,10 @@ from peskine.lattice import (
     GramLattice,
     determinant,
     discriminant_group,
-    divisibility,
+    mat_vec,
 )
 from peskine.markings import (
     D_MAX,
-    E8_GRAM,
     RANGE_COST_MAX,
     admissible,
     admissible_range,
@@ -26,6 +26,8 @@ from peskine.markings import (
     range_cost,
 )
 from peskine.ntheory import qmod2z
+
+from _models import E8_GRAM
 
 
 class TestAdmissible:
@@ -82,6 +84,13 @@ class TestRequireAdmissible:
         assert str(info.value) == (
             f"d = {self.ABOVE} is above the supported ceiling D_MAX = {D_MAX}"
         )
+
+    def test_range_end_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="D_MAX"):
+            admissible_range(1, 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert admissible_range(D_MAX - 1, D_MAX) == [D_MAX]
 
 
 class TestHlsSet:
@@ -195,7 +204,7 @@ class TestLambda11:
         assert determinant(lambda11()) == 11
 
     def test_divisibility(self):
-        assert divisibility(lambda11(), (1, 1)) == 11
+        assert gcd(*mat_vec(lambda11().gram, (1, 1))) == 11
 
     def test_discriminant_group(self):
         assert discriminant_group(lambda11()).invariant_factors == (11,)

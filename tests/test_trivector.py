@@ -39,6 +39,8 @@ from peskine.trivector import (
     x7_kernel,
 )
 
+from _models import integer_inverse, same_lattice
+
 P = 10007
 E = [tuple(int(i == j) for i in range(DIM)) for j in range(DIM)]
 
@@ -293,7 +295,7 @@ class TestVerifyFlag:
         assert rank_at_point(sigma, E[0]) <= 4
 
         a = _random_unimodular(rng)
-        ainv = _integer_inverse(a)
+        ainv = integer_inverse(a)
         pulled = _pullback(sigma, a)
         w1 = tuple(ainv[r][0] for r in range(DIM))
         w6 = tuple(
@@ -312,12 +314,6 @@ def _random_unimodular(rng):
         for k in range(DIM):
             m[i][k] += c * m[j][k]
     return m
-
-
-def _integer_inverse(m):
-    from peskine.lattice import unimodular_inverse
-
-    return [list(r) for r in unimodular_inverse(tuple(tuple(r) for r in m))]
 
 
 def _pullback(sigma, a):
@@ -412,7 +408,7 @@ class TestExtractCubic:
     def test_wrong_flag_rejected(self):
         sigma = appendix_sigma()
         flag = Flag(E[0], basis_rows(1, 2, 3, 4, 5, 7))
-        with pytest.raises(ValueError, match="annihilate"):
+        with pytest.raises(CubicExtractionError, match="annihilate"):
             extract_cubic(sigma, flag)
 
     def test_zero_trivector_fails_loudly(self):
@@ -561,8 +557,6 @@ class TestX7Kernel:
         v7 = basis_rows(1, 2, 3, 4, 5, 6, 7)
         kernel = x7_kernel(sigma, v7, domain="v7")
         assert len(kernel) == 4
-        from _models import same_lattice
-
         assert same_lattice(kernel, basis_rows(4, 5, 6, 7))
 
     def test_planted_two_space(self):
