@@ -4,7 +4,11 @@ Ring arithmetic, linear substitution, Pfaffians of skew matrices with
 polynomial entries, multivariate GCD by primitive-part recursion with a
 univariate subresultant PRS, and a small Buchberger engine (graded
 reverse lexicographic order, fixed) strong enough to certify that a
-homogeneous system only vanishes at the origin.
+homogeneous system only vanishes at the origin.  For n forms in n
+variables that may be a regular sequence (the partials of a smooth
+cubic), buchberger(..., complete_intersection=True) skips the S-pairs
+that the known Hilbert function proves redundant, checks that proof
+itself, and reruns the plain path when it fails; the basis is the same.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import heapq
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations_with_replacement
+from math import comb, gcd, lcm
 from types import MappingProxyType
 
 Exponents = tuple[int, ...]
@@ -72,7 +77,7 @@ def _layout(n: int) -> tuple[int, int]:
     linear substitution) refuse total degree above M; +, -, derivatives,
     exact quotients and the univariate splits of the GCD never raise a
     degree, and the GCD checks the degree of what it reassembles.  In
-    the Groebner engine every S-pair lcm is checked.  Grevlex is graded,
+    the Groebner engine _key checks every S-pair lcm.  Grevlex is graded,
     so a term m of a polynomial with leading term t has deg m <= deg t.
     An S-polynomial term m*q with lcm = t*q thus has degree at most
     deg(lcm), and a reduction step m*q with t*q = lm, the current
@@ -94,6 +99,11 @@ def _pack(exps, n: int) -> int:
     e = tuple(int(x) for x in exps)
     if len(e) != n or any(x < 0 for x in e):
         raise ValueError(f"bad exponent tuple {e} for {n} variables")
+    return _key(e)
+
+
+def _key(e: Exponents) -> int:
+    """Packed key of a tuple of non-negative ints, within the degree bound."""
     key = sum(e)
     _check_degree(key)
     for x in reversed(e):
@@ -698,9 +708,38 @@ def parse_poly(
 # -- Groebner engine (grevlex, F_p) -----------------------------------
 
 
-def _lcm(a: int, b: int, n: int) -> int:
-    """Packed lcm of two packed monomials, within the degree bound."""
-    return _pack(tuple(map(max, _unpack(a, n), _unpack(b, n))), n)
+def _divides(a: int, b: int, zero: int, guards: int) -> bool:
+    """Whether the packed monomial a divides b; (zero, guards) = _layout(n)."""
+    q = b + zero - a
+    return q >= 0 and not q & guards
+
+
+@lru_cache(maxsize=None)
+def _monomial_steps(n: int, k: int) -> tuple[int, ...]:
+    """Key increments of the monomials of degree k in n variables.
+
+    t + s over the table are the packed keys of t times every monomial
+    of degree k (see _layout).  Cached like _layout, one table per
+    (n, k) that the engine asks for.
+    """
+    steps = [_var_step(i, n) for i in range(n)]
+    return tuple(map(sum, combinations_with_replacement(steps, k)))
+
+
+def _complete_intersection_targets(degrees, n: int) -> tuple[int, ...]:
+    """dim J_t for t = 0..top, J generated by a regular sequence of n
+    forms of the given degrees in n variables.
+
+    R/J then has Hilbert series prod_i (1 + t + ... + t^(d_i - 1)), a
+    polynomial of degree top - 1 with top = sum_i (d_i - 1) + 1, so
+    dim J_t = C(t + n - 1, n - 1) - [t^t] of that product, and J_t = R_t
+    from degree top on.
+    """
+    h = [1]
+    for d in degrees:
+        h = [sum(h[max(0, t - d + 1) : t + 1]) for t in range(len(h) + d - 1)]
+    h.append(0)
+    return tuple(comb(t + n - 1, n - 1) - h[t] for t in range(len(h)))
 
 
 def _reduce(
@@ -739,12 +778,30 @@ def _make_monic(terms: dict[int, int], p: int) -> dict[int, int]:
     return {m: c * inv % p for m, c in terms.items()}
 
 
-def buchberger(gens) -> list[MultiPoly]:
+def buchberger(gens, complete_intersection: bool = False) -> list[MultiPoly]:
     """Reduced grevlex Groebner basis over F_p.
 
     Pair handling uses the coprime-leading-term criterion and the chain
     criterion; the returned basis is monic, autoreduced, and sorted by
     ascending leading monomial.  Empty or all-zero input gives [].
+
+    complete_intersection=True is Traverso's Hilbert-driven variant, for
+    nvars homogeneous generators of positive degree; on any other input
+    the plain path runs.  Were the generators a regular sequence, dim J_t
+    would follow from their degrees alone; the engine derives these
+    targets itself (_complete_intersection_targets), never from the
+    caller.  Pairs pop in ascending lcm degree.  The engine keeps, per
+    degree up to the top, the monomials that the leading terms cover,
+    skips a pair whose degree has its target covered, and stops once the
+    top degree is covered.  Soundness: every kept element lies in J, so
+    a covered top degree t means J contains every monomial of degree t;
+    then V(J) = {0} and the generators are a regular sequence.  So the
+    targets are dim J_t, the covered monomials of a skipped degree are
+    all the leading monomials of J there, every skipped S-polynomial
+    reduces to zero, and the kept set is a Groebner basis of J.  If a
+    pair was skipped but the top degree is not covered, the plain path
+    reruns within the same call, so a basis with zeros off the origin
+    never rests on a skip.  Either way the result is the plain engine's.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -755,24 +812,73 @@ def buchberger(gens) -> list[MultiPoly]:
     for g in gens:
         if g.nvars != nvars or g.p != p:
             raise ValueError("generators live in different rings")
+    basis = None
+    if complete_intersection and len(gens) == nvars and all(
+        g.is_homogeneous() and not g.is_constant() for g in gens
+    ):
+        targets = _complete_intersection_targets([g.total_degree() for g in gens], nvars)
+        basis = _pair_loop(gens, p, targets)
+    if basis is None:
+        basis = _pair_loop(gens, p, None)
+
+    # autoreduce: drop elements whose lead is divisible by another lead,
+    # then fully reduce each survivor against the others
     zero, guards = _layout(nvars)
+    final = [
+        (lt, terms)
+        for i, (lt, terms) in enumerate(basis)
+        if not any(
+            _divides(lk, lt, zero, guards)
+            for k, (lk, _) in enumerate(basis)
+            if k != i and (lk != lt or k < i)
+        )
+    ]
+    reduced: list[tuple[int, dict[int, int]]] = []
+    for idx, (lt, terms) in enumerate(final):
+        others = [final[k] for k in range(len(final)) if k != idx]
+        r = _reduce(terms, others, nvars, p)
+        if r:
+            reduced.append((max(r), _make_monic(r, p)))
+    reduced.sort(key=lambda t: t[0])
+    return [MultiPoly._raw(nvars, t, p) for _, t in reduced]
 
-    def divides(a: int, b: int) -> bool:
-        q = b + zero - a
-        return q >= 0 and not q & guards
 
+def _pair_loop(gens, p: int, targets) -> list[tuple[int, dict[int, int]]] | None:
+    """The monic (leading key, terms) list of Buchberger's pair loop,
+    before autoreduction.
+
+    targets, when given, are dim J_t for t = 0..top (see buchberger):
+    a pair is skipped once the monomials covered in its degree (degrees
+    above top count as top) meet the target, and the loop stops at the
+    first pair of degree >= top once top is covered.  None when a pair
+    was skipped but top stayed uncovered.
+    """
+    nvars = gens[0].nvars
+    zero, guards = _layout(nvars)
+    shift = nvars * _W
     basis: list[tuple[int, dict[int, int]]] = []
+    leads: list[Exponents] = []  # leading exponents, unpacked once per element
     pending: set[frozenset[int]] = set()
     heap: list[tuple[int, int, int]] = []
+    if targets is not None:
+        top = len(targets) - 1
+        covered: list[set[int]] = [set() for _ in targets]
 
     def add(terms: dict[int, int]) -> None:
-        """Append terms, made monic, and queue its pairs."""
+        """Append terms, made monic, queue its pairs and cover its multiples."""
         t = _make_monic(terms, p)
+        lt = max(t)
+        lead = _unpack(lt, nvars)
         new = len(basis)
-        basis.append((max(t), t))
+        basis.append((lt, t))
+        leads.append(lead)
         for k in range(new):
             pending.add(frozenset((k, new)))
-            heapq.heappush(heap, (_lcm(basis[k][0], basis[new][0], nvars), k, new))
+            heapq.heappush(heap, (_key(tuple(map(max, leads[k], lead))), k, new))
+        if targets is not None:
+            deg = lt >> shift
+            for d in range(deg, top + 1):
+                covered[d].update([lt + s for s in _monomial_steps(nvars, d - deg)])
 
     for g in gens:
         add(g._packed)
@@ -781,7 +887,7 @@ def buchberger(gens) -> list[MultiPoly]:
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if not divides(basis[k][0], lcm_ij):
+            if not _divides(basis[k][0], lcm_ij, zero, guards):
                 continue
             if (
                 frozenset((i, k)) not in pending
@@ -790,14 +896,22 @@ def buchberger(gens) -> list[MultiPoly]:
                 return True
         return False
 
+    skipped = False
     while heap:
         lcm_ij, j, i = heapq.heappop(heap)
         pending.remove(frozenset((i, j)))
-        lti, ltj = basis[i][0], basis[j][0]
-        if not any(map(min, _unpack(lti, nvars), _unpack(ltj, nvars))):
+        if targets is not None:
+            d = min(lcm_ij >> shift, top)
+            if len(covered[d]) >= targets[d]:
+                if d == top:
+                    break  # J holds every monomial of degree >= top
+                skipped = True
+                continue
+        if not any(map(min, leads[i], leads[j])):
             continue  # coprime leading monomials
         if chain_criterion(i, j, lcm_ij):
             continue
+        lti, ltj = basis[i][0], basis[j][0]
         qi, qj = lcm_ij - lti, lcm_ij - ltj
         s = {m + qi: c for m, c in basis[i][1].items()}
         for m, c in basis[j][1].items():
@@ -810,24 +924,9 @@ def buchberger(gens) -> list[MultiPoly]:
         r = _reduce(s, basis, nvars, p)
         if r:
             add(r)
-
-    # autoreduce: drop elements whose lead is divisible by another lead,
-    # then fully reduce each survivor against the others
-    final = [
-        (lt, terms)
-        for i, (lt, terms) in enumerate(basis)
-        if not any(
-            divides(lk, lt) for k, (lk, _) in enumerate(basis) if k != i and (lk != lt or k < i)
-        )
-    ]
-    reduced: list[tuple[int, dict[int, int]]] = []
-    for idx, (lt, terms) in enumerate(final):
-        others = [final[k] for k in range(len(final)) if k != idx]
-        r = _reduce(terms, others, nvars, p)
-        if r:
-            reduced.append((max(r), _make_monic(r, p)))
-    reduced.sort(key=lambda t: t[0])
-    return [MultiPoly._raw(nvars, t, p) for _, t in reduced]
+    if skipped and len(covered[top]) < targets[top]:
+        return None
+    return basis
 
 
 def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:

@@ -22,6 +22,7 @@ from peskine.polyring import (
     principal_pfaffians,
     substitute_linear,
 )
+from peskine.polyring import _complete_intersection_targets
 
 P = 10007
 
@@ -721,6 +722,56 @@ class TestBuchberger:
         with pytest.raises(ValueError, match="packed-monomial bound"):
             normal_form(x**4096, [y])
         assert buchberger([x**4095]) == [x**4095]
+
+
+class TestHilbertDriven:
+    """buchberger(..., complete_intersection=True) against the plain path."""
+
+    def test_targets_of_six_quadrics(self):
+        # R/J has Hilbert series (1 + t)^6, so J_7 = R_7 and 7 is the top
+        targets = _complete_intersection_targets([2] * 6, 6)
+        assert targets == (0, 0, 6, 36, 111, 246, 461, 792)
+
+    def test_targets_of_two_squares(self):
+        # (x^2, y^2): R/J has basis 1, x, y, xy
+        assert _complete_intersection_targets([2, 2], 2)[2:] == (2, 4)
+        assert _complete_intersection_targets([1, 3], 2) == (0, 1, 2, 4)
+
+    def test_same_basis_as_plain(self):
+        x, y, z = variables(3, P)
+        cases = [
+            [x * x, y * y, z * z],  # a regular sequence: the top degree is covered
+            [x * x, x * y, y * z],  # zeros off the origin: no proof, plain path
+            [x * x, y * y],  # fewer forms than variables: plain path
+            [x + y * y, y, z],  # not homogeneous: plain path
+        ]
+        for gens in cases:
+            assert buchberger(gens, complete_intersection=True) == buchberger(gens)
+
+    def test_random_cubics_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        q = 101
+
+        @st.composite
+        def cubics(draw):
+            nvars = draw(st.integers(2, 4))
+            monomials = [
+                tuple(c.count(i) for i in range(nvars))
+                for c in itertools.combinations_with_replacement(range(nvars), 3)
+            ]
+            terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(1, q - 1)))
+            return MultiPoly(nvars, terms, q)
+
+        @hypothesis.settings(
+            max_examples=120, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(cubics())
+        def check(cubic):
+            partials = [cubic.derivative(i) for i in range(cubic.nvars)]
+            assert buchberger(partials, complete_intersection=True) == buchberger(partials)
+
+        check()
 
 
 def _spoly(f, g):

@@ -15,9 +15,10 @@ from peskine.polyring import (
     format_poly,
     gcd_multivariate,
     pfaffian,
+    primitive_part,
     substitute_linear,
 )
-from peskine import trivector
+from peskine import polyring, trivector
 from peskine.trivector import (
     DIM,
     CubicExtractionError,
@@ -461,6 +462,44 @@ class TestExtractCubic:
                     found += 1
 
 
+def nodal_cubic():
+    """x0*(x1^2 + ... + x5^2) + x1^3 + ... + x5^3; for p > 5 its one singular
+    point is e0."""
+    x = [MultiPoly.variable(i, 6) for i in range(6)]
+    return x[0] * sum((xi * xi for xi in x[2:]), x[1] * x[1]) + sum(
+        (xi**3 for xi in x[2:]), x[1] ** 3
+    )
+
+
+def flagged_cubic(rng):
+    """The cubic of a trivector over Q that vanishes on the flag e1 in <e1..e6>."""
+    coeffs = {}
+    for i, j, k in combinations(range(1, DIM + 1), 3):
+        if i == 1 and j <= 6:
+            continue
+        c = rng.randint(-9, 9)
+        if c:
+            coeffs[(i, j, k)] = c
+    return extract_cubic(Trivector(coeffs), standard_flag())
+
+
+def jacobian_bases(cubic, p, monkeypatch):
+    """(plain, Hilbert-driven) Jacobian bases mod p with the _reduce calls
+    of each, less the one autoreduction per element of the basis: the
+    number of S-pairs reduced."""
+    reduced = primitive_part(cubic).reduce_mod(p)
+    partials = [reduced.derivative(i) for i in range(6)]
+    calls = []
+    reduce = polyring._reduce
+    monkeypatch.setattr(polyring, "_reduce", lambda *a: calls.append(1) or reduce(*a))
+    out = []
+    for keyword in (False, True):
+        calls.clear()
+        basis = buchberger(partials, complete_intersection=keyword)
+        out.append((basis, len(calls) - len(basis)))
+    return out
+
+
 class TestSmoothness:
     def test_fermat_smooth(self):
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
@@ -470,9 +509,9 @@ class TestSmoothness:
     def test_one_groebner_basis_per_prime(self, monkeypatch):
         calls = []
 
-        def counting(gens):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return buchberger(gens)
+            return buchberger(*args, **kwargs)
 
         # patch every peskine namespace that binds buchberger by name
         for name, module in list(sys.modules.items()):
@@ -480,7 +519,9 @@ class TestSmoothness:
                 monkeypatch.setattr(module, "buchberger", counting)
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
         fermat = sum((x**3 for x in xs[1:]), xs[0] ** 3)
-        for cubic in (fermat, xs[0] ** 3, appendix_cubic()):
+        # the nodal cubic skips pairs, cannot prove them and reruns the plain
+        # path inside the same call
+        for cubic in (fermat, xs[0] ** 3, appendix_cubic(), nodal_cubic()):
             calls.clear()
             smoothness_check(cubic, P)
             assert len(calls) == 1
@@ -504,6 +545,37 @@ class TestSmoothness:
             "x0*quadric": x[0] * quadric,
         }[shape]
         assert smoothness_check(cubic, p).kind == "singular"
+
+    @pytest.mark.parametrize("p", [P, 31013])
+    def test_hilbert_driven_basis_of_the_appendix(self, p, monkeypatch):
+        # 37 S-pairs are reduced instead of 160; the basis is the same
+        (plain, plain_pairs), (driven, driven_pairs) = jacobian_bases(
+            appendix_cubic(), p, monkeypatch
+        )
+        assert driven == plain and len(plain) == 39
+        assert (plain_pairs, driven_pairs) == (160, 37)
+
+    def test_hilbert_driven_basis_of_flagged_cubics(self, monkeypatch):
+        rng = random.Random(0)
+        for _ in range(4):
+            cubic = flagged_cubic(rng)
+            for p in (P, 31013):
+                (plain, _), (driven, _) = jacobian_bases(cubic, p, monkeypatch)
+                assert driven == plain
+
+    def test_hilbert_driven_basis_of_singular_cubics(self, monkeypatch):
+        x = [MultiPoly.variable(i, 6) for i in range(6)]
+        quadric = sum((xi * xi for xi in x[1:]), x[1] * x[2] - x[0] * x[0])
+        # the nodal cubic skips pairs without covering degree 7, so the
+        # plain path reruns: more reductions than the plain path alone
+        (plain, plain_pairs), (driven, driven_pairs) = jacobian_bases(
+            nodal_cubic(), P, monkeypatch
+        )
+        assert driven == plain and driven_pairs > plain_pairs
+        assert smoothness_check(nodal_cubic(), P).kind == "singular"
+        for cubic in (x[0] ** 3, (x[4] - x[0].scalar_mul(3)) * quadric):
+            (plain, _), (driven, _) = jacobian_bases(cubic, P, monkeypatch)
+            assert driven == plain
 
     def test_bad_primes(self):
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
