@@ -4,11 +4,10 @@ Ring arithmetic, linear substitution, Pfaffians of skew matrices with
 polynomial entries, multivariate GCD by primitive-part recursion with a
 univariate subresultant PRS, and a small Buchberger engine (graded
 reverse lexicographic order, fixed) strong enough to certify that a
-homogeneous system only vanishes at the origin.  For n forms in n
-variables that may be a regular sequence (the partials of a smooth
-cubic), buchberger(..., complete_intersection=True) skips the S-pairs
-that the known Hilbert function proves redundant, checks that proof
-itself, and reruns the plain path when it fails; the basis is the same.
+homogeneous system only vanishes at the origin.  On n forms in n
+variables (the partials of a cubic) the engine skips the S-pairs that
+the Hilbert function of a regular sequence proves redundant; the basis
+is the same.
 """
 
 from __future__ import annotations
@@ -708,22 +707,38 @@ def parse_poly(
 # -- Groebner engine (grevlex, F_p) -----------------------------------
 
 
-def _divides(a: int, b: int, zero: int, guards: int) -> bool:
-    """Whether the packed monomial a divides b; (zero, guards) = _layout(n)."""
-    q = b + zero - a
-    return q >= 0 and not q & guards
+_HILBERT_MONOMIALS_MAX = 10_000  # bound on C(top + n, n), the monomials of degree <= top
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _monomial_steps(n: int, k: int) -> tuple[int, ...]:
     """Key increments of the monomials of degree k in n variables.
 
     t + s over the table are the packed keys of t times every monomial
     of degree k (see _layout).  Cached like _layout, one table per
-    (n, k) that the engine asks for.
+    (n, k) that the engine asks for; _hilbert_targets keeps every table
+    within _HILBERT_MONOMIALS_MAX entries.
     """
     steps = [_var_step(i, n) for i in range(n)]
     return tuple(map(sum, combinations_with_replacement(steps, k)))
+
+
+def _hilbert_targets(gens) -> tuple[int, ...] | None:
+    """The targets of the Hilbert-driven pair loop, or None for the plain one.
+
+    Targets exist for nvars homogeneous nonzero generators of positive
+    degree whose monomials of degree <= top, C(top + n, n) of them,
+    number at most _HILBERT_MONOMIALS_MAX; that bounds the coverage sets
+    and the monomial tables.  Any other input runs the plain loop.
+    """
+    n = gens[0].nvars
+    if len(gens) != n or not all(g.is_homogeneous() and not g.is_constant() for g in gens):
+        return None
+    degrees = [g.total_degree() for g in gens]
+    top = sum(d - 1 for d in degrees) + 1
+    if comb(top + n, n) > _HILBERT_MONOMIALS_MAX:
+        return None
+    return _complete_intersection_targets(degrees, n)
 
 
 def _complete_intersection_targets(degrees, n: int) -> tuple[int, ...]:
@@ -778,30 +793,30 @@ def _make_monic(terms: dict[int, int], p: int) -> dict[int, int]:
     return {m: c * inv % p for m, c in terms.items()}
 
 
-def buchberger(gens, complete_intersection: bool = False) -> list[MultiPoly]:
+def buchberger(gens) -> list[MultiPoly]:
     """Reduced grevlex Groebner basis over F_p.
 
     Pair handling uses the coprime-leading-term criterion and the chain
     criterion; the returned basis is monic, autoreduced, and sorted by
     ascending leading monomial.  Empty or all-zero input gives [].
 
-    complete_intersection=True is Traverso's Hilbert-driven variant, for
-    nvars homogeneous generators of positive degree; on any other input
-    the plain path runs.  Were the generators a regular sequence, dim J_t
-    would follow from their degrees alone; the engine derives these
-    targets itself (_complete_intersection_targets), never from the
-    caller.  Pairs pop in ascending lcm degree.  The engine keeps, per
-    degree up to the top, the monomials that the leading terms cover,
-    skips a pair whose degree has its target covered, and stops once the
-    top degree is covered.  Soundness: every kept element lies in J, so
-    a covered top degree t means J contains every monomial of degree t;
-    then V(J) = {0} and the generators are a regular sequence.  So the
-    targets are dim J_t, the covered monomials of a skipped degree are
-    all the leading monomials of J there, every skipped S-polynomial
-    reduces to zero, and the kept set is a Groebner basis of J.  If a
-    pair was skipped but the top degree is not covered, the plain path
-    reruns within the same call, so a basis with zeros off the origin
-    never rests on a skip.  Either way the result is the plain engine's.
+    On nvars homogeneous generators of positive degree, within the size
+    bound of _hilbert_targets, the pair loop is Traverso's Hilbert-driven
+    variant.  Were the generators a regular sequence, dim J_t would
+    follow from their degrees alone; the engine derives these targets
+    itself (_complete_intersection_targets).  For any generators of those
+    degrees dim J_t is at most its target: dim J_t is the rank of a
+    linear map whose entries are the generators' coefficients, largest
+    for generic forms, which are a regular sequence.  Pairs pop in
+    ascending lcm degree.  The engine keeps, per degree up to the top,
+    the monomials that the leading terms cover; these are leading
+    monomials of J, so once as many as the target are covered they are
+    all of them, every S-polynomial of that degree reduces to zero, and
+    the pair is skipped.  A covered top degree t means J contains every
+    monomial of degree t, so every later pair reduces to zero and the
+    loop stops.  Each skip is sound on any input, so the basis is the
+    plain loop's; an input that is not a regular sequence never covers
+    the top degree and runs until no pair is left.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -812,54 +827,18 @@ def buchberger(gens, complete_intersection: bool = False) -> list[MultiPoly]:
     for g in gens:
         if g.nvars != nvars or g.p != p:
             raise ValueError("generators live in different rings")
-    basis = None
-    if complete_intersection and len(gens) == nvars and all(
-        g.is_homogeneous() and not g.is_constant() for g in gens
-    ):
-        targets = _complete_intersection_targets([g.total_degree() for g in gens], nvars)
-        basis = _pair_loop(gens, p, targets)
-    if basis is None:
-        basis = _pair_loop(gens, p, None)
-
-    # autoreduce: drop elements whose lead is divisible by another lead,
-    # then fully reduce each survivor against the others
-    zero, guards = _layout(nvars)
-    final = [
-        (lt, terms)
-        for i, (lt, terms) in enumerate(basis)
-        if not any(
-            _divides(lk, lt, zero, guards)
-            for k, (lk, _) in enumerate(basis)
-            if k != i and (lk != lt or k < i)
-        )
-    ]
-    reduced: list[tuple[int, dict[int, int]]] = []
-    for idx, (lt, terms) in enumerate(final):
-        others = [final[k] for k in range(len(final)) if k != idx]
-        r = _reduce(terms, others, nvars, p)
-        if r:
-            reduced.append((max(r), _make_monic(r, p)))
-    reduced.sort(key=lambda t: t[0])
-    return [MultiPoly._raw(nvars, t, p) for _, t in reduced]
-
-
-def _pair_loop(gens, p: int, targets) -> list[tuple[int, dict[int, int]]] | None:
-    """The monic (leading key, terms) list of Buchberger's pair loop,
-    before autoreduction.
-
-    targets, when given, are dim J_t for t = 0..top (see buchberger):
-    a pair is skipped once the monomials covered in its degree (degrees
-    above top count as top) meet the target, and the loop stops at the
-    first pair of degree >= top once top is covered.  None when a pair
-    was skipped but top stayed uncovered.
-    """
-    nvars = gens[0].nvars
     zero, guards = _layout(nvars)
     shift = nvars * _W
+
+    def divides(a: int, b: int) -> bool:
+        q = b + zero - a
+        return q >= 0 and not q & guards
+
     basis: list[tuple[int, dict[int, int]]] = []
     leads: list[Exponents] = []  # leading exponents, unpacked once per element
     pending: set[frozenset[int]] = set()
     heap: list[tuple[int, int, int]] = []
+    targets = _hilbert_targets(gens)
     if targets is not None:
         top = len(targets) - 1
         covered: list[set[int]] = [set() for _ in targets]
@@ -887,7 +866,7 @@ def _pair_loop(gens, p: int, targets) -> list[tuple[int, dict[int, int]]] | None
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if not _divides(basis[k][0], lcm_ij, zero, guards):
+            if not divides(basis[k][0], lcm_ij):
                 continue
             if (
                 frozenset((i, k)) not in pending
@@ -896,7 +875,6 @@ def _pair_loop(gens, p: int, targets) -> list[tuple[int, dict[int, int]]] | None
                 return True
         return False
 
-    skipped = False
     while heap:
         lcm_ij, j, i = heapq.heappop(heap)
         pending.remove(frozenset((i, j)))
@@ -905,7 +883,6 @@ def _pair_loop(gens, p: int, targets) -> list[tuple[int, dict[int, int]]] | None
             if len(covered[d]) >= targets[d]:
                 if d == top:
                     break  # J holds every monomial of degree >= top
-                skipped = True
                 continue
         if not any(map(min, leads[i], leads[j])):
             continue  # coprime leading monomials
@@ -924,9 +901,24 @@ def _pair_loop(gens, p: int, targets) -> list[tuple[int, dict[int, int]]] | None
         r = _reduce(s, basis, nvars, p)
         if r:
             add(r)
-    if skipped and len(covered[top]) < targets[top]:
-        return None
-    return basis
+
+    # autoreduce: drop elements whose lead is divisible by another lead,
+    # then fully reduce each survivor against the others
+    final = [
+        (lt, terms)
+        for i, (lt, terms) in enumerate(basis)
+        if not any(
+            divides(lk, lt) for k, (lk, _) in enumerate(basis) if k != i and (lk != lt or k < i)
+        )
+    ]
+    reduced: list[tuple[int, dict[int, int]]] = []
+    for idx, (lt, terms) in enumerate(final):
+        others = [final[k] for k in range(len(final)) if k != idx]
+        r = _reduce(terms, others, nvars, p)
+        if r:
+            reduced.append((max(r), _make_monic(r, p)))
+    reduced.sort(key=lambda t: t[0])
+    return [MultiPoly._raw(nvars, t, p) for _, t in reduced]
 
 
 def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:

@@ -305,16 +305,13 @@ def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
     forms the six partials and computes one reduced Groebner basis of
     their ideal.  The primitive part has coprime integer coefficients,
     so its reduction keeps degree 3 for every p.  When all six partials
-    are nonzero the basis is computed with complete_intersection=True:
-    the partials of a smooth cubic are a regular sequence of quadrics,
-    so R/J has Hilbert series (1 + t)^6 and the engine skips the pairs
-    that this proves redundant.  The engine proves the skips sound
-    itself (it covers every monomial of degree 7) or reruns the plain
-    path, so the basis is the plain engine's and a "singular" verdict
-    never rests on a skip.  The basis certifies the Euler relation (the
-    cubic lies in the ideal; CertificateError if not) and decides the
-    verdict: smooth exactly when the partials' only common zero over
-    the closure is the origin.
+    are nonzero, buchberger skips the S-pairs that the Hilbert function
+    (1 + t)^6 of a regular sequence of quadrics proves redundant, and
+    stops at degree 7 when the cubic is smooth; the basis is the same.
+    The basis certifies the Euler relation (the cubic lies in the
+    ideal; CertificateError if not) and decides the verdict: smooth
+    exactly when the partials' only common zero over the closure is the
+    origin.
     """
     if cubic.p is not None or cubic.nvars != 6:
         raise ValueError("expected a rational cubic in 6 variables")
@@ -322,8 +319,8 @@ def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
         raise ValueError("polynomial is not a homogeneous cubic")
     require_prime(p)
     reduced = primitive_part(cubic).reduce_mod(p)
-    partials = [q for q in (reduced.derivative(i) for i in range(6)) if not q.is_zero()]
-    basis = buchberger(partials, complete_intersection=len(partials) == 6)
+    partials = [reduced.derivative(i) for i in range(6)]
+    basis = buchberger([q for q in partials if not q.is_zero()])
     # internal consistency: 3f = sum x_i df/dx_i, so f lies in the ideal
     if not normal_form(reduced, basis).is_zero():
         raise CertificateError(f"Euler relation failed against the Groebner basis mod {p}")

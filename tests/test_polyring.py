@@ -22,7 +22,8 @@ from peskine.polyring import (
     principal_pfaffians,
     substitute_linear,
 )
-from peskine.polyring import _complete_intersection_targets
+from peskine import polyring
+from peskine.polyring import _complete_intersection_targets, _hilbert_targets, _monomial_steps
 
 P = 10007
 
@@ -724,8 +725,15 @@ class TestBuchberger:
         assert buchberger([x**4095]) == [x**4095]
 
 
+def plain_basis(gens):
+    """buchberger through the plain pair loop: no Hilbert targets."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_hilbert_targets", lambda gens: None)
+        return buchberger(gens)
+
+
 class TestHilbertDriven:
-    """buchberger(..., complete_intersection=True) against the plain path."""
+    """The Hilbert-driven pair loop of buchberger against the plain one."""
 
     def test_targets_of_six_quadrics(self):
         # R/J has Hilbert series (1 + t)^6, so J_7 = R_7 and 7 is the top
@@ -740,13 +748,26 @@ class TestHilbertDriven:
     def test_same_basis_as_plain(self):
         x, y, z = variables(3, P)
         cases = [
-            [x * x, y * y, z * z],  # a regular sequence: the top degree is covered
-            [x * x, x * y, y * z],  # zeros off the origin: no proof, plain path
-            [x * x, y * y],  # fewer forms than variables: plain path
-            [x + y * y, y, z],  # not homogeneous: plain path
+            ([x * x, y * y, z * z], True),  # a regular sequence: the top degree is covered
+            ([x * x, x * y, y * z], True),  # zeros off the origin: top never covered
+            ([x * x, y * y], False),  # fewer forms than variables
+            ([x + y * y, y, z], False),  # not homogeneous
         ]
-        for gens in cases:
-            assert buchberger(gens, complete_intersection=True) == buchberger(gens)
+        for gens, driven in cases:
+            assert (_hilbert_targets(gens) is not None) == driven
+            assert buchberger(gens) == plain_basis(gens)
+
+    def test_high_degree_input_builds_no_table(self):
+        # x_i^4 and x_i^20 in six variables have top degree 19 and 115, far
+        # past the size bound: the plain loop runs (every pair is coprime)
+        # and no monomial table is built
+        xs = variables(6, P)
+        for e in (4, 20):
+            gens = [x**e for x in xs]
+            assert _hilbert_targets(gens) is None
+            built = _monomial_steps.cache_info().misses
+            assert buchberger(gens) == gens[::-1]
+            assert _monomial_steps.cache_info().misses == built
 
     def test_random_cubics_hypothesis(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -769,7 +790,7 @@ class TestHilbertDriven:
         @hypothesis.given(cubics())
         def check(cubic):
             partials = [cubic.derivative(i) for i in range(cubic.nvars)]
-            assert buchberger(partials, complete_intersection=True) == buchberger(partials)
+            assert buchberger(partials) == plain_basis(partials)
 
         check()
 

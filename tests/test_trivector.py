@@ -486,16 +486,18 @@ def flagged_cubic(rng):
 def jacobian_bases(cubic, p, monkeypatch):
     """(plain, Hilbert-driven) Jacobian bases mod p with the _reduce calls
     of each, less the one autoreduction per element of the basis: the
-    number of S-pairs reduced."""
+    number of S-pairs reduced.  The plain loop runs when the engine is
+    given no Hilbert targets."""
     reduced = primitive_part(cubic).reduce_mod(p)
     partials = [reduced.derivative(i) for i in range(6)]
     calls = []
     reduce = polyring._reduce
     monkeypatch.setattr(polyring, "_reduce", lambda *a: calls.append(1) or reduce(*a))
     out = []
-    for keyword in (False, True):
+    for targets in (lambda gens: None, polyring._hilbert_targets):
+        monkeypatch.setattr(polyring, "_hilbert_targets", targets)
         calls.clear()
-        basis = buchberger(partials, complete_intersection=keyword)
+        basis = buchberger(partials)
         out.append((basis, len(calls) - len(basis)))
     return out
 
@@ -509,9 +511,9 @@ class TestSmoothness:
     def test_one_groebner_basis_per_prime(self, monkeypatch):
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(gens):
             calls.append(1)
-            return buchberger(*args, **kwargs)
+            return buchberger(gens)
 
         # patch every peskine namespace that binds buchberger by name
         for name, module in list(sys.modules.items()):
@@ -519,8 +521,6 @@ class TestSmoothness:
                 monkeypatch.setattr(module, "buchberger", counting)
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
         fermat = sum((x**3 for x in xs[1:]), xs[0] ** 3)
-        # the nodal cubic skips pairs, cannot prove them and reruns the plain
-        # path inside the same call
         for cubic in (fermat, xs[0] ** 3, appendix_cubic(), nodal_cubic()):
             calls.clear()
             smoothness_check(cubic, P)
@@ -566,12 +566,12 @@ class TestSmoothness:
     def test_hilbert_driven_basis_of_singular_cubics(self, monkeypatch):
         x = [MultiPoly.variable(i, 6) for i in range(6)]
         quadric = sum((xi * xi for xi in x[1:]), x[1] * x[2] - x[0] * x[0])
-        # the nodal cubic skips pairs without covering degree 7, so the
-        # plain path reruns: more reductions than the plain path alone
+        # the nodal cubic never covers degree 7, yet its skips are sound:
+        # the same basis from fewer reductions, and no second run
         (plain, plain_pairs), (driven, driven_pairs) = jacobian_bases(
             nodal_cubic(), P, monkeypatch
         )
-        assert driven == plain and driven_pairs > plain_pairs
+        assert driven == plain and (plain_pairs, driven_pairs) == (115, 101)
         assert smoothness_check(nodal_cubic(), P).kind == "singular"
         for cubic in (x[0] ** 3, (x[4] - x[0].scalar_mul(3)) * quadric):
             (plain, _), (driven, _) = jacobian_bases(cubic, P, monkeypatch)
