@@ -4,9 +4,9 @@ For each admissible discriminant d the association questions are decided
 twice, by independent routes that must agree:
 
   * a closed form in terms of the prime divisors of d, and
-  * a brute-force congruence oracle that scans every residue up to sign
-    (ntheory.square_root_mod) for a solution of the gluing equation
-    between discriminant forms.
+  * a brute-force congruence oracle that scans one period of the
+    quadratic residues, up to sign (ntheory.square_root_mod), for a
+    solution of the gluing equation between discriminant forms.
 
 The oracle congruences come from matching the generator value of the
 marking complement's discriminant form against the K3 or cubic side.
@@ -53,8 +53,9 @@ def k3_witness(d: int) -> int | None:
     For d not divisible by 22 the congruence is k^2 = -11 (mod 2d).
     For 22 | d with d' = d/11 the discriminant group is cyclic only if
     121 does not divide d, and the congruence is k^2 = 8d' - 11
-    (mod 2d).  The scan is exhaustive, with no CRT shortcut, so this
-    route stays independent of k3_closed.
+    (mod 2d).  The scan is exhaustive over one period, with no
+    factorization, Legendre symbol or CRT, so this route stays
+    independent of k3_closed.
     """
     require_admissible(d)
     if d % 22 != 0:
@@ -110,7 +111,8 @@ def cubic_witness(d: int) -> int | None:
              (44d' - 3) k^2 = 48d' - 11 (mod 2d)
 
     Cyclicity failures (9 | d in cases 2 and 4, 121 | d in cases 3 and
-    4) return None.  Scans are exhaustive, as in k3_witness.
+    4) return None.  Each scan is exhaustive over one period, with no
+    factorization, Legendre symbol or CRT, as in k3_witness.
     """
     require_admissible(d)
     r6 = d % 6

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 Factorization = tuple[tuple[int, int], ...]
 
@@ -58,17 +59,29 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _square_period(m: int, coeff: int) -> int:
+    """A period P <= m of k -> coeff*k*k mod m; see square_root_mod."""
+    h = m // gcd(m, 2 * coeff)
+    return h if coeff * h * h % m == 0 else 2 * h
+
+
 def square_root_mod(a: int, m: int, coeff: int = 1) -> int | None:
     """Smallest k >= 0 with coeff*k*k = a (mod m), or None; exhaustive scan.
 
-    Scans k = 0 .. m // 2: m - k has the same square as k, so the
-    smallest solution, if there is one, lies in that range.
+    Scans k = 0 .. P // 2 in order, where P is a period of
+    f(k) = coeff*k*k mod m.  With h = m // gcd(m, 2*coeff),
+    f(k + h) - f(k) = 2*coeff*h*k + coeff*h*h and m divides 2*coeff*h,
+    so h is a period iff m divides coeff*h*h, and 2h always is.  P is h
+    in the first case and 2h in the second, where h != m, so P <= m.
+    Since f(P - k) = f(k), the smallest solution, if there is one, lies
+    in that range.  For an admissible d, which is even, every association
+    scan (m = 2d or 6d) stops by k = d // 2.
     """
     if m <= 0:
         raise ValueError(f"modulus must be positive, got {m}")
     a %= m
     coeff %= m
-    for k in range(m // 2 + 1):
+    for k in range(_square_period(m, coeff) // 2 + 1):
         if coeff * k * k % m == a:
             return k
     return None

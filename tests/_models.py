@@ -1,5 +1,5 @@
 """Shared helpers for tests: block lattices, orthogonal complements, the
-cyclic q-value match and membership checks.
+cyclic q-value match, membership checks and a reference square scan.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -187,3 +187,18 @@ def _contains(big, small) -> bool:
         if not ok:
             return False
     return True
+
+
+def square_root_mod_reference(a: int, m: int, coeff: int = 1) -> int | None:
+    """Smallest k >= 0 with coeff*k*k = a (mod m), or None, scanning k <= m // 2.
+
+    The half-modulus scan that ntheory.square_root_mod shortens to half a
+    period: m - k has the same square as k, so this range needs no period
+    argument at all.
+    """
+    a %= m
+    coeff %= m
+    for k in range(m // 2 + 1):
+        if coeff * k * k % m == a:
+            return k
+    return None

@@ -30,6 +30,7 @@ from _models import (
     div11_marking_complement_model,
     k3_polarization_complement_model,
     marking_complement_model,
+    square_root_mod_reference,
 )
 
 
@@ -122,6 +123,44 @@ class TestEquivalence:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
         assert [(k3_closed(d), cubic_closed(d)) for d in ds] == expected
+
+
+class TestOracleReference:
+    """The witnesses are those of the half-modulus reference scan."""
+
+    WITNESS = {"k3": k3_witness, "cubic": cubic_witness}
+
+    # (kind, d, modulus, coefficient): one associated d per branch
+    NAMED = [
+        ("k3", 30, 60, 1),  # 22 does not divide d: k^2 = -11 (mod 2d)
+        ("k3", 22, 44, 1),  # 22 | d: k^2 = 8d' - 11 (mod 2d)
+        ("cubic", 32, 192, -33),  # case 1, m = 6d
+        ("cubic", 24, 48, -11),  # case 2
+        ("cubic", 44, 88, 29),  # case 3, coefficient (2d - 1)/3
+        ("cubic", 132, 264, 85),  # case 4, coefficient 44d' - 3 with d' = 2
+    ]
+
+    @pytest.mark.parametrize("kind, d, modulus, coefficient", NAMED, ids=[f"{k}-{d}" for k, d, *_ in NAMED])
+    def test_named_branch(self, monkeypatch, kind, d, modulus, coefficient):
+        seen = []
+
+        def recording(a, m, coeff=1):
+            seen.append((m, coeff))
+            return square_root_mod_reference(a, m, coeff)
+
+        monkeypatch.setattr(associations, "square_root_mod", recording)
+        expected = self.WITNESS[kind](d)
+        monkeypatch.undo()
+        assert seen == [(modulus, coefficient)]
+        assert expected is not None
+        assert self.WITNESS[kind](d) == expected
+
+    def test_every_admissible_d_up_to_3000(self, monkeypatch):
+        ds = admissible_range(1, 3000)
+        monkeypatch.setattr(associations, "square_root_mod", square_root_mod_reference)
+        expected = [(k3_witness(d), cubic_witness(d)) for d in ds]
+        monkeypatch.undo()
+        assert [(k3_witness(d), cubic_witness(d)) for d in ds] == expected
 
 
 class TestFrozenSets:

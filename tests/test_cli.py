@@ -399,6 +399,8 @@ GOLDEN = [
     (None, "assoc --d 24", 0, "ef32d72b71be1804", ""),
     (None, "assoc --d 998 --kind k3", 0, "86b378a6cb916ac6", ""),
     (None, "assoc --d 30 --kind cubic", 0, "d1704311580c1613", ""),
+    (None, "assoc --d 9999992", 0, "75aea83fb6d210dc", ""),
+    (None, "assoc --d 9999998", 0, "fbdc5475412f7786", ""),
     (None, "assoc --d 27", 2, EMPTY, "error: 27 is odd\n"),
     (None, "assoc --d 10000012", 2, EMPTY,
      "error: d = 10000012 is above the supported ceiling D_MAX = 10000000\n"),
@@ -418,6 +420,7 @@ GOLDEN = [
     (None, "table --d 26", 2, EMPTY, "error: 26 mod 22 = 4 not admissible\n"),
     (None, "table --d 10000012", 2, EMPTY,
      "error: d = 10000012 is above the supported ceiling D_MAX = 10000000\n"),
+    (None, "table --range 40000..40249", 0, "4297185b4202f287", ""),
     (None, "table --range 48000..48249", 0, "4fe2a7833c6f1d4b", ""),
     (None, "peskine {tmp}/sigma.tvec rank --at e1", 0, "7de1555df0c27003", ""),
     (None, "peskine {tmp}/sigma.tvec rank", 2, EMPTY, "error: rank needs --at VECTOR\n"),

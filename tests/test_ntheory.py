@@ -5,6 +5,7 @@ import pytest
 
 from peskine.ntheory import (
     QmodTwoZ,
+    _square_period,
     factorize,
     is_prime,
     is_square_mod,
@@ -12,6 +13,22 @@ from peskine.ntheory import (
     qmod2z,
     square_root_mod,
 )
+
+from _models import square_root_mod_reference
+
+
+def divisors(m):
+    return [g for g in range(1, m + 1) if m % g == 0]
+
+
+def seeded_cases(seed, count, m_max):
+    """(a, m, coeff) with coeff = g*r for a divisor g of m, half of them solvable."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, m_max)
+        coeff = rng.choice(divisors(m)) * rng.randint(-m, m)
+        a = coeff * rng.randint(0, m) ** 2 if rng.random() < 0.5 else rng.randint(-m, m)
+        yield a, m, coeff
 
 
 class TestFactorize:
@@ -127,6 +144,64 @@ class TestIsSquareMod:
                     (j for j in range(m) if coeff * j * j % m == a % m), None
                 )
                 assert square_root_mod(a, m, coeff) == full
+
+
+class TestSquareRootModReference:
+    """The half-period scan returns what the half-modulus scan returns."""
+
+    def test_seeded_coefficients_sharing_factors_with_m(self):
+        for a, m, coeff in seeded_cases(15, 600, 2000):
+            assert square_root_mod(a, m, coeff) == square_root_mod_reference(a, m, coeff), (a, m, coeff)
+
+    def test_zero_coefficient(self):
+        for m in (1, 2, 6, 44, 97, 2000):
+            for coeff in (0, m, -3 * m):
+                for a in range(-m, m + 1):
+                    assert square_root_mod(a, m, coeff) == (0 if a % m == 0 else None)
+
+    def test_modulus_one(self):
+        for a in range(-5, 6):
+            for coeff in range(-5, 6):
+                assert square_root_mod(a, 1, coeff) == 0
+
+    def test_twice_odd_modulus(self):
+        # h = m // 2 is odd and f(k + h) = f(k) + h, so only 2h is a period
+        for m in (2, 6, 10, 30, 2 * 99):
+            for a in range(m):
+                assert square_root_mod(a, m) == square_root_mod_reference(a, m)
+
+    def test_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def cases(draw):
+            m = draw(st.integers(1, 2000))
+            g = draw(st.sampled_from(divisors(m)))
+            coeff = g * draw(st.integers(-m, m))
+            a = draw(st.one_of(st.integers(-m, m), st.integers(0, m).map(lambda k: coeff * k * k)))
+            return a, m, coeff
+
+        @hypothesis.settings(
+            max_examples=150, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(cases())
+        def check(case):
+            assert square_root_mod(*case) == square_root_mod_reference(*case)
+
+        check()
+
+
+class TestSquarePeriod:
+    def test_is_a_period_at_most_m(self):
+        pairs = [(m, coeff) for _, m, coeff in seeded_cases(16, 300, 500)]
+        # m = 2*odd, coeff = 1: h = m // 2 is not a period, only 2h = m is
+        pairs += [(m, 1) for m in (2, 6, 10, 2 * 125, 2 * 4999)] + [(1, 0), (7, 0), (12, 5)]
+        for m, coeff in pairs:
+            period = _square_period(m, coeff % m)
+            assert 1 <= period <= m, (m, coeff)
+            for k in range(2 * m):
+                assert coeff * (k + period) ** 2 % m == coeff * k * k % m, (m, coeff, k)
 
 
 class TestQmodTwoZ:
