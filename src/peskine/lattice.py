@@ -4,12 +4,13 @@ Gram matrices, fraction-free determinants, row reduction over Q and F_p
 (rank, field kernels), Smith normal form with unimodular transforms,
 discriminant groups carrying their Q/2Z quadratic form, and the search
 for a generator with a given q-value.  Everything is arbitrary-precision
-integer or Fraction arithmetic; no floats.
+integer arithmetic, with Fractions only in row reduction over Q and in
+the generator handed back; no floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -127,9 +128,10 @@ def field_kernel(m, p: int | None = None) -> list[tuple]:
 
 @dataclass(frozen=True)
 class GramLattice:
-    """A nondegenerate integer symmetric bilinear form on Z^n."""
+    """A nondegenerate integer symmetric bilinear form on Z^n, with its determinant."""
 
     gram: Matrix
+    det: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         g = _to_matrix(self.gram)
@@ -141,7 +143,8 @@ class GramLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        if bareiss_determinant(g) == 0:
+        object.__setattr__(self, "det", bareiss_determinant(g))
+        if self.det == 0:
             raise DegenerateLatticeError("Gram matrix is degenerate")
 
     @property
@@ -150,8 +153,8 @@ class GramLattice:
 
 
 def determinant(lattice: GramLattice) -> int:
-    """Exact integer determinant of the Gram matrix."""
-    return bareiss_determinant(lattice.gram)
+    """Exact integer determinant of the Gram matrix, computed on construction."""
+    return lattice.det
 
 
 def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
@@ -247,15 +250,15 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
 class DiscGroup:
     """The finite quotient L^v / L of a nondegenerate lattice.
 
-    invariant_factors: d1 | d2 | ... (each > 1), generators as rational
-    vectors in the lattice basis, and the value g.G.g mod 2Z on each
-    generator.  On an odd lattice the mod-2Z value depends on the chosen
-    representative; generator_with_q_value() searches the representatives
-    too.
+    invariant_factors: d1 | d2 | ... (each > 1), integer columns with
+    generator i = columns[i] / invariant_factors[i] in the lattice basis,
+    and the value g.G.g mod 2Z on each generator.  On an odd lattice the
+    mod-2Z value depends on the chosen representative;
+    generator_with_q_value() searches the representatives too.
     """
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     qvals: tuple[QmodTwoZ, ...]
 
     @property
@@ -273,17 +276,17 @@ class DiscGroup:
 
 
 def discriminant_group(lattice: GramLattice) -> DiscGroup:
-    """Invariant factors, generators and Q/2Z form values of L^v / L.
+    """Invariant factors, generator columns and Q/2Z form values of L^v / L.
 
     Generators are the columns of the Smith transform V scaled by the
     invariant factors: with U*G*V = D, the class of V[:,i]/d_i generates
-    a Z/d_i summand.  The pairing and the form are computed on the
-    integer column; only the stored generator is rational.
+    a Z/d_i summand.  The integer column V[:,i] is stored; the pairing
+    and the form are computed on it.
     """
     g = lattice.gram
     n = lattice.rank
     _, d, v = smith_normal_form(g)
-    factors, gens, qvals = [], [], []
+    factors, cols, qvals = [], [], []
     for i in range(n):
         di = d[i][i]
         if di <= 1:
@@ -293,22 +296,22 @@ def discriminant_group(lattice: GramLattice) -> DiscGroup:
         if any(x % di for x in pairing):
             raise CertificateError("discriminant group generator not in the dual lattice")
         factors.append(di)
-        gens.append(tuple(Fraction(x, di) for x in col))
+        cols.append(tuple(col))
         qvals.append(QmodTwoZ(sum(c * x for c, x in zip(col, pairing)), di * di))
-    return DiscGroup(tuple(factors), tuple(gens), tuple(qvals))
+    return DiscGroup(tuple(factors), tuple(cols), tuple(qvals))
 
 
-def _unit_scan(order: int, q: Fraction, targets) -> tuple[int, int] | None:
+def _unit_scan(order: int, q: QmodTwoZ, targets) -> tuple[int, int] | None:
     """First u < order coprime to the order with u^2*q = targets[s] in Q/2Z.
 
     Returns (u, s), with the least s for that u, or None.  The values are
     compared as integer numerators over one common denominator den,
     modulo 2*den.
     """
-    den = lcm(q.denominator, *(t.denominator for t in targets))
+    den = lcm(q.den, *(t.den for t in targets))
     mod = 2 * den
-    a = q.numerator * (den // q.denominator)
-    bs = [t.numerator * (den // t.denominator) % mod for t in targets]
+    a = q.num * (den // q.den)
+    bs = [t.num * (den // t.den) for t in targets]
     for u in range(order):
         r = u * u * a % mod
         if r in bs and gcd(u, order) == 1:
@@ -325,20 +328,21 @@ def generator_with_q_value(
     representative shifts by basis vectors; on an odd lattice the shift
     can change the value by an odd integer, so the search covers the
     whole mod-2Z ambiguity.  G*g is integral, so q(u*g + e_i) equals
-    u^2*q(g) + G_ii mod 2Z and the search is a congruence on u; the
-    vector found is checked by evaluating its q-value exactly.  Returns
-    the dual vector found, or None.
+    u^2*q(g) + G_ii mod 2Z and the search is a congruence on u.  The
+    vector found, x = y/order with y = u*col + order*e_s, is checked on
+    integers: y.G.y over order^2 must equal the target in Q/2Z.  Returns
+    x as a tuple of Fractions, or None.
     """
     if not group.is_cyclic() or group.is_trivial():
         raise ValueError("needs a nontrivial cyclic group")
     order = group.invariant_factors[0]
     gram = lattice.gram
-    t = target.as_fraction()
-    targets = [t] + [t - gram[i][i] for i in range(lattice.rank)]
-    hit = _unit_scan(order, group.qvals[0].as_fraction(), targets)
+    targets = [target] + [target + QmodTwoZ(-gram[i][i], 1) for i in range(lattice.rank)]
+    hit = _unit_scan(order, group.qvals[0], targets)
     if hit is None:
         return None
     u, s = hit
-    x = tuple(u * gi + int(i == s - 1) for i, gi in enumerate(group.generators[0]))
-    q = sum(a * b for a, b in zip(x, mat_vec(gram, x)))
-    return x if QmodTwoZ.from_fraction(q) == target else None
+    y = tuple(u * c + order * (i == s - 1) for i, c in enumerate(group.columns[0]))
+    if QmodTwoZ(sum(a * b for a, b in zip(y, mat_vec(gram, y))), order * order) != target:
+        return None
+    return tuple(Fraction(c, order) for c in y)

@@ -9,14 +9,13 @@ generic lattice machinery in :mod:`peskine.lattice`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import (
     DiscGroup,
     GramLattice,
     Matrix,
-    determinant,
     discriminant_group,
     generator_with_q_value,
 )
@@ -115,9 +114,10 @@ class MarkingGram:
     abc: tuple[int, int, int]
     gram: Matrix
     det: int  # computed from gram; marking_gram certifies det == d
+    _lattice: GramLattice = field(compare=False, repr=False)
 
     def lattice(self) -> GramLattice:
-        return GramLattice(self.gram)
+        return self._lattice
 
 
 def marking_gram(d: int) -> MarkingGram:
@@ -131,10 +131,10 @@ def marking_gram(d: int) -> MarkingGram:
     c = (d + off) // 11
     row1, row2 = lambda11().gram
     gram = (row1 + (a,), row2 + (b,), (a, b, c))
-    det = determinant(GramLattice(gram))
-    if det != d:
-        raise CertificateError(f"d = {d}: the marking Gram has determinant {det}")
-    return MarkingGram(d, (a, b, c), gram, det)
+    lat = GramLattice(gram)
+    if lat.det != d:
+        raise CertificateError(f"d = {d}: the marking Gram has determinant {lat.det}")
+    return MarkingGram(d, (a, b, c), lat.gram, lat.det, lat)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ the factoring machinery we need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 Factorization = tuple[tuple[int, int], ...]
@@ -100,7 +99,7 @@ def is_square_mod(a: int, m: int) -> bool:
 
 @dataclass(frozen=True)
 class QmodTwoZ:
-    """A rational residue mod 2Z, kept reduced with 0 <= num/den < 2."""
+    """A rational residue mod 2Z, kept reduced: den > 0, gcd 1, 0 <= num < 2*den."""
 
     num: int
     den: int
@@ -108,22 +107,16 @@ class QmodTwoZ:
     def __post_init__(self):
         if self.den == 0:
             raise ValueError("denominator must be nonzero")
-        r = Fraction(self.num, self.den) % 2
-        object.__setattr__(self, "num", r.numerator)
-        object.__setattr__(self, "den", r.denominator)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "QmodTwoZ":
-        return cls(f.numerator, f.denominator)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
+        g = gcd(self.num, self.den) * (1 if self.den > 0 else -1)
+        den = self.den // g
+        object.__setattr__(self, "num", self.num // g % (2 * den))
+        object.__setattr__(self, "den", den)
 
     def __add__(self, other: "QmodTwoZ") -> "QmodTwoZ":
-        return QmodTwoZ.from_fraction(self.as_fraction() + other.as_fraction())
+        return QmodTwoZ(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "QmodTwoZ":
-        return QmodTwoZ.from_fraction(-self.as_fraction())
+        return QmodTwoZ(-self.num, self.den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

@@ -42,15 +42,6 @@ def _coeff_normalize(c, p: int | None):
     return int(c) % p
 
 
-def grevlex_key(exps: Exponents):
-    """Sort key realizing graded reverse lexicographic order.
-
-    The reference definition of the order; the packed keys of MultiPoly
-    sort the same way (see _layout).
-    """
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 # -- packed monomials -------------------------------------------------
 
 

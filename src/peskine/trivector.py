@@ -73,12 +73,10 @@ class Trivector:
             if not all(1 <= t <= DIM for t in (i, j, k)):
                 raise ValueError(f"index out of range in {(i, j, k)}")
             key, sign = _sort_triple(i - 1, j - 1, k - 1)
-            c = _coeff_normalize(sign * c, p)
             if key in store:
                 raise ValueError(f"duplicate triple {(i, j, k)}")
-            if c:
-                store[key] = c
-        self.coeffs = store
+            store[key] = _coeff_normalize(sign * c, p)
+        self.coeffs = {key: c for key, c in store.items() if c}
 
     def coefficient(self, i: int, j: int, k: int):
         """sigma(e_i, e_j, e_k) for 1-based indices, any order."""
@@ -418,11 +416,3 @@ def parse_trivector(text: str, p: int | None = None) -> Trivector:
         seen.add(key)
         coeffs[(i, j, k)] = c
     return Trivector(coeffs, p)
-
-
-def format_trivector(sigma: Trivector) -> str:
-    """One `i j k c` line per stored triple, sorted."""
-    lines = []
-    for (i, j, k) in sorted(sigma.coeffs):
-        lines.append(f"{i + 1} {j + 1} {k + 1} {Fraction(sigma.coeffs[(i, j, k)])}")
-    return "\n".join(lines) + "\n"

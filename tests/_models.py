@@ -1,5 +1,6 @@
 """Shared helpers for tests: block lattices, orthogonal complements, the
-cyclic q-value match, membership checks and a reference square scan.
+cyclic q-value match, membership checks, a reference square scan and
+the reference grevlex order.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -77,10 +78,9 @@ def cyclic_q_matches(order: int, q1, q2) -> bool:
     u^2*q1 = q2 in Q/2Z, lifts differing by the order included.  The
     mod-2Z comparison is the right one for the even models here.
     """
-    f1, f2 = q1.as_fraction(), q2.as_fraction()
-    den = lcm(f1.denominator, f2.denominator)
-    a = f1.numerator * (den // f1.denominator)
-    b = f2.numerator * (den // f2.denominator)
+    den = lcm(q1.den, q2.den)
+    a = q1.num * (den // q1.den)
+    b = q2.num * (den // q2.den)
     mod = 2 * den
     bound = max(2 * order, mod)
     return any(gcd(u, order) == 1 and (u * u * a - b) % mod == 0 for u in range(bound))
@@ -202,3 +202,12 @@ def square_root_mod_reference(a: int, m: int, coeff: int = 1) -> int | None:
         if coeff * k * k % m == a:
             return k
     return None
+
+
+def grevlex_key(exps):
+    """Sort key realizing graded reverse lexicographic order.
+
+    The reference definition of the order; the packed keys of MultiPoly
+    sort the same way (see polyring._layout).
+    """
+    return (sum(exps), tuple(-e for e in reversed(exps)))

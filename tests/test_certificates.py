@@ -16,7 +16,7 @@ import subprocess
 import sys
 
 import peskine
-from peskine import associations, markings, trivector
+from peskine import associations, lattice, markings, trivector
 from peskine.cli import main
 from peskine.polyring import MultiPoly
 
@@ -96,6 +96,13 @@ class TestMarkingDeterminant:
 class TestMarkingGroup:
     def test_no_generator(self, capsys, monkeypatch):
         monkeypatch.setattr(markings, "generator_with_q_value", lambda lat, group, q: None)
+        code, out, err = run(capsys, "marking", "--d", "24")
+        assert out == ""
+        assert_mismatch(code, err, "d = 24: no generator attains the closed form value")
+
+    def test_wrong_unit(self, capsys, monkeypatch):
+        # the scan finds (u, s) = (1, 1) at d = 24; q(3g + e_1) is 1/8, not 11/24
+        monkeypatch.setattr(lattice, "_unit_scan", lambda order, q, targets: (3, 1))
         code, out, err = run(capsys, "marking", "--d", "24")
         assert out == ""
         assert_mismatch(code, err, "d = 24: no generator attains the closed form value")

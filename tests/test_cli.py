@@ -43,6 +43,18 @@ class TestMarking:
         assert code == 2
         assert "26 mod 22 = 4 not admissible" in err
 
+    def test_corpus_digest(self, capsys):
+        # sha256 of the reports printed by the Fraction-based generator
+        # search, which the integer one must reproduce byte for byte
+        h = hashlib.sha256()
+        ds = admissible_range(1, 2000) + [242, D_MAX - 4]
+        for d in ds:
+            code, out, _ = run(capsys, "marking", "--d", str(d))
+            assert code == 0, d
+            h.update(out.encode())
+        assert len(ds) == 547
+        assert h.hexdigest() == "8b56e5d9f380505b34444d33acdb34114e7f14243d0ade791825ad0f23c7ca17"
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "marking", "--d", "30")
         _, out2, _ = run(capsys, "marking", "--d", "30")

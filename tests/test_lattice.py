@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from peskine import lattice
 from peskine.lattice import (
     DegenerateLatticeError,
     GramLattice,
@@ -170,11 +171,27 @@ class TestDiscriminantGroup:
             assert g.order == abs(det)
             done += 1
 
+    def test_determinant_computed_once(self, monkeypatch):
+        calls = []
+        bareiss = lattice.bareiss_determinant
+
+        def counting(m):
+            calls.append(1)
+            return bareiss(m)
+
+        monkeypatch.setattr(lattice, "bareiss_determinant", counting)
+        lat = GramLattice(((15, 7, 3), (7, 4, 1), (3, 1, 3)))
+        assert len(calls) == 1
+        assert determinant(lat) == lat.det == 24
+        assert len(calls) == 1
+        assert lat == GramLattice(lat.gram)
+        assert repr(lat) == "GramLattice(gram=((15, 7, 3), (7, 4, 1), (3, 1, 3)))"
+
     def test_generators_are_dual_vectors(self):
         lat = marking_gram(30).lattice()
         g = discriminant_group(lat)
-        for d, gen in zip(g.invariant_factors, g.generators):
-            assert all((d * x).denominator == 1 for x in gen)
+        for d, col in zip(g.invariant_factors, g.columns):
+            gen = [Fraction(x, d) for x in col]
             for row in lat.gram:
                 pairing = sum(Fraction(a) * x for a, x in zip(row, gen))
                 assert pairing.denominator == 1
@@ -202,10 +219,10 @@ def reference_generator_with_q_value(lattice, group, target):
     """Fraction search of the earlier generator_with_q_value: q evaluated
     exactly on every candidate u*g + shift, kept as the reference."""
     order = group.invariant_factors[0]
-    g = group.generators[0]
+    g = [Fraction(c, order) for c in group.columns[0]]
     n = lattice.rank
-    q1 = group.qvals[0].as_fraction()
-    t = target.as_fraction()
+    q1 = Fraction(group.qvals[0].num, group.qvals[0].den)
+    t = Fraction(target.num, target.den)
     den = (q1.denominator * t.denominator) // gcd(q1.denominator, t.denominator)
     a = q1.numerator * (den // q1.denominator)
     b = t.numerator * (den // t.denominator)
@@ -221,7 +238,7 @@ def reference_generator_with_q_value(lattice, group, target):
                 for r in range(n)
             ]
             q = sum(x[r] * pairing[r] for r in range(n))
-            if QmodTwoZ.from_fraction(q) == target:
+            if QmodTwoZ(q.numerator, q.denominator) == target:
                 return x
     return None
 
@@ -268,14 +285,14 @@ class TestUnitScanAgainstReference:
         found = missed = 0
         for lat, group in cyclic_gram_lattices(rng, n, even, 40):
             order = group.invariant_factors[0]
-            g = group.generators[0]
+            g = [Fraction(c, order) for c in group.columns[0]]
             targets = [qmod2z(rng.randrange(4 * order), 2 * order) for _ in range(3)]
             for _ in range(3):
                 # the value of a random representative of a random unit multiple
                 u = rng.choice([u for u in range(1, order + 1) if gcd(u, order) == 1])
                 x = [u * gi + rng.randint(-3, 3) for gi in g]
                 q = sum(x[r] * sum(lat.gram[r][c] * x[c] for c in range(n)) for r in range(n))
-                targets.append(QmodTwoZ.from_fraction(q))
+                targets.append(QmodTwoZ(q.numerator, q.denominator))
             for target in targets:
                 got = generator_with_q_value(lat, group, target)
                 assert got == reference_generator_with_q_value(lat, group, target)

@@ -17,6 +17,7 @@ from peskine.markings import (
     RANGE_COST_MAX,
     admissible,
     admissible_range,
+    certify_disc_form,
     disc_form_agrees,
     disc_form_closed,
     exhibit_generator,
@@ -173,6 +174,22 @@ class TestCrossValidation:
         for d in (24, 30, 242):
             calls.clear()
             assert disc_form_agrees(d)
+            assert len(calls) == 1, d
+
+    def test_one_determinant_per_discriminant(self, monkeypatch):
+        calls = []
+        bareiss = lattice.bareiss_determinant
+
+        def counting(m):
+            calls.append(1)
+            return bareiss(m)
+
+        lambda11()  # cached, so built at most once per session
+        monkeypatch.setattr(lattice, "bareiss_determinant", counting)
+        for d in (24, 30, 242):
+            calls.clear()
+            cert = certify_disc_form(d)
+            assert determinant(cert.marking.lattice()) == cert.marking.det == d
             assert len(calls) == 1, d
 
     def test_exhibited_generator_value(self):

@@ -204,6 +204,15 @@ class TestSquarePeriod:
                 assert coeff * (k + period) ** 2 % m == coeff * k * k % m, (m, coeff, k)
 
 
+def reduced_pair(q):
+    return q.num, q.den
+
+
+def fraction_pair(f):
+    r = f % 2
+    return r.numerator, r.denominator
+
+
 class TestQmodTwoZ:
     def test_examples(self):
         assert qmod2z(25, 11) == QmodTwoZ(3, 11)
@@ -223,13 +232,44 @@ class TestQmodTwoZ:
             assert q.den > 0
             assert 0 <= Fraction(q.num, q.den) < 2
 
+    def test_matches_fraction_mod_two(self):
+        rng = random.Random(5)
+        cases = [(0, den) for den in (1, -1, 24, -24)]
+        cases += [
+            (rng.randint(-10**6, 10**6), rng.choice((1, -1)) * rng.randint(1, 10**4))
+            for _ in range(2000)
+        ]
+        for (a, b), (c, e) in zip(cases, cases[1:] + cases[:1]):
+            x, y = Fraction(a, b), Fraction(c, e)
+            assert reduced_pair(QmodTwoZ(a, b)) == fraction_pair(x)
+            assert reduced_pair(-QmodTwoZ(a, b)) == fraction_pair(-x)
+            assert reduced_pair(QmodTwoZ(a, b) + QmodTwoZ(c, e)) == fraction_pair(x + y)
+
+    def test_matches_fraction_mod_two_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        nums = st.integers(-10**12, 10**12)
+        dens = st.integers(-10**6, 10**6).filter(bool)
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(nums, dens, nums, dens)
+        def check(a, b, c, e):
+            x, y = Fraction(a, b), Fraction(c, e)
+            assert reduced_pair(QmodTwoZ(a, b)) == fraction_pair(x)
+            assert reduced_pair(-QmodTwoZ(a, b)) == fraction_pair(-x)
+            assert reduced_pair(QmodTwoZ(a, b) + QmodTwoZ(c, e)) == fraction_pair(x + y)
+
+        check()
+
     def test_group_homomorphism(self):
         rng = random.Random(4)
         for _ in range(300):
             a = Fraction(rng.randint(-99, 99), rng.randint(1, 40))
             b = Fraction(rng.randint(-99, 99), rng.randint(1, 40))
-            lhs = QmodTwoZ.from_fraction(a) + QmodTwoZ.from_fraction(b)
-            assert lhs == QmodTwoZ.from_fraction(a + b)
+            lhs = QmodTwoZ(a.numerator, a.denominator) + QmodTwoZ(b.numerator, b.denominator)
+            assert lhs == QmodTwoZ((a + b).numerator, (a + b).denominator)
 
     def test_str(self):
         assert str(qmod2z(11, 24)) == "11/24"

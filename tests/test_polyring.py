@@ -13,7 +13,6 @@ from peskine.polyring import (
     exact_div,
     format_poly,
     gcd_multivariate,
-    grevlex_key,
     normal_form,
     only_zero_at_origin,
     parse_poly,
@@ -24,6 +23,8 @@ from peskine.polyring import (
 )
 from peskine import polyring
 from peskine.polyring import _complete_intersection_targets, _hilbert_targets, _monomial_steps
+
+from _models import grevlex_key
 
 P = 10007
 
