@@ -65,7 +65,9 @@ def _layout(n: int) -> tuple[int, int]:
     does, and no caller forms such a product.  The constructor, ** and
     the product loop _sum_of_products (behind *, the Pfaffians and
     linear substitution) refuse total degree above M; +, -, derivatives,
-    exact quotients and the univariate splits of the GCD never raise a
+    exact quotients (the long division, and the one-term shift by
+    zero - b that turns the Pfaffian relations of trivector into 36 of
+    the 45 quartics) and the univariate splits of the GCD never raise a
     degree, and the GCD checks the degree of what it reassembles.  In
     the Groebner engine _key checks every S-pair lcm.  Grevlex is graded,
     so a term m of a polynomial with leading term t has deg m <= deg t.
@@ -282,18 +284,32 @@ class MultiPoly:
     # -- calculus and evaluation ------------------------------------
 
     def evaluate(self, point):
-        """Value at a point; Fraction-or-int over Q, int over F_p."""
+        """Value at a point; Fraction-or-int over Q, int over F_p.
+
+        A packed key splits into a low half, the fields of the first
+        ceil(n/2) variables, and a high half holding the rest.  The value
+        of each half at the point is memoised for the call, so a term
+        costs two lookups and two exact products; the sum is normalised
+        once.
+        """
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
+        h = (self.nvars + 1) // 2
+        split = h * _W
+        mask = (1 << split) - 1
+        low_point, high_point = point[:h], point[h:]
+        lows: dict[int, object] = {}
+        highs: dict[int, object] = {}
         total = 0
         for k, c in self._packed.items():
-            v = c
-            for x in point:
-                e = MAX_DEGREE - (k & MAX_DEGREE)
-                if e:
-                    v *= x**e
-                k >>= _W
-            total += v
+            lo, hi = k & mask, k >> split
+            a = lows.get(lo)
+            if a is None:
+                a = lows[lo] = _power_product(lo, low_point)
+            b = highs.get(hi)
+            if b is None:
+                b = highs[hi] = _power_product(hi, high_point)
+            total += c * a * b
         return _coeff_normalize(total, self.p)
 
     def derivative(self, i: int) -> "MultiPoly":
@@ -312,6 +328,17 @@ class MultiPoly:
             raise ValueError("already over a prime field")
         out = {e: _coeff_normalize(c, p) for e, c in self._packed.items()}
         return MultiPoly._raw(self.nvars, out, p)
+
+
+def _power_product(key: int, point) -> object:
+    """prod_i point[i]^e_i, e_i read from the low fields of a packed key."""
+    v = 1
+    for x in point:
+        e = MAX_DEGREE - (key & MAX_DEGREE)
+        if e:
+            v *= x**e
+        key >>= _W
+    return v
 
 
 def _sum_of_products(nvars: int, p: int | None, products) -> MultiPoly:
@@ -447,17 +474,37 @@ def pfaffian(matrix) -> MultiPoly:
 
 
 def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Quotient num/den when the division is exact; raises otherwise."""
+    """Quotient num/den when the division is exact; ValueError otherwise.
+
+    A one-term divisor c*x^b divides term by term: every key shifts by
+    zero - b, checked by the guard test of _layout, and every coefficient
+    scales by 1/c.  Any other divisor runs the long division.
+    """
     num._check_compatible(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     zero, guards = _layout(num.nvars)
     q: dict[int, object] = {}
-    rem = dict(num._packed)
     dterms = den._packed
+    p = num.p
+    if len(dterms) == 1:
+        ((dlm, dlc),) = dterms.items()
+        shift = zero - dlm
+        if p is None:
+            inv = 1 / Fraction(dlc)
+            if inv.denominator == 1:
+                inv = inv.numerator
+        else:
+            inv = pow(dlc, -1, p)
+        for e, c in num._packed.items():
+            e += shift
+            if e < 0 or e & guards:
+                raise ValueError("division is not exact")
+            q[e] = c * inv
+        return MultiPoly._raw(num.nvars, q, p)
+    rem = dict(num._packed)
     dlm = max(dterms)
     dlc = dterms[dlm]
-    p = num.p
     while rem:
         lm = max(rem)
         qe = lm + zero - dlm

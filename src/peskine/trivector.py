@@ -1,11 +1,13 @@
 """Geometry of trivectors on a 10-dimensional space.
 
 Contraction to skew matrices, the 45 quartic equations of the rank <= 6
-degeneracy locus (principal 8x8 Pfaffians), flag verification, exact
-rank at a point, the quartics on a subspace built on its own basis,
-extraction of the distinguished cubic fourfold as a certified GCD,
-smoothness certification through prime-field Jacobian checks, and the
-auxiliary membership, kernel and line verifiers.
+degeneracy locus (principal 8x8 Pfaffians: nine expanded, the other 36
+exact quotients by x_1 of the Pfaffian relations of the contraction),
+flag verification, exact rank at a point, the quartics on a subspace
+built on its own basis, extraction of the distinguished cubic fourfold
+as a certified GCD, smoothness certification through prime-field
+Jacobian checks, and the auxiliary membership, kernel and line
+verifiers.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .ntheory import CertificateError, is_prime
 from .polyring import (
     MultiPoly,
     _coeff_normalize,
+    _layout,
+    _sum_of_products,
+    _var_step,
     basis_has_finite_zeros,
     buchberger,
     exact_div,
@@ -35,6 +40,7 @@ _PAIRS = tuple(combinations(range(DIM), 2))
 _COMPLEMENTS = tuple(
     tuple(t for t in range(DIM) if t not in pair) for pair in _PAIRS
 )
+_ROW0 = DIM - 1  # the first _ROW0 pairs are (0, j), the minors without row 0
 
 
 def _sort_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -53,6 +59,15 @@ def _sort_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
     return (t[0], t[1], t[2]), sign
 
 
+class TripleError(ValueError):
+    """A triple that Trivector refuses; position is its place among the
+    given entries, so a parser can name the line it came from."""
+
+    def __init__(self, reason: str, triple, position: int):
+        super().__init__(f"{reason} {' '.join(map(str, triple))}")
+        self.position = position
+
+
 class Trivector:
     """An alternating 3-form on a 10-dimensional space.
 
@@ -64,17 +79,23 @@ class Trivector:
     __slots__ = ("coeffs", "p")
 
     def __init__(self, coeffs, p: int | None = None):
-        """coeffs maps index triples (1-based) to coefficients."""
+        """coeffs maps index triples (1-based) to coefficients, or is an
+        iterable of (triple, coefficient) pairs.
+
+        The one owner of the triple rules: three distinct indices in
+        1..10 (else TripleError "bad index triple"), and no triple twice up
+        to reordering, whatever the coefficient of either occurrence (else
+        TripleError "duplicate triple").
+        """
         self.p = p
         store: dict[tuple[int, int, int], object] = {}
-        for (i, j, k), c in coeffs.items():
-            if len({i, j, k}) != 3:
-                raise ValueError(f"repeated index in triple {(i, j, k)}")
-            if not all(1 <= t <= DIM for t in (i, j, k)):
-                raise ValueError(f"index out of range in {(i, j, k)}")
+        entries = coeffs.items() if hasattr(coeffs, "items") else coeffs
+        for position, ((i, j, k), c) in enumerate(entries):
+            if len({i, j, k}) != 3 or not all(1 <= t <= DIM for t in (i, j, k)):
+                raise TripleError("bad index triple", (i, j, k), position)
             key, sign = _sort_triple(i - 1, j - 1, k - 1)
             if key in store:
-                raise ValueError(f"duplicate triple {(i, j, k)}")
+                raise TripleError("duplicate triple", (i, j, k), position)
             store[key] = _coeff_normalize(sign * c, p)
         self.coeffs = {key: c for key, c in store.items() if c}
 
@@ -141,7 +162,9 @@ class PeskineSystem:
     """The 45 quartics cutting the rank <= 6 locus of a trivector.
 
     quartics[t] is the Pfaffian of the principal 8x8 submatrix with the
-    rows and columns removed_pairs[t] (1-based, lexicographic) deleted.
+    rows and columns removed_pairs[t] (1-based, lexicographic) deleted:
+    the first nine expanded, the other 36 read off them as exact
+    quotients by x_1 (see peskine_equations).
     """
 
     removed_pairs: tuple[tuple[int, int], ...]
@@ -149,12 +172,40 @@ class PeskineSystem:
 
 
 def peskine_equations(sigma: Trivector) -> PeskineSystem:
-    """All principal 8x8 Pfaffians of the symbolic contraction.
+    """All principal 8x8 Pfaffians of the symbolic contraction M.
 
     A skew matrix has even rank, so rank <= 6 is rank < 8, which is the
     simultaneous vanishing of these 45 degree-4 forms.
+
+    Only the nine Pfaffians Pf_0j that delete row 0 are expanded
+    (0-based indices).  M x = 0, since sigma(x, x, .) = 0, so the columns
+    of the Pfaffian adjugate P~ (P~_ij = (-1)^(i+j) Pf_ij for i < j, skew)
+    lie in ker M together with x, and x wedge P~ = 0: over Z[sigma][x],
+    hence over Q and every F_p,
+
+        x_0 Pf_jk = (-1)^j x_j Pf_0k - (-1)^k x_k Pf_0j    (0 < j < k).
+
+    Each of the other 36 quartics is that two-product numerator divided
+    exactly by x_0; a term that x_0 does not divide raises
+    CertificateError.
     """
-    quartics = principal_pfaffians(symbolic_contract(sigma), _COMPLEMENTS)
+    p = sigma.p
+    head = principal_pfaffians(symbolic_contract(sigma), _COMPLEMENTS[:_ROW0])
+    pf0 = [None] + [q._packed for q in head]  # pf0[j] = Pf_0j
+    zero = _layout(DIM)[0]
+    x = [{zero + _var_step(i, DIM): 1} for i in range(DIM)]
+    x0 = MultiPoly._raw(DIM, x[0], p)
+    quartics = list(head)
+    for j, k in _PAIRS[_ROW0:]:
+        numerator = _sum_of_products(
+            DIM, p, ((j % 2 == 1, x[j], pf0[k]), (k % 2 == 0, x[k], pf0[j]))
+        )
+        try:
+            quartics.append(exact_div(numerator, x0))
+        except ValueError as exc:
+            raise CertificateError(
+                f"x1 does not divide the Pfaffian relation for the pair ({j + 1}, {k + 1})"
+            ) from exc
     return PeskineSystem(
         tuple((a + 1, b + 1) for a, b in _PAIRS), tuple(quartics)
     )
@@ -387,11 +438,11 @@ def line_in_peskine(sigma: Trivector, v2) -> bool:
 def parse_trivector(text: str, p: int | None = None) -> Trivector:
     """Parse the line format `i j k c` with `#` comments.
 
-    c is a nonzero integer or rational a/b; duplicate triples (up to
-    reordering) are an error.
+    c is a nonzero integer or rational a/b.  The triple rules are those
+    of Trivector; their errors name the offending line.
     """
-    coeffs: dict[tuple[int, int, int], object] = {}
-    seen: set[tuple[int, int, int]] = set()
+    entries = []
+    linenos = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -406,13 +457,11 @@ def parse_trivector(text: str, p: int | None = None) -> Trivector:
             raise ValueError(f"line {lineno}: {exc}") from exc
         except ZeroDivisionError as exc:
             raise ValueError(f"line {lineno}: zero denominator in {parts[3]!r}") from exc
-        if len({i, j, k}) != 3 or not all(1 <= t <= DIM for t in (i, j, k)):
-            raise ValueError(f"line {lineno}: bad index triple {i} {j} {k}")
         if c == 0:
             raise ValueError(f"line {lineno}: zero coefficient")
-        key = tuple(sorted((i, j, k)))
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate triple {i} {j} {k}")
-        seen.add(key)
-        coeffs[(i, j, k)] = c
-    return Trivector(coeffs, p)
+        entries.append(((i, j, k), c))
+        linenos.append(lineno)
+    try:
+        return Trivector(entries, p)
+    except TripleError as exc:
+        raise ValueError(f"line {linenos[exc.position]}: {exc}") from exc

@@ -1,6 +1,6 @@
 """Shared helpers for tests: block lattices, orthogonal complements, the
-cyclic q-value match, membership checks, a reference square scan and
-the reference grevlex order.
+cyclic q-value match, membership checks, a reference square scan, the
+reference grevlex order and a reference polynomial evaluation.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -211,3 +211,17 @@ def grevlex_key(exps):
     sort the same way (see polyring._layout).
     """
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def power_product_value(terms, point):
+    """sum c * prod_i point[i]^e_i over the (exponents, c) items of terms.
+
+    The unnormalised value of a polynomial: exact, one power per
+    variable and term, with no packed keys involved.
+    """
+    value = 0
+    for e, c in terms.items():
+        for x, k in zip(point, e):
+            c *= x**k
+        value += c
+    return value

@@ -24,7 +24,7 @@ from peskine.polyring import (
 from peskine import polyring
 from peskine.polyring import _complete_intersection_targets, _hilbert_targets, _monomial_steps
 
-from _models import grevlex_key
+from _models import grevlex_key, power_product_value
 
 P = 10007
 
@@ -88,6 +88,23 @@ class TestArithmetic:
         x, _ = variables(2)
         p = x * x + MultiPoly.constant(1, 2)
         assert p.evaluate((2, 5)) == 5
+
+    @pytest.mark.parametrize("p", [None, 7, P])
+    def test_evaluate_matches_power_products(self, p):
+        # the memoised halves give the value of the plain power-product sum
+        rng = random.Random(2718 + (p or 0))
+        for n in (1, 1, 2, 3, 6, 10):
+            for den in (1, 5):
+                f = random_poly(rng, n, 6, 12, p, den=1 if p else den)
+                # denominators below 7 are units at every p here
+                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                value = power_product_value(f.terms, point)
+                want = value if p is None else polyring._coeff_normalize(value, p)
+                assert f.evaluate(point) == want
+                assert f.evaluate(tuple(point)) == want
+            assert MultiPoly.zero(n, p).evaluate([Fraction(1, 3)] * n) == 0
+        with pytest.raises(ValueError, match="wrong number of coordinates"):
+            MultiPoly.variable(0, 2, p).evaluate((1,))
 
     def test_additive_inverse(self):
         rng = random.Random(20)
@@ -281,11 +298,7 @@ class TestOrderGoldens:
                         want[e[:i] + (e[i] - 1,) + e[i + 1 :]] = v
                 assert f.derivative(i).terms == want
             point = [rng.randint(-3, 3) for _ in range(n)]
-            value = 0
-            for e, c in terms.items():
-                for x, k in zip(point, e):
-                    c *= x**k
-                value += c
+            value = power_product_value(terms, point)
             assert f.evaluate(point) == (value if p is None else value % p)
             g = MultiPoly(n, {_random_exponents(rng, n): 1}, p)
             if f.total_degree() + g.total_degree() <= 4095:
@@ -617,6 +630,38 @@ class TestExactDiv:
     def test_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(MultiPoly.variable(0, 1), MultiPoly.zero(1))
+
+    @pytest.mark.parametrize("p", [None, 7, P])
+    def test_one_term_divisor(self, p):
+        # the term-by-term branch: the quotient times the divisor gives the
+        # numerator back, with non-unit and (over Q) fractional coefficients
+        rng = random.Random(618 + (p or 0))
+        n = 4
+        for coeff in (1, -1, 3, Fraction(-2, 3), 6):
+            if p is not None and Fraction(coeff).numerator % p == 0:
+                continue
+            for _ in range(10):
+                e = tuple(rng.randint(0, 3) for _ in range(n))
+                den = MultiPoly(n, {e: coeff}, p)
+                q = random_poly(rng, n, 4, 8, p, den=1 if p else 5)
+                num = q * den
+                got = exact_div(num, den)
+                assert got == q
+                assert_canonical(got)
+        assert exact_div(MultiPoly.zero(n, p), MultiPoly.constant(3, n, p)).is_zero()
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_one_term_divisor_refuses(self, p):
+        x, y, z = variables(3, p)
+        three = MultiPoly.constant(3, 3, p)
+        for num, den in (
+            (x * x + y, x),  # the second term is not a multiple of x
+            (x * y, x * x),  # one exponent too small
+            (three, x),  # the degree field would go negative
+            (x * y * z + y * y * z, (x * z).scalar_mul(5)),
+        ):
+            with pytest.raises(ValueError, match="division is not exact"):
+                exact_div(num, den)
 
 
 class TestTextFormat:

@@ -16,9 +16,11 @@ from peskine.polyring import (
     gcd_multivariate,
     pfaffian,
     primitive_part,
+    principal_pfaffians,
     substitute_linear,
 )
 from peskine import polyring, trivector
+from peskine.ntheory import CertificateError
 from peskine.trivector import (
     DIM,
     CubicExtractionError,
@@ -45,13 +47,21 @@ P = 10007
 E = [tuple(int(i == j) for i in range(DIM)) for j in range(DIM)]
 
 
-def random_trivector(rng, p=None, bound=9):
+def random_trivector(rng, p=None, bound=9, density=1.0, indices=range(1, DIM + 1)):
+    """Each triple of the given indices drawn with probability density."""
     coeffs = {}
-    for i, j, k in combinations(range(1, DIM + 1), 3):
+    for t in combinations(indices, 3):
+        if density < 1 and rng.random() >= density:
+            continue
         c = rng.randint(-bound, bound) if p is None else rng.randrange(p)
         if c:
-            coeffs[(i, j, k)] = c
+            coeffs[t] = c
     return Trivector(coeffs, p)
+
+
+def full_expansion(sigma):
+    """The 45 quartics as 45 expanded Pfaffians, the reference route."""
+    return principal_pfaffians(symbolic_contract(sigma), trivector._COMPLEMENTS)
 
 
 def basis_rows(*indices):
@@ -254,6 +264,63 @@ class TestPeskineEquations:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c239478a3b8716d0ab779c76b15c7af13eecf4f9e702042f92b9a0e933bfba3d"
         )
+
+
+class TestCofactorQuotients:
+    """Nine expanded Pfaffians and 36 exact quotients by x_1 give the
+    45 Pfaffians of the full expansion."""
+
+    @pytest.mark.parametrize("p", [None, 7, P])
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 1.0])
+    def test_matches_full_expansion(self, p, density):
+        rng = random.Random(int(density * 10) + 100 * (p or 1))
+        for _ in range(2):
+            sigma = random_trivector(rng, p, density=density)
+            assert list(peskine_equations(sigma).quartics) == full_expansion(sigma)
+
+    @pytest.mark.parametrize("p", [None, P])
+    def test_zero_first_row(self, p):
+        # no triple holds index 1, so row 0 of M is zero and the 36
+        # Pfaffians keeping it vanish; the nine Pf_0j do not, so neither
+        # product x_j Pf_0k of a numerator does, and the two cancel exactly
+        sigma = random_trivector(random.Random(7), p, indices=range(2, DIM + 1))
+        quartics = peskine_equations(sigma).quartics
+        assert list(quartics) == full_expansion(sigma)
+        assert all(q.total_degree() == 4 for q in quartics[: DIM - 1])
+        assert all(q.is_zero() for q in quartics[DIM - 1 :])
+
+    def test_seven_indices_and_zero(self):
+        # rank <= 6 everywhere: all 45 quartics vanish identically
+        for sigma in (
+            random_trivector(random.Random(8), P, indices=range(1, 8)),
+            random_trivector(random.Random(9), indices=range(3, 10)),
+            Trivector({}),
+            Trivector({}, 7),
+        ):
+            quartics = peskine_equations(sigma).quartics
+            assert len(quartics) == 45 and all(q.is_zero() for q in quartics)
+            assert list(quartics) == full_expansion(sigma)
+
+    def test_planted_fault_in_a_numerator(self, monkeypatch, capsys, tmp_path):
+        # a term without x_1 in one numerator: the quotient is refused
+        x2_fourth = MultiPoly.variable(1, DIM) ** 4
+        real = trivector._sum_of_products
+        calls = []
+
+        def faulty(nvars, p, products):
+            calls.append(1)
+            out = real(nvars, p, products)
+            return out + x2_fourth if len(calls) == 5 else out
+
+        monkeypatch.setattr(trivector, "_sum_of_products", faulty)
+        with pytest.raises(CertificateError, match="x1 does not divide"):
+            peskine_equations(appendix_sigma())
+        calls.clear()
+        path = tmp_path / "sigma.tvec"
+        path.write_text(appendix_sigma_text(), encoding="utf-8")
+        assert main(["peskine", str(path), "equations"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("mismatch: x1 does not divide")
 
 
 class TestFlag:
@@ -705,6 +772,20 @@ class TestFileFormat:
     def test_duplicate_triple_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_trivector("1 2 3 4\n2 1 3 5\n")
+
+    def test_triple_errors_name_their_line(self):
+        # Trivector owns the triple rules; the parser adds the line number,
+        # also for a repeat of the very same text and for a first
+        # coefficient that is zero mod p
+        for text, p, message in (
+            ("# c\n1 2 3 4\n\n1 2 3 4\n", None, "line 4: duplicate triple 1 2 3"),
+            ("1 2 3 7\n2 1 3 5\n", 7, "line 2: duplicate triple 2 1 3"),
+            ("1 2 3 1\n4 4 5 1\n", None, "line 2: bad index triple 4 4 5"),
+            ("1 2 3 1\n0 4 5 1\n", P, "line 2: bad index triple 0 4 5"),
+        ):
+            with pytest.raises(ValueError) as info:
+                parse_trivector(text, p)
+            assert str(info.value) == message
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError, match="zero"):
