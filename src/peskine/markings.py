@@ -24,13 +24,14 @@ from .ntheory import CertificateError, QmodTwoZ, qmod2z
 ADMISSIBLE_RESIDUES = frozenset({0, 2, 6, 8, 10, 18})
 
 # Largest discriminant the package accepts (require_admissible).  Each
-# brute-force oracle scans at most d/2 + 1 residues; the slowest d near the
-# ceiling, 9 999 986, where both scans fail, takes about 1.7 s.
+# brute-force oracle walks at most d/8 + 1 candidates of one residue class;
+# the slowest d near the ceiling, 9 999 986, where both scans fail, takes
+# about 0.3-0.6 s on 2 CPUs.
 D_MAX = 10**7
 
 # Largest cost, sum of d over the admissible d of a range, that the CLI
-# tables in one call.  The oracle scans take about 0.09 us per unit of d,
-# so a range at the cap takes about 0.9 s.
+# tables in one call.  The oracle scans take about 0.03 us per unit of d,
+# so a range at the cap takes about 0.3 s.
 RANGE_COST_MAX = 10**7
 
 # (a, b) of the marking Gram per residue of d mod 22; c = (d + offset) / 11.

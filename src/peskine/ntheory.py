@@ -8,7 +8,7 @@ the factoring machinery we need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 Factorization = tuple[tuple[int, int], ...]
 
@@ -67,21 +67,41 @@ def _square_period(m: int, coeff: int) -> int:
 def square_root_mod(a: int, m: int, coeff: int = 1) -> int | None:
     """Smallest k >= 0 with coeff*k*k = a (mod m), or None; exhaustive scan.
 
-    Scans k = 0 .. P // 2 in order, where P is a period of
-    f(k) = coeff*k*k mod m.  With h = m // gcd(m, 2*coeff),
-    f(k + h) - f(k) = 2*coeff*h*k + coeff*h*h and m divides 2*coeff*h,
-    so h is a period iff m divides coeff*h*h, and 2h always is.  P is h
-    in the first case and 2h in the second, where h != m, so P <= m.
-    Since f(P - k) = f(k), the smallest solution, if there is one, lies
-    in that range.  For an admissible d, which is even, every association
-    scan (m = 2d or 6d) stops by k = d // 2.
+    The smallest solution, if there is one, is at most top = P // 2,
+    where P is a period of f(k) = coeff*k*k mod m.  With
+    h = m // gcd(m, 2*coeff), f(k + h) - f(k) = 2*coeff*h*k + coeff*h*h
+    and m divides 2*coeff*h, so h is a period iff m divides coeff*h*h,
+    and 2h always is.  P is h in the first case and 2h in the second,
+    where h != m, so P <= m.  Since f(P - k) = f(k), the range k <= top
+    holds a solution whenever one exists.
+
+    With g = gcd(coeff, m) the congruence has no solution unless g
+    divides a; otherwise it is k*k = b (mod m') with m' = m // g and
+    b = (a // g) * (coeff // g)^-1 mod m' (coeff // g is a unit mod m',
+    since g takes the smaller power of each prime).  So the scan walks
+    the residue class x = b, b + m', ... up to top*top and returns
+    isqrt(x) at the first perfect square: k -> k*k increases for k >= 0,
+    so that is the smallest k.
+
+    Bound: g divides 2*coeff, so h <= m', P <= 2m' and top <= m'.  The
+    scan visits at most top*top // m' + 1 <= top + 1 candidates, never
+    more than a scan of k = 0 .. top.  For an admissible d, which is
+    even, every association scan (m = 2d or 6d) has top <= d // 2 and
+    m' = 2d, so it visits at most d/8 + 1 candidates.
     """
     if m <= 0:
         raise ValueError(f"modulus must be positive, got {m}")
     a %= m
     coeff %= m
-    for k in range(_square_period(m, coeff) // 2 + 1):
-        if coeff * k * k % m == a:
+    g = gcd(coeff, m)
+    if a % g:
+        return None
+    mp = m // g
+    b = a // g * pow(coeff // g, -1, mp) % mp
+    top = _square_period(m, coeff) // 2
+    for x in range(b, top * top + 1, mp):
+        k = isqrt(x)
+        if k * k == x:
             return k
     return None
 

@@ -192,9 +192,9 @@ def _contains(big, small) -> bool:
 def square_root_mod_reference(a: int, m: int, coeff: int = 1) -> int | None:
     """Smallest k >= 0 with coeff*k*k = a (mod m), or None, scanning k <= m // 2.
 
-    The half-modulus scan that ntheory.square_root_mod shortens to half a
-    period: m - k has the same square as k, so this range needs no period
-    argument at all.
+    The half-modulus scan that ntheory.square_root_mod replaces with a walk
+    over one residue class: m - k has the same square as k, so this range
+    needs no period argument, gcd or modular inverse at all.
     """
     a %= m
     coeff %= m

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -124,6 +125,21 @@ class TestEquivalence:
                     monkeypatch.setattr(module, attr, forbidden)
         assert [(k3_closed(d), cubic_closed(d)) for d in ds] == expected
 
+    def test_oracles_use_no_closed_form_tool(self, monkeypatch):
+        ds = admissible_range(2, 2000)
+        expected = [(k3_witness(d), cubic_witness(d)) for d in ds]
+
+        def forbidden(*args):
+            raise AssertionError("oracle called a closed-form tool")
+
+        for name, module in list(sys.modules.items()):
+            if name != "peskine" and not name.startswith("peskine."):
+                continue
+            for attr in ("factorize", "legendre", "is_prime"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+        assert [(k3_witness(d), cubic_witness(d)) for d in ds] == expected
+
 
 class TestOracleReference:
     """The witnesses are those of the half-modulus reference scan."""
@@ -157,6 +173,14 @@ class TestOracleReference:
 
     def test_every_admissible_d_up_to_3000(self, monkeypatch):
         ds = admissible_range(1, 3000)
+        monkeypatch.setattr(associations, "square_root_mod", square_root_mod_reference)
+        expected = [(k3_witness(d), cubic_witness(d)) for d in ds]
+        monkeypatch.undo()
+        assert [(k3_witness(d), cubic_witness(d)) for d in ds] == expected
+
+    def test_seeded_sample_of_the_benchmark_range(self, monkeypatch):
+        # the discriminants of `table --range A..A+249`, A in 40000..48000
+        ds = random.Random(19).sample(admissible_range(40000, 50000), 40)
         monkeypatch.setattr(associations, "square_root_mod", square_root_mod_reference)
         expected = [(k3_witness(d), cubic_witness(d)) for d in ds]
         monkeypatch.undo()

@@ -97,6 +97,15 @@ class TestAssoc:
         code, _, err = run(capsys, "assoc", "--d", "26")
         assert code == 2
 
+    def test_slowest_documented_d_is_bounded(self, capsys):
+        # both scans fail here, so each walks its whole residue class
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "assoc", "--d", "9999986")
+        assert time.perf_counter() - start < 1.5
+        assert code == 0
+        assert "k3: closed=no oracle=no" in out
+        assert "cubic: closed=no oracle=no" in out
+
 
 class TestTable:
     def test_range_emits_admissible(self, capsys):

@@ -138,7 +138,7 @@ class TestIsSquareMod:
             k = square_root_mod(a, m)
             if k is not None:
                 assert k * k % m == a % m
-            # the half-range scan finds the smallest root of the full range
+            # the scan finds the smallest root of the full range
             for coeff in (1, 2, -33, a + 1):
                 full = next(
                     (j for j in range(m) if coeff * j * j % m == a % m), None
@@ -147,7 +147,7 @@ class TestIsSquareMod:
 
 
 class TestSquareRootModReference:
-    """The half-period scan returns what the half-modulus scan returns."""
+    """The residue-class scan returns what the half-modulus scan returns."""
 
     def test_seeded_coefficients_sharing_factors_with_m(self):
         for a, m, coeff in seeded_cases(15, 600, 2000):
@@ -163,6 +163,24 @@ class TestSquareRootModReference:
         for a in range(-5, 6):
             for coeff in range(-5, 6):
                 assert square_root_mod(a, 1, coeff) == 0
+
+    def test_gcd_does_not_divide_target(self):
+        # g = gcd(6, 12) = 6 does not divide 3 or 9: no k at all
+        for a in (3, 9, -3):
+            assert square_root_mod(a, 12, coeff=6) is None
+            assert square_root_mod_reference(a, 12, coeff=6) is None
+
+    def test_gcd_above_one_with_a_solution(self):
+        # cubic case 1 at d = 32: -33 k^2 = 63 (mod 192), g = 3, m' = 64
+        k = square_root_mod(63, 192, coeff=-33)
+        assert k is not None and (-33 * k * k - 63) % 192 == 0
+        assert k == square_root_mod_reference(63, 192, coeff=-33)
+
+    def test_reduced_modulus_one(self):
+        # coeff = 0 (mod m) makes g = m and m' = 1: k = 0 iff m divides a
+        for m, coeff in ((12, 24), (7, -7), (2000, 0)):
+            assert square_root_mod(3 * m, m, coeff) == 0
+            assert square_root_mod(m + 1, m, coeff) is None
 
     def test_twice_odd_modulus(self):
         # h = m // 2 is odd and f(k + h) = f(k) + h, so only 2h is a period
