@@ -6,7 +6,7 @@ cubic fourfolds, and the geometric pipeline from an explicit trivector
 to a certified-smooth cubic fourfold.
 """
 
-from .ntheory import CertificateError, QmodTwoZ, factorize, is_square_mod, legendre, qmod2z
+from .ntheory import CertificateError, QmodTwoZ, factorize, is_square_mod, legendre
 from .lattice import (
     DegenerateLatticeError,
     DiscGroup,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import os
 import sys
 import time
 
@@ -33,29 +32,21 @@ from .trivector import (
 )
 
 DEFAULT_PRIMES = (10007, 31013)
-PRIME_ENV = "PESKINE_PRIMES"
-PRIME_LIMIT = 2**31  # keeps the trial division of is_prime below 46 341 steps
 
 
 def _parse_primes(arg: str | None) -> tuple[int, int]:
-    """The prime pair from --primes, else PESKINE_PRIMES, else the default."""
-    if arg is not None:
-        source, raw = "--primes", arg
-    else:
-        source, raw = PRIME_ENV, os.environ.get(PRIME_ENV)
-        if not raw:
-            return DEFAULT_PRIMES
+    """The two distinct primes of --primes, each checked by require_prime
+    (which owns the bound 2^31), or DEFAULT_PRIMES when it is not given."""
+    if arg is None:
+        return DEFAULT_PRIMES
     try:
-        parts = [int(x) for x in raw.replace(",", " ").split()]
+        parts = [int(x) for x in arg.replace(",", " ").split()]
     except ValueError as exc:
-        raise ValueError(f"bad {source}: {raw!r}") from exc
+        raise ValueError(f"bad --primes: {arg!r}") from exc
     if len(parts) != 2:
-        raise ValueError(f"{source} must list exactly two primes, e.g. 10007,31013")
-    for p in parts:
-        if p >= PRIME_LIMIT:
-            raise ValueError(f"{source}: {p} is not below the prime bound 2^31")
+        raise ValueError("--primes must list exactly two primes, e.g. 10007,31013")
     if parts[0] == parts[1]:
-        raise ValueError(f"{source}: the two primes must differ, got {parts[0]} twice")
+        raise ValueError(f"--primes: the two primes must differ, got {parts[0]} twice")
     return require_prime(parts[0]), require_prime(parts[1])
 
 

@@ -19,7 +19,7 @@ from .lattice import (
     discriminant_group,
     generator_with_q_value,
 )
-from .ntheory import CertificateError, QmodTwoZ, qmod2z
+from .ntheory import CertificateError, QmodTwoZ
 
 ADMISSIBLE_RESIDUES = frozenset({0, 2, 6, 8, 10, 18})
 
@@ -163,11 +163,11 @@ def disc_form_closed(d: int) -> ClosedDiscForm:
     """
     require_admissible(d)
     if d % 22 != 0:
-        return ClosedDiscForm((d,), qmod2z(11, d))
+        return ClosedDiscForm((d,), QmodTwoZ(11, d))
     dp = d // 11
     if dp % 11 == 0:
         return ClosedDiscForm((11, dp), None)
-    return ClosedDiscForm((d,), qmod2z(3, 11) + qmod2z(1, dp))
+    return ClosedDiscForm((d,), QmodTwoZ(3, 11) + QmodTwoZ(1, dp))
 
 
 def group_name(invariant_factors) -> str:

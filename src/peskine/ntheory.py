@@ -140,8 +140,3 @@ class QmodTwoZ:
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
-
-
-def qmod2z(num: int, den: int) -> QmodTwoZ:
-    """Canonical representative of num/den in Q/2Z."""
-    return QmodTwoZ(num, den)

@@ -682,8 +682,17 @@ def gcd_multivariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 # -- text format ------------------------------------------------------
 
-_TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)?((?:\*?[A-Za-z]+\d+(?:\^\d+)?)*)$")
+_COEFF = r"[+-]?\d+(?:/\d+)?"  # the one coefficient grammar: an integer or a/b
+_TERM_RE = re.compile(rf"^({_COEFF})?((?:\*?[A-Za-z]+\d+(?:\^\d+)?)*)$")
 _VAR_RE = re.compile(r"([A-Za-z]+)(\d+)(?:\^(\d+))?")
+
+
+def parse_coefficient(token: str) -> Fraction:
+    """The value of an integer or a/b token; ValueError for any other text,
+    ZeroDivisionError for a zero denominator, which each caller words."""
+    if re.fullmatch(_COEFF, token) is None:
+        raise ValueError(f"coefficient {token!r} is not an integer or a/b")
+    return Fraction(token)
 
 
 def format_poly(poly: MultiPoly, prefix: str = "x") -> str:
@@ -702,13 +711,15 @@ def format_poly(poly: MultiPoly, prefix: str = "x") -> str:
     return " ".join(pieces)
 
 
-def parse_poly(
-    text: str, nvars: int, p: int | None = None, prefix: str | None = None
-) -> MultiPoly:
-    """Parse the text format; duplicate monomials accumulate."""
+def parse_poly(text: str, nvars: int, prefix: str = "x") -> MultiPoly:
+    """Parse the text of format_poly(poly, prefix) over Q, ignoring whitespace.
+
+    Coefficients follow _COEFF; a variable not named <prefix>1 to
+    <prefix>nvars is a ValueError.  Duplicate monomials accumulate.
+    """
     compact = "".join(text.split())
     if compact in ("", "0"):
-        return MultiPoly.zero(nvars, p)
+        return MultiPoly.zero(nvars)
     compact = compact.replace("-", "+-")
     if compact.startswith("+"):
         compact = compact[1:]
@@ -729,7 +740,7 @@ def parse_poly(
             raise ValueError(f"zero denominator in term {chunk!r}") from exc
         exps = [0] * nvars
         for name, idx, exp in _VAR_RE.findall(varpart):
-            if prefix is not None and name != prefix:
+            if name != prefix:
                 raise ValueError(f"unexpected variable {name}{idx}")
             i = int(idx) - 1
             if not 0 <= i < nvars:
@@ -739,7 +750,7 @@ def parse_poly(
             coeff = -coeff
         e = tuple(exps)
         terms[e] = terms.get(e, 0) + coeff
-    return MultiPoly(nvars, terms, p)
+    return MultiPoly(nvars, terms)
 
 
 # -- Groebner engine (grevlex, F_p) -----------------------------------

@@ -13,7 +13,6 @@ verifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .lattice import field_kernel, rank
@@ -21,14 +20,13 @@ from .ntheory import CertificateError, is_prime
 from .polyring import (
     MultiPoly,
     _coeff_normalize,
-    _layout,
     _sum_of_products,
-    _var_step,
     basis_has_finite_zeros,
     buchberger,
     exact_div,
     gcd_multivariate,
     normal_form,
+    parse_coefficient,
     primitive_part,
     principal_pfaffians,
 )
@@ -192,16 +190,14 @@ def peskine_equations(sigma: Trivector) -> PeskineSystem:
     p = sigma.p
     head = principal_pfaffians(symbolic_contract(sigma), _COMPLEMENTS[:_ROW0])
     pf0 = [None] + [q._packed for q in head]  # pf0[j] = Pf_0j
-    zero = _layout(DIM)[0]
-    x = [{zero + _var_step(i, DIM): 1} for i in range(DIM)]
-    x0 = MultiPoly._raw(DIM, x[0], p)
+    x = [MultiPoly.variable(i, DIM, p) for i in range(DIM)]
     quartics = list(head)
     for j, k in _PAIRS[_ROW0:]:
         numerator = _sum_of_products(
-            DIM, p, ((j % 2 == 1, x[j], pf0[k]), (k % 2 == 0, x[k], pf0[j]))
+            DIM, p, ((j % 2 == 1, x[j]._packed, pf0[k]), (k % 2 == 0, x[k]._packed, pf0[j]))
         )
         try:
-            quartics.append(exact_div(numerator, x0))
+            quartics.append(exact_div(numerator, x[0]))
         except ValueError as exc:
             raise CertificateError(
                 f"x1 does not divide the Pfaffian relation for the pair ({j + 1}, {k + 1})"
@@ -335,11 +331,17 @@ class SmoothnessVerdict:
         return self.kind == "smooth"
 
 
+PRIME_LIMIT = 2**31  # keeps the trial division of is_prime below 46 341 steps
+
+
 def require_prime(p: int) -> int:
-    """p itself, once it is a prime other than 2 and 3; ValueError if not.
+    """p itself, once it is a prime below PRIME_LIMIT other than 2 and 3;
+    ValueError if not, the bound checked before any trial division.
 
     The one test of which characteristics smoothness_check accepts.
     """
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"p = {p}: {p} is not below the prime bound 2^31")
     if not is_prime(p):
         raise ValueError(f"p = {p}: {p} is not prime")
     if p in (2, 3):
@@ -438,8 +440,8 @@ def line_in_peskine(sigma: Trivector, v2) -> bool:
 def parse_trivector(text: str, p: int | None = None) -> Trivector:
     """Parse the line format `i j k c` with `#` comments.
 
-    c is a nonzero integer or rational a/b.  The triple rules are those
-    of Trivector; their errors name the offending line.
+    c is a nonzero integer or a/b, read by parse_coefficient, so `1e3` is
+    refused.  The triple rules are those of Trivector.  Errors name the line.
     """
     entries = []
     linenos = []
@@ -452,7 +454,7 @@ def parse_trivector(text: str, p: int | None = None) -> Trivector:
             raise ValueError(f"line {lineno}: expected 'i j k c', got {raw!r}")
         try:
             i, j, k = (int(x) for x in parts[:3])
-            c = Fraction(parts[3])
+            c = parse_coefficient(parts[3])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         except ZeroDivisionError as exc:

@@ -17,7 +17,7 @@ from peskine.lattice import (
     smith_normal_form,
 )
 from peskine.markings import admissible_range, disc_form_closed, lambda11, marking_gram
-from peskine.ntheory import QmodTwoZ, qmod2z
+from peskine.ntheory import QmodTwoZ
 
 from _models import cyclic_q_matches, integer_inverse, integer_kernel, orthogonal_complement
 
@@ -149,7 +149,7 @@ class TestDiscriminantGroup:
     def test_marking_24(self):
         g = discriminant_group(marking_gram(24).lattice())
         assert g.invariant_factors == (24,)
-        assert cyclic_q_matches(24, g.qvals[0], qmod2z(11, 24))
+        assert cyclic_q_matches(24, g.qvals[0], QmodTwoZ(11, 24))
 
     def test_unimodular_trivial(self):
         for gram in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
@@ -199,20 +199,20 @@ class TestDiscriminantGroup:
 
 class TestCyclicQMatches:
     def test_unit_square_orbit(self):
-        assert cyclic_q_matches(5, qmod2z(2, 5), qmod2z(8, 5))
-        assert not cyclic_q_matches(5, qmod2z(2, 5), qmod2z(1, 5))
+        assert cyclic_q_matches(5, QmodTwoZ(2, 5), QmodTwoZ(8, 5))
+        assert not cyclic_q_matches(5, QmodTwoZ(2, 5), QmodTwoZ(1, 5))
 
     def test_generator_with_q_value(self):
         lat = marking_gram(24).lattice()
         group = discriminant_group(lat)
-        gen = generator_with_q_value(lat, group, qmod2z(11, 24))
+        gen = generator_with_q_value(lat, group, QmodTwoZ(11, 24))
         assert gen is not None
         n = lat.rank
         q = sum(
             gen[r] * sum(Fraction(lat.gram[r][c]) * gen[c] for c in range(n))
             for r in range(n)
         )
-        assert qmod2z(q.numerator, q.denominator) == qmod2z(11, 24)
+        assert QmodTwoZ(q.numerator, q.denominator) == QmodTwoZ(11, 24)
 
 
 def reference_generator_with_q_value(lattice, group, target):
@@ -272,7 +272,7 @@ class TestUnitScanAgainstReference:
                 continue
             lat = marking_gram(d).lattice()
             group = discriminant_group(lat)
-            for target in (closed.q, closed.q + qmod2z(1, 1), qmod2z(rng.randrange(2 * d), d)):
+            for target in (closed.q, closed.q + QmodTwoZ(1, 1), QmodTwoZ(rng.randrange(2 * d), d)):
                 got = generator_with_q_value(lat, group, target)
                 assert got == reference_generator_with_q_value(lat, group, target), (d, target)
                 hits += got is not None
@@ -286,7 +286,7 @@ class TestUnitScanAgainstReference:
         for lat, group in cyclic_gram_lattices(rng, n, even, 40):
             order = group.invariant_factors[0]
             g = [Fraction(c, order) for c in group.columns[0]]
-            targets = [qmod2z(rng.randrange(4 * order), 2 * order) for _ in range(3)]
+            targets = [QmodTwoZ(rng.randrange(4 * order), 2 * order) for _ in range(3)]
             for _ in range(3):
                 # the value of a random representative of a random unit multiple
                 u = rng.choice([u for u in range(1, order + 1) if gcd(u, order) == 1])

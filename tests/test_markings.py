@@ -26,7 +26,7 @@ from peskine.markings import (
     marking_gram,
     range_cost,
 )
-from peskine.ntheory import qmod2z
+from peskine.ntheory import QmodTwoZ
 
 from _models import E8_GRAM
 
@@ -138,12 +138,12 @@ class TestDiscFormClosed:
     def test_d24(self):
         form = disc_form_closed(24)
         assert form.invariant_factors == (24,)
-        assert form.q == qmod2z(11, 24)
+        assert form.q == QmodTwoZ(11, 24)
 
     def test_d22(self):
         form = disc_form_closed(22)
         assert form.invariant_factors == (22,)
-        assert form.q == qmod2z(17, 22)  # 3/11 + 1/2
+        assert form.q == QmodTwoZ(17, 22)  # 3/11 + 1/2
 
     def test_d242_not_cyclic(self):
         form = disc_form_closed(242)
@@ -201,7 +201,7 @@ class TestCrossValidation:
             gen[r] * sum(Fraction(lat.gram[r][c]) * gen[c] for c in range(n))
             for r in range(n)
         )
-        assert qmod2z(q.numerator, q.denominator) == qmod2z(11, 30)
+        assert QmodTwoZ(q.numerator, q.denominator) == QmodTwoZ(11, 30)
 
     def test_exhibited_generator_generates(self):
         # the order of the class must be the full group order

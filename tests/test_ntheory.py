@@ -10,7 +10,6 @@ from peskine.ntheory import (
     is_prime,
     is_square_mod,
     legendre,
-    qmod2z,
     square_root_mod,
 )
 
@@ -233,20 +232,20 @@ def fraction_pair(f):
 
 class TestQmodTwoZ:
     def test_examples(self):
-        assert qmod2z(25, 11) == QmodTwoZ(3, 11)
-        assert qmod2z(-11, 24) == QmodTwoZ(37, 24)
-        assert qmod2z(4, 2) == QmodTwoZ(0, 1)
+        assert QmodTwoZ(25, 11) == QmodTwoZ(3, 11)
+        assert QmodTwoZ(-11, 24) == QmodTwoZ(37, 24)
+        assert QmodTwoZ(4, 2) == QmodTwoZ(0, 1)
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
-            qmod2z(1, 0)
+            QmodTwoZ(1, 0)
 
     def test_canonical_range(self):
         rng = random.Random(3)
         for _ in range(300):
             num = rng.randint(-500, 500)
             den = rng.randint(1, 60) * rng.choice((1, -1))
-            q = qmod2z(num, den)
+            q = QmodTwoZ(num, den)
             assert q.den > 0
             assert 0 <= Fraction(q.num, q.den) < 2
 
@@ -290,4 +289,4 @@ class TestQmodTwoZ:
             assert lhs == QmodTwoZ((a + b).numerator, (a + b).denominator)
 
     def test_str(self):
-        assert str(qmod2z(11, 24)) == "11/24"
+        assert str(QmodTwoZ(11, 24)) == "11/24"

@@ -685,6 +685,15 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_poly("3*v7", 2, prefix="v")
 
+    def test_variables_carry_the_prefix(self):
+        # no other name stands for x: 2e3 is not 2*x3, and 5*y1 is not 5*x1
+        for bad in ("2e3", "5*y1"):
+            with pytest.raises(ValueError, match="unexpected variable"):
+                parse_poly(bad, 3)
+        x, y, z = variables(3)
+        for q in (x * y * z.scalar_mul(Fraction(-7, 3)) + z**3, x - y.scalar_mul(5), x**0):
+            assert parse_poly(format_poly(q), 3) == q
+
     def test_malformed_terms_rejected(self):
         for bad in ("--5", "3*x1 + + 2", "3*x1 -", "+", "3**x1"):
             with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import hashlib
 import random
 import sys
+import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -32,6 +34,7 @@ from peskine.trivector import (
     parse_trivector,
     peskine_equations,
     rank_at_point,
+    require_prime,
     restrict_to_subspace,
     smoothness_check,
     standard_flag,
@@ -659,6 +662,19 @@ class TestSmoothness:
             with pytest.raises(ValueError, match=f"p = {p}: "):
                 smoothness_check(fermat, p)
 
+    def test_prime_bound_is_checked_before_trial_division(self):
+        # trial division up to sqrt(2^61 - 1) would take minutes
+        cubic = appendix_cubic()
+        for call in (
+            lambda: require_prime(2**61 - 1),
+            lambda: smoothness_check(cubic, 2**61 - 1),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="not below the prime bound 2\\^31"):
+                call()
+            assert time.perf_counter() - start < 0.1
+        assert require_prime(2147483647) == 2147483647
+
     def test_rejects_non_cubic(self):
         x0 = MultiPoly.variable(0, 6)
         with pytest.raises(ValueError):
@@ -765,8 +781,6 @@ class TestFileFormat:
 
     def test_rational_coefficient(self):
         sigma = parse_trivector("1 2 3 -5/7\n")
-        from fractions import Fraction
-
         assert sigma.coefficient(1, 2, 3) == Fraction(-5, 7)
 
     def test_duplicate_triple_rejected(self):
@@ -795,6 +809,21 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="line 2: zero denominator in '1/0'"):
             parse_trivector("1 2 3 4\n1 2 4 1/0\n")
 
+    def test_coefficient_grammar(self):
+        # an integer or a/b, nothing that Fraction also reads
+        for token in ("2.5", ".5", "5.", "1_0", "1e3", "1E2"):
+            with pytest.raises(ValueError, match=f"^line 2: coefficient '{token}' "):
+                parse_trivector(f"1 2 3 4\n1 2 4 {token}\n")
+        sigma = parse_trivector("1 2 3 +4\n1 2 4 -3/6\n")
+        assert sigma.coefficient(1, 2, 3) == 4
+        assert sigma.coefficient(1, 2, 4) == Fraction(-1, 2)
+
+    def test_exponent_coefficient_is_refused_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^line 1: "):
+            parse_trivector("1 2 3 1e2000000")
+        assert time.perf_counter() - start < 0.1
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_trivector("1 2 3\n")
@@ -808,8 +837,6 @@ class TestFileFormat:
 
 class TestPrimeFieldCoefficients:
     def test_rational_coefficient_mod_p(self):
-        from fractions import Fraction
-
         sigma = parse_trivector("1 2 3 1/2\n", p=7)
         assert sigma.coefficient(1, 2, 3) == 4  # inverse of 2 mod 7
 
