@@ -69,8 +69,9 @@ def _layout(n: int) -> tuple[int, int]:
     zero - b that turns the Pfaffian relations of trivector into 36 of
     the 45 quartics) and the univariate splits of the GCD never raise a
     degree, and the GCD checks the degree of what it reassembles.  In
-    the Groebner engine _key checks every S-pair lcm.  Grevlex is graded,
-    so a term m of a polynomial with leading term t has deg m <= deg t.
+    the Groebner engine buchberger checks the degree of every S-pair
+    lcm.  Grevlex is graded, so a term m of a polynomial with leading
+    term t has deg m <= deg t.
     An S-polynomial term m*q with lcm = t*q thus has degree at most
     deg(lcm), and a reduction step m*q with t*q = lm, the current
     leading monomial, has degree at most deg(lm), which never exceeds
@@ -223,6 +224,8 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------
 
     def _check_compatible(self, other: "MultiPoly"):
+        if not isinstance(other, MultiPoly):
+            raise TypeError(f"expected a MultiPoly operand, got {type(other).__name__}")
         if self.nvars != other.nvars or self.p != other.p:
             raise ValueError("polynomials live in different rings")
 
@@ -682,15 +685,17 @@ def gcd_multivariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 # -- text format ------------------------------------------------------
 
-_COEFF = r"[+-]?\d+(?:/\d+)?"  # the one coefficient grammar: an integer or a/b
-_TERM_RE = re.compile(rf"^({_COEFF})?((?:\*?[A-Za-z]+\d+(?:\^\d+)?)*)$")
-_VAR_RE = re.compile(r"([A-Za-z]+)(\d+)(?:\^(\d+))?")
+# the one coefficient grammar: an integer or a/b, in ASCII digits (without
+# re.ASCII, \d takes every Unicode digit, and Fraction and int read them)
+_COEFF = r"[+-]?\d+(?:/\d+)?"
+_TERM_RE = re.compile(rf"^({_COEFF})?((?:\*?[A-Za-z]+\d+(?:\^\d+)?)*)$", re.ASCII)
+_VAR_RE = re.compile(r"([A-Za-z]+)(\d+)(?:\^(\d+))?", re.ASCII)
 
 
 def parse_coefficient(token: str) -> Fraction:
     """The value of an integer or a/b token; ValueError for any other text,
     ZeroDivisionError for a zero denominator, which each caller words."""
-    if re.fullmatch(_COEFF, token) is None:
+    if re.fullmatch(_COEFF, token, re.ASCII) is None:
         raise ValueError(f"coefficient {token!r} is not an integer or a/b")
     return Fraction(token)
 
@@ -807,32 +812,52 @@ def _complete_intersection_targets(degrees, n: int) -> tuple[int, ...]:
 
 
 def _reduce(
-    poly: dict[int, int], basis: list[tuple[int, dict[int, int]]], n: int, p: int
+    poly: dict[int, int],
+    basis: list[tuple[int, dict[int, int]]],
+    n: int,
+    p: int,
+    cache: dict[int, int],
 ) -> dict[int, int]:
-    """Full normal form of a packed polynomial against monic divisors."""
+    """Full normal form of a packed polynomial against monic divisors.
+
+    Each step divides the current leading term by the first basis element
+    whose lead divides it.  cache, owned by the caller, maps a monomial
+    to the index where that search stopped: the first divisor, or
+    len(basis) when none divides.  The basis may grow between calls that
+    share a cache (buchberger only appends), but never otherwise change:
+    then the first divisor stays the first, and a miss re-scans only the
+    elements added since.  Updates below the lead are plain integer
+    sums; a coefficient is reduced mod p once, when its monomial becomes
+    the leading term, and dropped when that is 0.  So the result is the
+    one a reduction mod p at every update would give, with coefficients
+    in [1, p).
+    """
     zero, guards = _layout(n)
+    size = len(basis)
     work = dict(poly)
     get, pop = work.get, work.pop
     out: dict[int, int] = {}
     while work:
         lm = max(work)
-        lc = work[lm]
-        for blm, bterms in basis:
-            q = lm + zero - blm
+        lc = pop(lm) % p
+        if not lc:
+            continue
+        k = cache.get(lm, 0)
+        while k < size:
+            q = lm + zero - basis[k][0]
             if q >= 0 and not q & guards:
-                # blm divides lm; the basis is monic, so the head cancels
-                q -= zero
-                for m, c in bterms.items():
-                    mm = m + q
-                    v = (get(mm, 0) - lc * c) % p
-                    if v:
-                        work[mm] = v
-                    else:
-                        pop(mm, None)
                 break
-        else:
+            k += 1
+        cache[lm] = k
+        if k == size:
             out[lm] = lc
-            del work[lm]
+            continue
+        # the basis is monic, so the head cancels: drop the -lc written at lm
+        q -= zero
+        for m, c in basis[k][1].items():
+            mm = m + q
+            work[mm] = get(mm, 0) - lc * c
+        del work[lm]
     return out
 
 
@@ -848,6 +873,17 @@ def buchberger(gens) -> list[MultiPoly]:
     Pair handling uses the coprime-leading-term criterion and the chain
     criterion; the returned basis is monic, autoreduced, and sorted by
     ascending leading monomial.  Empty or all-zero input gives [].
+    Every S-polynomial reduction shares one divisor cache (see _reduce),
+    valid because the basis only grows.  Autoreduction drops each element
+    whose lead another lead divides (of equal leads, it keeps the first),
+    then reduces only the tail of each survivor against all survivors,
+    with one more shared cache, and puts its monic lead back.  That is
+    sound because grevlex, like any monomial order, refines divisibility
+    (t | m implies t <= m): every term of a tail, and every term its
+    reduction writes, is below the element's own lead, so that lead
+    divides none of them, and no other lead divides a survivor's lead.
+    The result is the unique reduced basis, so the filter decides it:
+    an element it kept by mistake would stay in the output.
 
     On nvars homogeneous generators of positive degree, within the size
     bound of _hilbert_targets, the pair loop is Traverso's Hilbert-driven
@@ -878,31 +914,53 @@ def buchberger(gens) -> list[MultiPoly]:
             raise ValueError("generators live in different rings")
     zero, guards = _layout(nvars)
     shift = nvars * _W
+    # the lcm of two leads straight from their packed keys, see add
+    low = (1 << shift) - 1
+    half = (nvars + 1) // 2
+    even = sum(MAX_DEGREE << (2 * j * _W) for j in range(half))
+    ones = sum(1 << (2 * j * _W) for j in range(half))
+    at = 2 * (half - 1) * _W
+    slot = (1 << 2 * _W) - 1
+    most = nvars * MAX_DEGREE
 
     def divides(a: int, b: int) -> bool:
         q = b + zero - a
         return q >= 0 and not q & guards
 
     basis: list[tuple[int, dict[int, int]]] = []
-    leads: list[Exponents] = []  # leading exponents, unpacked once per element
-    pending: set[frozenset[int]] = set()
+    pending: set[int] = set()  # the pair k < new as k << 32 | new
     heap: list[tuple[int, int, int]] = []
+    cache: dict[int, int] = {}
     targets = _hilbert_targets(gens)
     if targets is not None:
         top = len(targets) - 1
         covered: list[set[int]] = [set() for _ in targets]
 
     def add(terms: dict[int, int]) -> None:
-        """Append terms, made monic, queue its pairs and cover its multiples."""
+        """Append terms, made monic, queue its pairs and cover its multiples.
+
+        The lcm of two leads is computed on their packed keys.  Field i
+        holds M - e_i (see _layout), so the lcm keeps the smaller field
+        of each pair: field by field, 2^12 + f - f' keeps the guard bit
+        exactly when f >= f' and cannot borrow, and the guard bits then
+        select the smaller field.  The lcm's degree is n*M less the sum
+        of its fields: the even and the odd fields are added into slots
+        of 2*_W bits, and one product by a 1 in every slot sums all the
+        slots into the top one without a carry.
+        """
         t = _make_monic(terms, p)
         lt = max(t)
-        lead = _unpack(lt, nvars)
         new = len(basis)
         basis.append((lt, t))
-        leads.append(lead)
+        a = lt & low
         for k in range(new):
-            pending.add(frozenset((k, new)))
-            heapq.heappush(heap, (_key(tuple(map(max, leads[k], lead))), k, new))
+            b = basis[k][0] & low
+            g = ((b | guards) - a) & guards
+            f = b ^ ((a ^ b) & (g - (g >> (_W - 1))))
+            lcm_deg = most - ((((f & even) + ((f >> _W) & even)) * ones >> at) & slot)
+            _check_degree(lcm_deg)
+            pending.add(k << 32 | new)
+            heapq.heappush(heap, (lcm_deg << shift | f, k, new))
         if targets is not None:
             deg = lt >> shift
             for d in range(deg, top + 1):
@@ -918,56 +976,51 @@ def buchberger(gens) -> list[MultiPoly]:
             if not divides(basis[k][0], lcm_ij):
                 continue
             if (
-                frozenset((i, k)) not in pending
-                and frozenset((j, k)) not in pending
+                min(i, k) << 32 | max(i, k) not in pending
+                and min(j, k) << 32 | max(j, k) not in pending
             ):
                 return True
         return False
 
     while heap:
         lcm_ij, j, i = heapq.heappop(heap)
-        pending.remove(frozenset((i, j)))
+        pending.remove(j << 32 | i)
         if targets is not None:
             d = min(lcm_ij >> shift, top)
             if len(covered[d]) >= targets[d]:
                 if d == top:
                     break  # J holds every monomial of degree >= top
                 continue
-        if not any(map(min, leads[i], leads[j])):
+        lti, ltj = basis[i][0], basis[j][0]
+        if lcm_ij >> shift == (lti >> shift) + (ltj >> shift):
             continue  # coprime leading monomials
         if chain_criterion(i, j, lcm_ij):
             continue
-        lti, ltj = basis[i][0], basis[j][0]
         qi, qj = lcm_ij - lti, lcm_ij - ltj
         s = {m + qi: c for m, c in basis[i][1].items()}
         for m, c in basis[j][1].items():
             mm = m + qj
-            v = (s.get(mm, 0) - c) % p
-            if v:
-                s[mm] = v
-            else:
-                del s[mm]
-        r = _reduce(s, basis, nvars, p)
+            s[mm] = s.get(mm, 0) - c
+        r = _reduce(s, basis, nvars, p, cache)
         if r:
             add(r)
 
     # autoreduce: drop elements whose lead is divisible by another lead,
-    # then fully reduce each survivor against the others
-    final = [
-        (lt, terms)
-        for i, (lt, terms) in enumerate(basis)
-        if not any(
-            divides(lk, lt) for k, (lk, _) in enumerate(basis) if k != i and (lk != lt or k < i)
-        )
-    ]
-    reduced: list[tuple[int, dict[int, int]]] = []
-    for idx, (lt, terms) in enumerate(final):
-        others = [final[k] for k in range(len(final)) if k != idx]
-        r = _reduce(terms, others, nvars, p)
-        if r:
-            reduced.append((max(r), _make_monic(r, p)))
-    reduced.sort(key=lambda t: t[0])
-    return [MultiPoly._raw(nvars, t, p) for _, t in reduced]
+    # then reduce the tail of each survivor against all of them
+    final = []
+    for i, (lt, terms) in enumerate(basis):
+        for k, (lk, _) in enumerate(basis):
+            if k != i and (lk != lt or k < i) and divides(lk, lt):
+                break
+        else:
+            final.append((lt, terms))
+    cache = {}
+    reduced = []
+    for lt, terms in sorted(final, key=lambda e: e[0]):
+        t = {lt: 1}
+        t.update(_reduce({m: c for m, c in terms.items() if m != lt}, final, nvars, p, cache))
+        reduced.append(MultiPoly._raw(nvars, t, p))
+    return reduced
 
 
 def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
@@ -981,7 +1034,7 @@ def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
         poly._check_compatible(g)  # packed keys only mean something in one ring
     monic = [_make_monic(g._packed, p) for g in basis if not g.is_zero()]
     monic = [(max(t), t) for t in monic]
-    return MultiPoly._raw(nvars, _reduce(poly._packed, monic, nvars, p), p)
+    return MultiPoly._raw(nvars, _reduce(poly._packed, monic, nvars, p, {}), p)
 
 
 def only_zero_at_origin(gens) -> bool:

@@ -1,6 +1,7 @@
 """Shared helpers for tests: block lattices, orthogonal complements, the
 cyclic q-value match, membership checks, a reference square scan, the
-reference grevlex order and a reference polynomial evaluation.
+reference grevlex order, a reference polynomial evaluation and a
+reference normal form over F_p.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -225,3 +226,41 @@ def power_product_value(terms, point):
             c *= x**k
         value += c
     return value
+
+
+def reference_normal_form(terms, basis, p: int) -> dict:
+    """Full remainder of terms on division by basis over F_p.
+
+    terms and each element of basis are dicts from exponent tuples to
+    coefficients.  Each step divides the grevlex-largest remaining term
+    by the first basis element whose leading monomial divides it, and
+    every coefficient is reduced mod p as it is written.  It shares no
+    code with polyring._reduce: no packed keys, no divisor cache and no
+    deferred reduction mod p, only exponent tuples and grevlex_key, so it
+    judges the engine's bases independently of the engine.
+    """
+    monic = []
+    for b in basis:
+        lead = max(b, key=grevlex_key)
+        inv = pow(b[lead], -1, p)
+        monic.append((lead, {e: c * inv % p for e, c in b.items()}))
+    work = {e: c % p for e, c in terms.items() if c % p}
+    out = {}
+    while work:
+        lm = max(work, key=grevlex_key)
+        lc = work.pop(lm)
+        for lead, b in monic:
+            if all(x <= y for x, y in zip(lead, lm)):
+                q = [y - x for x, y in zip(lead, lm)]
+                for e, c in b.items():
+                    m = tuple(x + y for x, y in zip(e, q))
+                    if m != lm:
+                        v = (work.get(m, 0) - lc * c) % p
+                        if v:
+                            work[m] = v
+                        else:
+                            work.pop(m, None)
+                break
+        else:
+            out[lm] = lc
+    return out

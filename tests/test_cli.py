@@ -310,6 +310,22 @@ class TestBoundedInputs:
         assert code == 2
         assert "D_MAX" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["assoc", "marking", "table"])
+    def test_the_ceiling_itself_answers(self, capsys, command):
+        # D_MAX = 10^7 is 10 mod 22, so admissible: the ceiling is d <= D_MAX
+        assert admissible(D_MAX)
+        code, out, err = run(capsys, command, "--d", str(D_MAX))
+        assert (code, err) == (0, "")
+        assert str(D_MAX) in out
+
+    @pytest.mark.parametrize("command", ["assoc", "marking", "table"])
+    def test_the_first_admissible_past_the_ceiling(self, capsys, command):
+        # D_MAX + 8 is 18 mod 22, admissible, so only the ceiling refuses it
+        assert admissible(D_MAX + 8)
+        code, out, err = run(capsys, command, "--d", str(D_MAX + 8))
+        assert (code, out) == (2, "")
+        assert "D_MAX" in err
+
     def test_ceiling_is_inclusive(self, capsys):
         assert admissible(D_MAX - 4)
         code, out, _ = run(capsys, "marking", "--d", str(D_MAX - 4))
@@ -329,6 +345,21 @@ class TestBoundedInputs:
         code, out, err = run(capsys, "verify-appendix", "--cubic", str(bad))
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: zero denominator in term '1/0*v1^3'\n"
+
+    def test_full_width_digit_in_a_trivector_file(self, capsys, tmp_path):
+        bad = tmp_path / "wide.tvec"
+        bad.write_text("1 2 3 4\n1 7 8 \uff15\n", encoding="utf-8")
+        code, out, err = run(capsys, "peskine", str(bad), "rank", "--at", "e1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: line 2: coefficient '\uff15' is not an integer or a/b\n"
+
+    @pytest.mark.parametrize("term", ["\uff13*v1^3", "3*v\uff11^3", "3*v1^\uff13"])
+    def test_full_width_digit_in_a_cubic_file(self, capsys, tmp_path, term):
+        bad = tmp_path / "wide.poly"
+        bad.write_text(f"v2^3 + {term}\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify-appendix", "--cubic", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: cannot parse term {term!r}\n"
 
     def test_cubic_file_past_the_degree_bound(self, capsys, tmp_path):
         bad = tmp_path / "big.poly"

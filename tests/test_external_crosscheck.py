@@ -149,6 +149,24 @@ class TestGroebner:
         assert len(ours) == len(theirs)
         assert all(any(o == t for t in theirs) for o in ours)
 
+    def test_non_homogeneous_systems_against_sympy(self):
+        # non-homogeneous input runs the plain pair loop, not the Hilbert-driven one
+        rng = random.Random(66)
+        syms = sympy.symbols("x1 x2 x3")
+        for _ in range(10):
+            gens = [_random_poly(rng, 3).reduce_mod(P) for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens or all(g.is_homogeneous() for g in gens):
+                continue
+            ours = buchberger(gens)
+            ref = sympy.groebner(
+                [_to_sympy(g, syms) for g in gens], *syms, modulus=P, order="grevlex"
+            )
+            theirs = [_from_sympy_gf(e, syms, 3, P) for e in ref.exprs]
+            assert sorted(ours, key=lambda q: sorted(q.terms)) == sorted(
+                theirs, key=lambda q: sorted(q.terms)
+            )
+
 
 def _random_homogeneous(rng, nvars, degree):
     import itertools

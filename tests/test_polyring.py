@@ -15,6 +15,7 @@ from peskine.polyring import (
     gcd_multivariate,
     normal_form,
     only_zero_at_origin,
+    parse_coefficient,
     parse_poly,
     pfaffian,
     primitive_part,
@@ -24,7 +25,7 @@ from peskine.polyring import (
 from peskine import polyring
 from peskine.polyring import _complete_intersection_targets, _hilbert_targets, _monomial_steps
 
-from _models import grevlex_key, power_product_value
+from _models import grevlex_key, power_product_value, reference_normal_form
 
 P = 10007
 
@@ -118,6 +119,12 @@ class TestArithmetic:
                 x + other
             with pytest.raises(ValueError, match="different rings"):
                 x * other
+
+    def test_non_polynomial_operand(self):
+        x = MultiPoly.variable(0, 2, 7)
+        for op in (lambda: x * 2, lambda: x + 1, lambda: x - 1, lambda: x * Fraction(1, 2)):
+            with pytest.raises(TypeError, match="expected a MultiPoly operand, got (int|Fraction)"):
+                op()
 
     def test_grevlex_order(self):
         # degree first, then smaller power of the last variable wins
@@ -699,6 +706,19 @@ class TestTextFormat:
             with pytest.raises(ValueError):
                 parse_poly(bad, 2)
 
+    @pytest.mark.parametrize("bad", ["\uff13*v1^2", "3*v\uff11^2", "3*v1^\uff12", "\u0663/2*v1"])
+    def test_ascii_digits_only(self, bad):
+        # full-width (U+FF10..) and Arabic-Indic digits are \d in Unicode
+        # regexes and int() reads them, but the grammar is ASCII
+        with pytest.raises(ValueError, match="cannot parse term"):
+            parse_poly(bad, 6, prefix="v")
+
+    def test_ascii_coefficient_only(self):
+        for bad in ("\uff14", "1/\uff12", "\u0664"):
+            with pytest.raises(ValueError, match="is not an integer or a/b"):
+                parse_coefficient(bad)
+        assert parse_coefficient("-4/6") == Fraction(-2, 3)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match=r"zero denominator in term '1/0\*v1\^3'"):
             parse_poly("v2^3 + 1/0*v1^3", 2, prefix="v")
@@ -758,6 +778,29 @@ class TestBuchberger:
                         lm = h.leading_monomial()
                         assert not all(a <= b for a, b in zip(lm, e))
 
+    def test_random_systems_against_the_reference_normal_form(self):
+        # non-homogeneous systems run the plain pair loop; every check is
+        # judged by the cache-free reference on exponent tuples, not by
+        # the engine's own normal form
+        rng = random.Random(1)
+        for _ in range(300):
+            gens = [random_poly(rng, 3, 3, rng.randint(2, 4), p=P) for _ in range(rng.randint(2, 4))]
+            gb = buchberger(gens)
+            basis = [dict(g.terms) for g in gb]
+            leads = [max(b, key=grevlex_key) for b in basis]
+            assert [b[lead] for b, lead in zip(basis, leads)] == [1] * len(gb)
+            assert leads == sorted(leads, key=grevlex_key)
+            for g in gens:
+                assert not reference_normal_form(g.terms, basis, P)
+            for i in range(len(gb)):
+                for j in range(i):
+                    assert not reference_normal_form(_spoly(gb[i], gb[j]).terms, basis, P)
+            # reduced: no term of an element is divisible by another lead
+            for i, b in enumerate(basis):
+                for e in b:
+                    for j, lead in enumerate(leads):
+                        assert i == j or not all(x <= y for x, y in zip(lead, e))
+
     def test_deterministic(self):
         rng = random.Random(25)
         gens = [random_poly(rng, 3, 2, 5, p=P) for _ in range(3)]
@@ -768,6 +811,8 @@ class TestBuchberger:
         for other in (MultiPoly.variable(2, 3, 7), MultiPoly.variable(0, 2, 11)):
             with pytest.raises(ValueError, match="different rings"):
                 normal_form(x, [other])
+        with pytest.raises(TypeError, match="got int"):
+            normal_form(x, [3])
 
     def test_packed_monomial_bound(self):
         # every packed monomial has total degree <= 4095; an S-pair lcm
