@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .ntheory import CertificateError, QmodTwoZ
+from .ntheory import CertificateError, QmodTwoZ, square_roots_mod
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -24,15 +25,17 @@ class DegenerateLatticeError(ValueError):
 
 
 def _to_matrix(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    """rows as a tuple of int tuples; ValueError on an entry that is not an integer."""
+    m = tuple(map(tuple, rows))
+    ints = tuple(tuple(map(int, row)) for row in m)
+    if ints != m:
+        bad = next(x for row, r in zip(m, ints) for x, n in zip(row, r) if x != n)
+        raise ValueError(f"matrix entry {bad!r} is not an integer")
+    return ints
 
 
 def mat_vec(m, v) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def bareiss_determinant(m) -> int:
@@ -139,10 +142,8 @@ class GramLattice:
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if tuple(zip(*g)) != g:
+            raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "det", bareiss_determinant(g))
         if self.det == 0:
             raise DegenerateLatticeError("Gram matrix is degenerate")
@@ -162,88 +163,70 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
 
     U and V are unimodular; D is diagonal with nonnegative entries and
     d1 | d2 | ... along the diagonal.  Works for any integer matrix,
-    including rectangular and zero matrices.
+    including rectangular and zero matrices.  The work array stacks
+    [M | I] over I: row operations act on the top rows, so on M and U at
+    once, and column operations on the first cols columns, so on M and V.
     """
-    a = [list(row) for row in m]
+    a = _to_matrix(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = [list(r) for r in identity_matrix(rows)]
-    v = [list(r) for r in identity_matrix(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    w = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
+    w += [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
     while t < min(rows, cols):
         # pick the nonzero entry of smallest magnitude as pivot
         best = None
         for i in range(t, rows):
+            row = w[i]
             for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
+                x = abs(row[j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
         if best is None:
             break
         _, bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            w[t], w[bi] = w[bi], w[t]
         if bj != t:
-            swap_cols(t, bj)
+            for row in w:
+                row[t], row[bj] = row[bj], row[t]
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
+                if w[i][t] != 0:
+                    q = w[i][t] // w[t][t]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t] != 0:
+                        w[t], w[i] = w[i], w[t]
                         dirty = True
             for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
+                if w[t][j] != 0:
+                    q = w[t][j] // w[t][t]
+                    for row in w:
+                        row[j] -= q * row[t]
+                    if w[t][j] != 0:
+                        for row in w:
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
             if not dirty:
                 # force the divisibility chain: pivot must divide the rest
                 for i in range(t + 1, rows):
-                    bad = next(
-                        (j for j in range(t + 1, cols) if a[i][j] % a[t][t] != 0),
-                        None,
-                    )
-                    if bad is not None:
-                        add_row(i, t, 1)
+                    if any(w[i][j] % w[t][t] for j in range(t + 1, cols)):
+                        w[t] = [x + y for x, y in zip(w[t], w[i])]
                         dirty = True
                         break
-        if a[t][t] < 0:
-            negate_row(t)
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
         t += 1
-    if any(a[i][j] for i in range(t, rows) for j in range(t, cols)):
+    if any(w[i][j] for i in range(t, rows) for j in range(t, cols)):
         raise CertificateError("Smith normal form left a nonzero entry past its pivots")
-    return _to_matrix(u), _to_matrix(a), _to_matrix(v)
+    top = w[:rows]
+    return (
+        tuple(tuple(row[cols:]) for row in top),
+        tuple(tuple(row[:cols]) for row in top),
+        tuple(map(tuple, w[rows:])),
+    )
 
 
 @dataclass(frozen=True)
@@ -297,22 +280,35 @@ def discriminant_group(lattice: GramLattice) -> DiscGroup:
             raise CertificateError("discriminant group generator not in the dual lattice")
         factors.append(di)
         cols.append(tuple(col))
-        qvals.append(QmodTwoZ(sum(c * x for c, x in zip(col, pairing)), di * di))
+        qvals.append(QmodTwoZ(sum(map(mul, col, pairing)), di * di))
     return DiscGroup(tuple(factors), tuple(cols), tuple(qvals))
 
 
-def _unit_scan(order: int, q: QmodTwoZ, targets) -> tuple[int, int] | None:
-    """First u < order coprime to the order with u^2*q = targets[s] in Q/2Z.
+def _unit_scan(order: int, q: QmodTwoZ, target: QmodTwoZ, diagonal) -> tuple[int, int] | None:
+    """First u < order coprime to the order with u^2*q = target - shift in Q/2Z.
 
-    Returns (u, s), with the least s for that u, or None.  The values are
-    compared as integer numerators over one common denominator den,
-    modulo 2*den.
+    The shifts are 0 (s = 0) and diagonal[i] (s = i + 1).  Returns
+    (u, s), with the least s for that u, or None.  Over
+    den = lcm(order, target.den) write q = A/den and target = B/den; the
+    values compare as integer numerators modulo 2*den, and the shifted
+    targets B - den*diagonal[i] all agree with B modulo den.  So u solves
+    A*u*u = B (mod den), which square_roots_mod walks as one residue
+    class modulo m' = den // gcd(A, den) = q.den, in ascending u; each
+    root is then tested for coprimality and for the shift it hits.  On a
+    nondegenerate lattice q(g) has exact order `order` in Q/Z, so
+    m' = order and the walk visits at most order candidates, about
+    u*u/order before the answer u.  CertificateError if m' != order.
     """
-    den = lcm(q.den, *(t.den for t in targets))
+    if q.den != order:
+        raise CertificateError(
+            f"generator q-value {q} has denominator {q.den}, not the group order {order}"
+        )
+    den = lcm(order, target.den)
     mod = 2 * den
-    a = q.num * (den // q.den)
-    bs = [t.num * (den // t.den) for t in targets]
-    for u in range(order):
+    a = q.num * (den // order)
+    b = target.num * (den // target.den)
+    bs = [b] + [(b - den * x) % mod for x in diagonal]
+    for u in square_roots_mod(b, den, a, order - 1):
         r = u * u * a % mod
         if r in bs and gcd(u, order) == 1:
             return u, bs.index(r)
@@ -324,25 +320,26 @@ def generator_with_q_value(
 ) -> tuple[Fraction, ...] | None:
     """Explicit generator of a cyclic discriminant group with q = target.
 
-    Searches unit multiples u*g of the stored generator together with
+    Searches unit multiples u*g of the stored generator g together with
     representative shifts by basis vectors; on an odd lattice the shift
     can change the value by an odd integer, so the search covers the
     whole mod-2Z ambiguity.  G*g is integral, so q(u*g + e_i) equals
-    u^2*q(g) + G_ii mod 2Z and the search is a congruence on u.  The
-    vector found, x = y/order with y = u*col + order*e_s, is checked on
-    integers: y.G.y over order^2 must equal the target in Q/2Z.  Returns
-    x as a tuple of Fractions, or None.
+    u^2*q(g) + G_ii mod 2Z, and every candidate solves one congruence
+    u^2 = c (mod m'), walked by _unit_scan over one residue class with
+    m' = order (a CertificateError otherwise).  The vector found,
+    x = y/order with y = u*col + order*e_s, is checked on integers:
+    y.G.y over order^2 must equal the target in Q/2Z.  Returns x as a
+    tuple of Fractions, or None.
     """
     if not group.is_cyclic() or group.is_trivial():
         raise ValueError("needs a nontrivial cyclic group")
     order = group.invariant_factors[0]
     gram = lattice.gram
-    targets = [target] + [target + QmodTwoZ(-gram[i][i], 1) for i in range(lattice.rank)]
-    hit = _unit_scan(order, group.qvals[0], targets)
+    hit = _unit_scan(order, group.qvals[0], target, [gram[i][i] for i in range(lattice.rank)])
     if hit is None:
         return None
     u, s = hit
     y = tuple(u * c + order * (i == s - 1) for i, c in enumerate(group.columns[0]))
-    if QmodTwoZ(sum(a * b for a, b in zip(y, mat_vec(gram, y))), order * order) != target:
+    if QmodTwoZ(sum(map(mul, y, mat_vec(gram, y))), order * order) != target:
         return None
     return tuple(Fraction(c, order) for c in y)

@@ -64,6 +64,30 @@ def _square_period(m: int, coeff: int) -> int:
     return h if coeff * h * h % m == 0 else 2 * h
 
 
+def square_roots_mod(a: int, m: int, coeff: int, top: int):
+    """Every k in 0..top with coeff*k*k = a (mod m), ascending; one walk.
+
+    With g = gcd(coeff, m) there is no solution unless g divides a;
+    otherwise the congruence is k*k = b (mod m') with m' = m // g and
+    b = (a // g) * (coeff // g)^-1 mod m' (coeff // g is a unit mod m',
+    since g takes the smaller power of each prime).  So the walk visits
+    the residue class x = b, b + m', ... up to top*top and yields
+    isqrt(x) at each perfect square: k -> k*k increases for k >= 0, so
+    the roots come in ascending order.  It visits at most
+    top*top // m' + 1 candidates.
+    """
+    a %= m
+    coeff %= m
+    g = gcd(coeff, m)
+    if a % g:
+        return
+    mp = m // g
+    for x in range(a // g * pow(coeff // g, -1, mp) % mp, top * top + 1, mp):
+        k = isqrt(x)
+        if k * k == x:
+            yield k
+
+
 def square_root_mod(a: int, m: int, coeff: int = 1) -> int | None:
     """Smallest k >= 0 with coeff*k*k = a (mod m), or None; exhaustive scan.
 
@@ -73,37 +97,19 @@ def square_root_mod(a: int, m: int, coeff: int = 1) -> int | None:
     and m divides 2*coeff*h, so h is a period iff m divides coeff*h*h,
     and 2h always is.  P is h in the first case and 2h in the second,
     where h != m, so P <= m.  Since f(P - k) = f(k), the range k <= top
-    holds a solution whenever one exists.
+    holds a solution whenever one exists; the first root of
+    square_roots_mod up to top is the answer.
 
-    With g = gcd(coeff, m) the congruence has no solution unless g
-    divides a; otherwise it is k*k = b (mod m') with m' = m // g and
-    b = (a // g) * (coeff // g)^-1 mod m' (coeff // g is a unit mod m',
-    since g takes the smaller power of each prime).  So the scan walks
-    the residue class x = b, b + m', ... up to top*top and returns
-    isqrt(x) at the first perfect square: k -> k*k increases for k >= 0,
-    so that is the smallest k.
-
-    Bound: g divides 2*coeff, so h <= m', P <= 2m' and top <= m'.  The
-    scan visits at most top*top // m' + 1 <= top + 1 candidates, never
-    more than a scan of k = 0 .. top.  For an admissible d, which is
-    even, every association scan (m = 2d or 6d) has top <= d // 2 and
-    m' = 2d, so it visits at most d/8 + 1 candidates.
+    Bound: with g = gcd(coeff, m) and m' = m // g, g divides 2*coeff, so
+    h <= m', P <= 2m' and top <= m'.  The walk visits at most
+    top*top // m' + 1 <= top + 1 candidates, never more than a scan of
+    k = 0 .. top.  For an admissible d, which is even, every association
+    scan (m = 2d or 6d) has top <= d // 2 and m' = 2d, so it visits at
+    most d/8 + 1 candidates.
     """
     if m <= 0:
         raise ValueError(f"modulus must be positive, got {m}")
-    a %= m
-    coeff %= m
-    g = gcd(coeff, m)
-    if a % g:
-        return None
-    mp = m // g
-    b = a // g * pow(coeff // g, -1, mp) % mp
-    top = _square_period(m, coeff) // 2
-    for x in range(b, top * top + 1, mp):
-        k = isqrt(x)
-        if k * k == x:
-            return k
-    return None
+    return next(square_roots_mod(a, m, coeff, _square_period(m, coeff) // 2), None)
 
 
 def is_square_mod(a: int, m: int) -> bool:

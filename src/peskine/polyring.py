@@ -1030,10 +1030,14 @@ def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
     nvars, p = poly.nvars, poly.p
     if p is None:
         raise ValueError("normal_form works over a prime field")
+    monic = []
     for g in basis:
         poly._check_compatible(g)  # packed keys only mean something in one ring
-    monic = [_make_monic(g._packed, p) for g in basis if not g.is_zero()]
-    monic = [(max(t), t) for t in monic]
+        t = g._packed
+        if t:
+            lm = max(t)
+            # _reduce never mutates its divisors, so a monic one is used as it is
+            monic.append((lm, t if t[lm] == 1 else _make_monic(t, p)))
     return MultiPoly._raw(nvars, _reduce(poly._packed, monic, nvars, p, {}), p)
 
 

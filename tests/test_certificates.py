@@ -102,7 +102,7 @@ class TestMarkingGroup:
 
     def test_wrong_unit(self, capsys, monkeypatch):
         # the scan finds (u, s) = (1, 1) at d = 24; q(3g + e_1) is 1/8, not 11/24
-        monkeypatch.setattr(lattice, "_unit_scan", lambda order, q, targets: (3, 1))
+        monkeypatch.setattr(lattice, "_unit_scan", lambda order, q, target, diagonal: (3, 1))
         code, out, err = run(capsys, "marking", "--d", "24")
         assert out == ""
         assert_mismatch(code, err, "d = 24: no generator attains the closed form value")

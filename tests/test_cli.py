@@ -436,6 +436,7 @@ def _stage_times(*primes) -> str:
 GOLDEN = [
     (None, "marking --d 24", 0, "c8f3b7143071fba7", ""),
     (None, "marking --d 22", 0, "859a3c84f836a5c8", ""),
+    (None, "marking --d 9999898", 0, "6875ac10c6c37ff8", ""),
     (None, "marking --d 26", 2, EMPTY, "error: 26 mod 22 = 4 not admissible\n"),
     (None, "marking --d 0", 2, EMPTY, "error: 0 is not positive\n"),
     (None, "marking --d -4", 2, EMPTY, "error: -4 is not positive\n"),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -17,7 +18,7 @@ from peskine.lattice import (
     smith_normal_form,
 )
 from peskine.markings import admissible_range, disc_form_closed, lambda11, marking_gram
-from peskine.ntheory import QmodTwoZ
+from peskine.ntheory import CertificateError, QmodTwoZ
 
 from _models import cyclic_q_matches, integer_inverse, integer_kernel, orthogonal_complement
 
@@ -79,6 +80,20 @@ class TestGramLattice:
         with pytest.raises(ValueError):
             GramLattice(((1, 0, 0), (0, 1, 0)))
 
+    def test_rejects_non_integral_entries(self):
+        # int() would truncate these to ((1, 1), (1, 2)), a lattice of det 1
+        with pytest.raises(ValueError, match=r"entry Fraction\(3, 2\) is not an integer"):
+            GramLattice(((Fraction(3, 2), 1), (1, 2.7)))
+        with pytest.raises(ValueError, match="entry 2.7 is not an integer"):
+            GramLattice(((3, 1), (1, 2.7)))
+        with pytest.raises(ValueError, match="entry '1' is not an integer"):
+            GramLattice(((3, "1"), ("1", 2)))
+
+    def test_accepts_integral_values(self):
+        lat = GramLattice(((Fraction(4, 1), 1), (1, 2.0)))
+        assert lat.gram == ((4, 1), (1, 2)) and lat.det == 7
+        assert all(type(x) is int for row in lat.gram for x in row)
+
 
 class TestSmithNormalForm:
     def test_already_diagonal(self):
@@ -88,6 +103,12 @@ class TestSmithNormalForm:
     def test_lambda11(self):
         _, d, _ = smith_normal_form(lambda11().gram)
         assert d == ((1, 0), (0, 11))
+
+    def test_rejects_non_integral_entry(self):
+        # int() would truncate 2.5 to 2 and hand back D = diag(2, 4)
+        with pytest.raises(ValueError, match="entry 2.5 is not an integer"):
+            smith_normal_form(((2.5, 0), (0, 4)))
+        assert smith_normal_form(((Fraction(6, 3), 0), (0, 4)))[1] == ((2, 0), (0, 4))
 
     def test_zero_one_by_one(self):
         u, d, v = smith_normal_form(((0,),))
@@ -266,7 +287,8 @@ class TestUnitScanAgainstReference:
     def test_marking_lattices(self):
         rng = random.Random(17)
         hits = 0
-        for d in admissible_range(2, 3000):
+        # the longest scans of the sweep to 10^4: residue 18 mod 22, then 0 and 2
+        for d in admissible_range(2, 3000) + [9874, 9742, 9566, 9988, 9990]:
             closed = disc_form_closed(d)
             if closed.q is None:
                 continue
@@ -277,6 +299,14 @@ class TestUnitScanAgainstReference:
                 assert got == reference_generator_with_q_value(lat, group, target), (d, target)
                 hits += got is not None
         assert hits > 1000
+
+    def test_q_denominator_not_the_order(self):
+        # q(g) has exact order 24 in Q/Z; a value of order 12 is a broken group
+        lat = marking_gram(24).lattice()
+        group = discriminant_group(lat)
+        bad = dataclasses.replace(group, qvals=(QmodTwoZ(5, 12),))
+        with pytest.raises(CertificateError, match="denominator 12, not the group order 24"):
+            generator_with_q_value(lat, bad, QmodTwoZ(11, 24))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("even", [True, False])

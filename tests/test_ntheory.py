@@ -11,6 +11,7 @@ from peskine.ntheory import (
     is_square_mod,
     legendre,
     square_root_mod,
+    square_roots_mod,
 )
 
 from _models import square_root_mod_reference
@@ -143,6 +144,14 @@ class TestIsSquareMod:
                     (j for j in range(m) if coeff * j * j % m == a % m), None
                 )
                 assert square_root_mod(a, m, coeff) == full
+
+
+class TestSquareRootsMod:
+    def test_every_root_in_ascending_order(self):
+        for a, m, coeff in seeded_cases(23, 300, 300):
+            top = random.Random(a * m).randint(0, 2 * m)
+            roots = [k for k in range(top + 1) if (coeff * k * k - a) % m == 0]
+            assert list(square_roots_mod(a, m, coeff, top)) == roots, (a, m, coeff, top)
 
 
 class TestSquareRootModReference:
