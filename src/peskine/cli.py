@@ -51,7 +51,8 @@ def _parse_primes(arg: str | None) -> tuple[int, int]:
 
 
 def _is_basis_spec(spec: str) -> bool:
-    return spec.startswith("e") and spec[1:].isdigit()
+    """e and ASCII digits; str.isdigit alone also takes Arabic-Indic digits and superscripts."""
+    return spec.startswith("e") and spec[1:].isascii() and spec[1:].isdigit()
 
 
 def _basis_index(spec: str) -> int:

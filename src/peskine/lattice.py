@@ -1,11 +1,12 @@
 """Exact integer-lattice arithmetic.
 
-Gram matrices, fraction-free determinants, row reduction over Q and F_p
-(rank, field kernels), Smith normal form with unimodular transforms,
-discriminant groups carrying their Q/2Z quadratic form, and the search
-for a generator with a given q-value.  Everything is arbitrary-precision
-integer arithmetic, with Fractions only in row reduction over Q and in
-the generator handed back; no floats.
+Gram matrices, one fraction-free elimination (determinants, and rank and
+field kernels over Q and F_p), Smith normal form with unimodular
+transforms, discriminant groups carrying their Q/2Z quadratic form, and
+the search for a generator with a given q-value.  Everything is
+arbitrary-precision integer arithmetic, with Fractions only in the
+back-substitution of a kernel over Q and in the generator handed back;
+no floats.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .ntheory import CertificateError, QmodTwoZ, square_roots_mod
+from .polyring import _coeff_normalize
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -38,94 +40,89 @@ def mat_vec(m, v) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
+def _eliminate(a: list[list[int]], p: int | None = None) -> tuple[list[int], int]:
+    """Bareiss fraction-free elimination of the integer rows a, in place.
+
+    Each step updates the rows below the pivot, right of its column, by
+    a_ij = (a_ij*a_rc - a_ic*a_rj) // prev over Z (p None), exact as the
+    entries are minors of a, and mod p with no division over F_p.
+    Returns the pivot columns of the echelon rows a[0], a[1], ... (stale
+    left of their pivots) and the last pivot times the sign of the row
+    swaps, which on a square matrix of full rank is its determinant.
+    """
+    nrows = len(a)
+    pivots: list[int] = []
+    sign = prev = 1
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        top = a[r]
+        if not top[c]:
+            i = next((i for i in range(r + 1, nrows) if a[i][c]), None)
+            if i is None:
+                continue
+            a[r], a[i] = a[i], top
+            top = a[r]
+            sign = -sign
+        pivot = top[c]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            return pivots, sign * pivot
+        cols = range(c + 1, len(top))
+        for row in a[r:]:
+            f = row[c]
+            if p is None:
+                for j in cols:
+                    row[j] = (row[j] * pivot - f * top[j]) // prev
+            elif f:
+                for j in cols:
+                    row[j] = (row[j] * pivot - f * top[j]) % p
+        prev = pivot
+    return pivots, sign * prev
+
+
 def bareiss_determinant(m) -> int:
     """Exact determinant of a square integer matrix, fraction-free."""
-    a = [list(row) for row in m]
+    a = list(map(list, m))
     n = len(a)
-    if any(len(row) != n for row in a):
+    if list(map(len, a)) != [n] * n:
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, det = _eliminate(a)
+    return det if len(pivots) == n else 0
 
 
-def row_reduce(m, p: int | None = None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over Q (p None) or F_p, and its pivot columns.
-
-    The one Gauss-Jordan loop of the package: rank and field kernels
-    read its output.  Over Q the entries are
-    Fractions; over F_p they are ints in [0, p).
-    """
-    if p is None:
-        a = [[Fraction(x) for x in row] for row in m]
-    else:
-        a = [[int(x) % p for x in row] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        if p is None:
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-        else:
-            inv = pow(a[r][c], -1, p)
-            a[r] = [x * inv % p for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                if p is None:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                else:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
+def _echelon(m, p: int | None) -> tuple[list[list[int]], list[int]]:
+    """Echelon rows and pivot columns of m, its entries read by
+    _coeff_normalize and each row cleared of denominators over Q."""
+    a = [[_coeff_normalize(x, p) for x in row] for row in m]
+    dens = [lcm(*(x.denominator for x in row)) for row in a]  # all 1 over F_p
+    a = [[int(x * den) for x in row] for row, den in zip(a, dens)]
+    return a, _eliminate(a, p)[0]
 
 
 def rank(m, p: int | None = None) -> int:
     """Rank over Q (p None) or F_p of an integer (or Fraction) matrix."""
-    return len(row_reduce(m, p)[1])
+    return len(_echelon(m, p)[1])
 
 
 def field_kernel(m, p: int | None = None) -> list[tuple]:
-    """Basis of the right kernel over Q or F_p, read off the RREF.
+    """Basis of the right kernel over Q or F_p, by back-substitution.
 
-    One vector per free column.  Over Q each vector is cleared to an
-    integer tuple; the span is not saturated.
+    One vector per free column, in ascending order, 1 there and 0 at the
+    other free columns; over Q it is then cleared to an integer tuple.
+    The span is not saturated.
     """
-    a, pivots = row_reduce(m, p)
+    a, pivots = _echelon(m, p)
     ncols = len(a[0]) if a else 0
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
-        for row, pc in zip(a, pivots):
-            vec[pc] = -row[fc] if p is None else -row[fc] % p
-        if p is None:
-            den = lcm(*(x.denominator for x in vec))
-            vec = [int(x * den) for x in vec]
-        basis.append(tuple(vec))
+        for row, pc in reversed(list(zip(a, pivots))):
+            s = -sum(map(mul, row[pc + 1 :], vec[pc + 1 :]))
+            vec[pc] = Fraction(s, row[pc]) if p is None else s * pow(row[pc], -1, p) % p
+        den = lcm(*(x.denominator for x in vec))
+        basis.append(tuple(int(x * den) for x in vec))
     return basis
 
 

@@ -28,18 +28,17 @@ _W = 13  # field width: 12 exponent bits and a guard bit
 
 def _coeff_normalize(c, p: int | None):
     """Canonical coefficient: an int or non-integral Fraction over Q, an
-    int in [0, p) over F_p."""
+    int in [0, p) over F_p.  A value that is not an int is read as the
+    exact Fraction it equals, so a/b over F_p is a * b^-1 mod p."""
+    if isinstance(c, int):
+        return c if p is None else c % p
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     if p is None:
-        if isinstance(c, int):
-            return c
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, Fraction):
-        if c.denominator % p == 0:
-            raise ValueError(f"coefficient {c} is not defined mod {p}")
-        return c.numerator * pow(c.denominator, -1, p) % p
-    return int(c) % p
+    if c.denominator % p == 0:
+        raise ValueError(f"coefficient {c} is not defined mod {p}")
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 # -- packed monomials -------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared helpers for tests: block lattices, orthogonal complements, the
-cyclic q-value match, membership checks, a reference square scan, the
-reference grevlex order, a reference polynomial evaluation and a
-reference normal form over F_p.
+cyclic q-value match, membership checks, a reference row reduction, a
+reference square scan, the reference grevlex order, a reference
+polynomial evaluation and a reference normal form over F_p.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -11,9 +11,10 @@ association criteria talk about, which makes them an independent
 ground truth for the congruence constants.
 """
 
+from fractions import Fraction
 from math import gcd, lcm
 
-from peskine.lattice import GramLattice, mat_vec, row_reduce, smith_normal_form
+from peskine.lattice import GramLattice, field_kernel, mat_vec, smith_normal_form
 
 # Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.
 E8_GRAM = (
@@ -88,10 +89,72 @@ def cyclic_q_matches(order: int, q1, q2) -> bool:
 
 
 def integer_inverse(m) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, read off the RREF of [M | I]."""
+    """Inverse of a unimodular integer matrix, read off the kernel of [M | -I].
+
+    The free columns of [M | -I] are its last n, and the kernel vector
+    of free column n + j is (column j of M^-1, e_j).
+    """
     n = len(m)
-    reduced, _ = row_reduce([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    return [[int(x) for x in row[n:]] for row in reduced]
+    kernel = field_kernel([list(row) + [-int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    return [list(row) for row in zip(*(vec[:n] for vec in kernel))]
+
+
+def row_reduce_reference(m, p: int | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over Q (p None) or F_p, and its pivot columns.
+
+    Gauss-Jordan on Fractions over Q and on ints in [0, p) over F_p, an
+    entry a/b being read as a * b^-1 mod p.  It shares no code with the
+    fraction-free lattice._eliminate, so it judges rank and field_kernel
+    independently.
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    if p is not None:
+        a = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in a]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        if p is None:
+            inv = 1 / a[r][c]
+            a[r] = [x * inv for x in a[r]]
+        else:
+            inv = pow(a[r][c], -1, p)
+            a[r] = [x * inv % p for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                if p is None:
+                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                else:
+                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def kernel_reference(m, p: int | None = None) -> list[tuple]:
+    """Right kernel read off row_reduce_reference: one vector per free
+    column, 1 there over F_p, cleared to integers by the lcm of the
+    denominators over Q."""
+    a, pivots = row_reduce_reference(m, p)
+    ncols = len(a[0]) if a else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(a, pivots):
+            vec[pc] = -row[fc] if p is None else -row[fc] % p
+        if p is None:
+            den = lcm(*(Fraction(x).denominator for x in vec))
+            vec = [int(x * den) for x in vec]
+        basis.append(tuple(vec))
+    return basis
 
 
 def vanishing_lattice_model() -> GramLattice:

@@ -478,6 +478,11 @@ GOLDEN = [
     (None, "peskine {tmp}/sigma.tvec rank --at 1,0,0,0,0,0,0,0,0,x", 2, EMPTY,
      "error: cannot parse vector '1,0,0,0,0,0,0,0,0,x'\n"),
     (None, "peskine {tmp}/sigma.tvec rank --at 0,1,0,0,0,0,0,0,0,0", 0, "aa67a169b0bba217", ""),
+    # str.isdigit takes an Arabic-Indic one and a superscript two; eN is ASCII only
+    (None, "peskine {tmp}/sigma.tvec rank --at e\u0661", 2, EMPTY,
+     "error: cannot parse vector 'e\u0661'\n"),
+    (None, "peskine {tmp}/sigma.tvec rank --at e\u00b2", 2, EMPTY,
+     "error: cannot parse vector 'e\u00b2'\n"),
     (None, "peskine {tmp}/sigma.tvec flag-verify", 0, "42bcbb7bec31f2c8", ""),
     (None, "peskine {tmp}/sigma.tvec flag-verify --flag e1:e1..e5:e7", 1, "e94176f844f625f6", ""),
     (None, "peskine {tmp}/sigma.tvec flag-verify --flag e1:e1..e12", 2, EMPTY,

@@ -19,8 +19,16 @@ from peskine.lattice import (
 )
 from peskine.markings import admissible_range, disc_form_closed, lambda11, marking_gram
 from peskine.ntheory import CertificateError, QmodTwoZ
+from peskine.polyring import _coeff_normalize
 
-from _models import cyclic_q_matches, integer_inverse, integer_kernel, orthogonal_complement
+from _models import (
+    cyclic_q_matches,
+    integer_inverse,
+    integer_kernel,
+    kernel_reference,
+    orthogonal_complement,
+    row_reduce_reference,
+)
 
 U_HYPERBOLIC = GramLattice(((0, 1), (1, 0)))
 
@@ -139,19 +147,33 @@ class TestSmithNormalForm:
 
 
 class TestRowReduction:
-    @pytest.mark.parametrize("p", [None, 10007])
+    @pytest.mark.parametrize("p", [None, 7, 10007])
     def test_rank_kernel_and_inverse(self, p):
         rng = random.Random(2024 if p is None else p)
-        for _ in range(100):
-            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
-            m = random_matrix(rng, rows, cols, bound=3)
+        shapes = [(1, 1), (1, 5), (5, 1), (3, 3), (4, 6), (6, 4)]
+        shapes += [(rng.randint(1, 6), rng.randint(1, 7)) for _ in range(144)]
+        for trial, (rows, cols) in enumerate(shapes):
+            m = random_matrix(rng, rows, cols, bound=3 if trial % 2 else 30)
             if rows > 1 and rng.random() < 0.5:
                 m[-1] = [a + 2 * b for a, b in zip(m[0], m[1])]
+            if rng.random() < 0.2:
+                m[rng.randrange(rows)] = [0] * cols
+            if rng.random() < 0.2:
+                j = rng.randrange(cols)
+                for row in m:
+                    row[j] = 0
+            if rng.random() < 0.3:
+                # denominators below 7 are units at every p here
+                m = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in m]
             kernel = field_kernel(m, p)
+            assert rank(m, p) == len(row_reduce_reference(m, p)[1])
+            assert kernel == kernel_reference(m, p)
             assert rank(m, p) + len(kernel) == cols
             for v in kernel:
                 image = [sum(x * y for x, y in zip(row, v)) for row in m]
-                assert all((x if p is None else x % p) == 0 for x in image)
+                assert all(_coeff_normalize(x, p) == 0 for x in image)
+            if rows == cols and not any(isinstance(x, Fraction) for row in m for x in row):
+                assert bareiss_determinant(m) == _det_slow(m)
             n = rng.randint(1, 5)
             u = [list(r) for r in identity(n)]
             for _ in range(8):
@@ -160,6 +182,17 @@ class TestRowReduction:
                     f = rng.randint(-3, 3)
                     u[i] = [a + f * b for a, b in zip(u[i], u[j])]
             assert mat_mul(integer_inverse(u), u) == identity(n)
+        for m in ([], [[]], [[], []]):
+            assert rank(m, p) == 0
+            assert field_kernel(m, p) == kernel_reference(m, p) == []
+        assert bareiss_determinant([]) == 1
+
+    def test_fraction_entries_are_read_exactly_mod_p(self):
+        # 1/2 = 4 mod 7; int(1/2) % 7 would read it as 0
+        assert rank([[Fraction(1, 2)]], 7) == 1
+        assert field_kernel([[Fraction(1, 2), 1]], 7) == [(5, 1)]
+        with pytest.raises(ValueError, match="not defined mod 7"):
+            rank([[Fraction(1, 7)]], 7)
 
 
 class TestDiscriminantGroup:

@@ -143,6 +143,11 @@ class TestArithmetic:
         p = MultiPoly(1, {(1,): 10, (0,): -3}, 7)
         assert p.terms == {(1,): 3, (0,): 4}
 
+    def test_float_coefficient_is_read_exactly_mod_p(self):
+        # 2.5 is 5/2 and 2^-1 = 4 mod 7, so 6; int(2.5) % 7 would give 2
+        assert polyring._coeff_normalize(2.5, 7) == 6
+        assert MultiPoly(1, {(1,): 2.5}, 7) == MultiPoly(1, {(1,): 6}, 7)
+
 
 class TestCanonicalForm:
     """Arithmetic results are built without re-validation, so each must
