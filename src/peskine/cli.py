@@ -3,9 +3,12 @@
 Subcommands: marking, assoc, table, peskine, verify-appendix.  Exit
 codes: 0 success, 1 mathematical mismatch (closed/oracle disagreement,
 fixture mismatch, failed pipeline stage or certificate), 2 input error,
-refused before anything is printed.  The library certifies and bounds;
-main alone maps a CertificateError to 1 and a ValueError to 2.  All
-report bodies on stdout are deterministic; timings go to stderr.
+refused before anything is printed.  Every integer of an option (--d,
+the --range bounds, --primes, the coordinates and eN of --at and --flag)
+is one ASCII integer token read by polyring.parse_integer.  The library
+certifies and bounds; main alone maps a CertificateError to 1 and a
+ValueError to 2.  All report bodies on stdout are deterministic; timings
+go to stderr.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import re
 import sys
 import time
 
 from . import associations, fixtures, markings
 from .ntheory import CertificateError
-from .polyring import MultiPoly, format_poly, parse_poly
+from .polyring import _DIGITS, MultiPoly, format_poly, parse_integer, parse_poly
 from .trivector import (
     Flag,
     extract_cubic,
@@ -35,14 +39,12 @@ DEFAULT_PRIMES = (10007, 31013)
 
 
 def _parse_primes(arg: str | None) -> tuple[int, int]:
-    """The two distinct primes of --primes, each checked by require_prime
-    (which owns the bound 2^31), or DEFAULT_PRIMES when it is not given."""
+    """The two distinct primes of --primes, integer tokens separated by
+    commas or spaces, each checked by require_prime (which owns the bound
+    2^31), or DEFAULT_PRIMES when it is not given."""
     if arg is None:
         return DEFAULT_PRIMES
-    try:
-        parts = [int(x) for x in arg.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ValueError(f"bad --primes: {arg!r}") from exc
+    parts = [parse_integer(x, "--primes") for x in arg.replace(",", " ").split()]
     if len(parts) != 2:
         raise ValueError("--primes must list exactly two primes, e.g. 10007,31013")
     if parts[0] == parts[1]:
@@ -50,27 +52,26 @@ def _parse_primes(arg: str | None) -> tuple[int, int]:
     return require_prime(parts[0]), require_prime(parts[1])
 
 
-def _is_basis_spec(spec: str) -> bool:
-    """e and ASCII digits; str.isdigit alone also takes Arabic-Indic digits and superscripts."""
-    return spec.startswith("e") and spec[1:].isascii() and spec[1:].isdigit()
-
-
-def _basis_index(spec: str) -> int:
-    """N of a basis-vector spec eN, checked to lie in 1..10."""
-    i = int(spec[1:])
+def _basis_index(spec: str) -> int | None:
+    """N of a basis-vector spec eN, N unsigned digits read by parse_integer
+    and checked to lie in 1..10; None when spec is not of that form."""
+    if re.fullmatch("e" + _DIGITS, spec) is None:
+        return None
+    i = parse_integer(spec[1:], "basis index")
     if not 1 <= i <= 10:
         raise ValueError(f"basis index out of range in {spec!r}")
     return i
 
 
 def _parse_vector(spec: str) -> tuple[int, ...]:
-    """Either eN for a standard basis vector or 10 comma-separated ints."""
+    """Either eN for a standard basis vector or 10 comma-separated integer
+    tokens, each stripped of surrounding spaces."""
     spec = spec.strip()
-    if _is_basis_spec(spec):
-        i = _basis_index(spec)
+    i = _basis_index(spec)
+    if i is not None:
         return tuple(int(t == i - 1) for t in range(10))
     try:
-        coords = tuple(int(x) for x in spec.split(","))
+        coords = tuple(parse_integer(x.strip(), "coordinate") for x in spec.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse vector {spec!r}") from exc
     if len(coords) != 10:
@@ -91,10 +92,10 @@ def _parse_flag(spec: str) -> Flag:
     for token in parts[1:]:
         token = token.strip()
         if ".." in token:
-            lo, hi = token.split("..", 1)
-            if not (_is_basis_spec(lo) and _is_basis_spec(hi)):
+            lo, hi = map(_basis_index, token.split("..", 1))
+            if lo is None or hi is None:
                 raise ValueError(f"bad range {token!r}")
-            for i in range(_basis_index(lo), _basis_index(hi) + 1):
+            for i in range(lo, hi + 1):
                 rows.append(tuple(int(t == i - 1) for t in range(10)))
         else:
             rows.append(_parse_vector(token))
@@ -104,7 +105,7 @@ def _parse_flag(spec: str) -> Flag:
 
 
 def cmd_marking(args) -> int:
-    cert = markings.certify_disc_form(args.d)
+    cert = markings.certify_disc_form(parse_integer(args.d, "--d"))
     mg, closed, group = cert.marking, cert.closed, cert.group
     print(f"d = {mg.d}")
     print(f"admissible: yes ({markings.admissibility_reason(mg.d)})")
@@ -128,9 +129,10 @@ def cmd_marking(args) -> int:
 
 
 def cmd_assoc(args) -> int:
+    d = parse_integer(args.d, "--d")
     kinds = ("k3", "cubic") if args.kind == "both" else (args.kind,)
-    witnesses = [(kind, associations.agreed_witness(kind, args.d)) for kind in kinds]
-    print(f"d = {args.d}")
+    witnesses = [(kind, associations.agreed_witness(kind, d)) for kind in kinds]
+    print(f"d = {d}")
     for kind, witness in witnesses:
         verdict = "no" if witness is None else "yes"
         found = "" if witness is None else f" witness k={witness}"
@@ -139,21 +141,19 @@ def cmd_assoc(args) -> int:
 
 
 def _table_ds(args) -> list[int]:
-    """The admissible d of --range, then each --d, their sum within RANGE_COST_MAX."""
+    """The admissible d of --range, then each --d, their sum within
+    RANGE_COST_MAX; markings.range_cost, called first, and admissible_range
+    refuse a range past the ceiling D_MAX."""
     if args.fixture_check and not (args.range or args.d):
         return sorted(associations.table1_fixture())
     lo_i, hi_i = 1, 0  # the empty range, when --range is not given
     if args.range:
         try:
             lo, hi = args.range.split("..", 1)
-            lo_i, hi_i = int(lo), int(hi)
+            lo_i, hi_i = parse_integer(lo, "--range"), parse_integer(hi, "--range")
         except ValueError as exc:
             raise ValueError(f"bad range {args.range!r}, expected A..B") from exc
-        if max(lo_i, hi_i) > markings.D_MAX:
-            raise ValueError(
-                f"range {args.range!r} passes the supported ceiling D_MAX = {markings.D_MAX}"
-            )
-    explicit = [markings.require_admissible(d) for d in args.d or ()]
+    explicit = [markings.require_admissible(parse_integer(d, "--d")) for d in args.d or ()]
     cost = markings.range_cost(lo_i, hi_i) + sum(explicit)
     if cost > markings.RANGE_COST_MAX:
         asked = [f"range {args.range!r}"] * bool(args.range) + ["--d"] * bool(explicit)
@@ -277,17 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pm = sub.add_parser("marking", help="marking Gram matrix and discriminant form")
-    pm.add_argument("--d", type=int, required=True)
+    pm.add_argument("--d", required=True)
     pm.set_defaults(func=cmd_marking)
 
     pa = sub.add_parser("assoc", help="associated K3 / cubic criteria, both routes")
-    pa.add_argument("--d", type=int, required=True)
+    pa.add_argument("--d", required=True)
     pa.add_argument("--kind", choices=("k3", "cubic", "both"), default="both")
     pa.set_defaults(func=cmd_assoc)
 
     pt = sub.add_parser("table", help="association table for a range of discriminants")
     pt.add_argument("--range", help="inclusive range A..B, admissible values only")
-    pt.add_argument("--d", type=int, action="append", help="explicit discriminant (repeatable)")
+    pt.add_argument("--d", action="append", help="explicit discriminant (repeatable)")
     pt.add_argument("--format", choices=("csv", "text"), default="csv")
     pt.add_argument("--fixture-check", action="store_true")
     pt.set_defaults(func=cmd_table)

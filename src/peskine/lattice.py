@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .ntheory import CertificateError, QmodTwoZ, square_roots_mod
-from .polyring import _coeff_normalize
+from .polyring import _coeff_normalize, _integral
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -27,13 +27,8 @@ class DegenerateLatticeError(ValueError):
 
 
 def _to_matrix(rows) -> Matrix:
-    """rows as a tuple of int tuples; ValueError on an entry that is not an integer."""
-    m = tuple(map(tuple, rows))
-    ints = tuple(tuple(map(int, row)) for row in m)
-    if ints != m:
-        bad = next(x for row, r in zip(m, ints) for x, n in zip(row, r) if x != n)
-        raise ValueError(f"matrix entry {bad!r} is not an integer")
-    return ints
+    """rows as a tuple of int tuples, each entry read by polyring._integral."""
+    return tuple(tuple(map(_integral, row)) for row in rows)
 
 
 def mat_vec(m, v) -> tuple[int, ...]:
@@ -82,8 +77,9 @@ def _eliminate(a: list[list[int]], p: int | None = None) -> tuple[list[int], int
 
 
 def bareiss_determinant(m) -> int:
-    """Exact determinant of a square integer matrix, fraction-free."""
-    a = list(map(list, m))
+    """Exact determinant of a square integer matrix, fraction-free; its
+    entries are read by polyring._integral."""
+    a = [list(map(_integral, row)) for row in m]
     n = len(a)
     if list(map(len, a)) != [n] * n:
         raise ValueError("determinant needs a square matrix")

@@ -76,19 +76,27 @@ def require_admissible(d: int) -> int:
     return d
 
 
+def _require_range(lo: int, hi: int) -> None:
+    """The one ceiling of a range: ValueError if lo or hi passes D_MAX,
+    an empty range included."""
+    if max(lo, hi) > D_MAX:
+        raise ValueError(f"range {lo}..{hi} passes the supported ceiling D_MAX = {D_MAX}")
+
+
 def admissible_range(lo: int, hi: int) -> list[int]:
-    """Admissible discriminants in [lo, hi]; ValueError if hi passes D_MAX."""
-    if hi > D_MAX:
-        raise ValueError(f"range end {hi} is above the supported ceiling D_MAX = {D_MAX}")
+    """Admissible discriminants in [lo, hi], a range within D_MAX."""
+    _require_range(lo, hi)
     return [d for d in range(max(lo, 1), hi + 1) if admissible(d)]
 
 
 def range_cost(lo: int, hi: int) -> int:
-    """Sum of the admissible d in [lo, hi], without enumerating them.
+    """Sum of the admissible d in [lo, hi], a range within D_MAX, without
+    enumerating them.
 
     Each admissible residue r mod 22 contributes an arithmetic series
     from its first d >= max(lo, 1) to its last d <= hi.
     """
+    _require_range(lo, hi)
     lo = max(lo, 1)
     total = 0
     for r in ADMISSIBLE_RESIDUES:

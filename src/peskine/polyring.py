@@ -7,7 +7,9 @@ reverse lexicographic order, fixed) strong enough to certify that a
 homogeneous system only vanishes at the origin.  On n forms in n
 variables (the partials of a cubic) the engine skips the S-pairs that
 the Hilbert function of a regular sequence proves redundant; the basis
-is the same.
+is the same.  Also the one reading of integers: parse_integer and
+parse_coefficient for text (one ASCII digit pattern, at most MAX_DIGITS
+digits per run), _integral for values.
 """
 
 from __future__ import annotations
@@ -24,6 +26,19 @@ Exponents = tuple[int, ...]
 
 MAX_DEGREE = 4095  # the packed-monomial bound on total degree
 _W = 13  # field width: 12 exponent bits and a guard bit
+
+
+def _integral(x) -> int:
+    """int(x) once it equals x (an int, an integral Fraction, 2.0);
+    ValueError naming x if not, never a truncation.
+
+    The one check of integer entries: exponents, flag vectors, lattice
+    matrices.  Text is not an entry; it is read by parse_integer.
+    """
+    n = int(x)
+    if n != x:
+        raise ValueError(f"entry {x!r} is not an integer")
+    return n
 
 
 def _coeff_normalize(c, p: int | None):
@@ -88,7 +103,7 @@ def _check_degree(d: int) -> None:
 
 def _pack(exps, n: int) -> int:
     """Packed key of an exponent tuple, validated."""
-    e = tuple(int(x) for x in exps)
+    e = tuple(map(_integral, exps))
     if len(e) != n or any(x < 0 for x in e):
         raise ValueError(f"bad exponent tuple {e} for {n} variables")
     return _key(e)
@@ -248,12 +263,6 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         return _sum_of_products(self.nvars, self.p, ((False, self._packed, other._packed),))
-
-    def scalar_mul(self, c) -> "MultiPoly":
-        c = _coeff_normalize(c, self.p)
-        return MultiPoly._raw(
-            self.nvars, {e: x * c for e, x in self._packed.items()}, self.p
-        )
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -684,19 +693,47 @@ def gcd_multivariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 # -- text format ------------------------------------------------------
 
-# the one coefficient grammar: an integer or a/b, in ASCII digits (without
-# re.ASCII, \d takes every Unicode digit, and Fraction and int read them)
-_COEFF = r"[+-]?\d+(?:/\d+)?"
-_TERM_RE = re.compile(rf"^({_COEFF})?((?:\*?[A-Za-z]+\d+(?:\^\d+)?)*)$", re.ASCII)
-_VAR_RE = re.compile(r"([A-Za-z]+)(\d+)(?:\^(\d+))?", re.ASCII)
+# The one digit pattern: ASCII digits only, so an underscore, whitespace
+# or a Unicode digit, which int() and Fraction() would read, is refused.
+# Every integer and coefficient token, and the index and exponent of a
+# variable, is built from it.
+_DIGITS = "[0-9]+"
+_INTEGER = f"[+-]?{_DIGITS}"
+_COEFF = f"{_INTEGER}(?:/{_DIGITS})?"
+_TERM_RE = re.compile(rf"({_COEFF})?((?:\*?[A-Za-z]+{_DIGITS}(?:\^{_DIGITS})?)*)")
+_VAR_RE = re.compile(rf"([A-Za-z]+)({_DIGITS})(?:\^({_DIGITS}))?")
+
+# Digits of one run in a token: a numerator, a denominator, an index or
+# an exponent.  Converting text costs time quadratic in its length, and
+# the interpreter's own limit is absent before Python 3.10.7;
+# extract_cubic on a planted-flag trivector with integer coefficients of
+# this many digits takes about 0.4 s on 2 CPUs (1.3 s at 2 000 digits).
+MAX_DIGITS = 1000
+
+
+def _token(pattern: str, token: str, field: str, kind: str) -> str:
+    """token once it is a full match of pattern, else ValueError naming
+    field and the kind of token expected; ValueError too when a run of
+    digits in it is longer than MAX_DIGITS, checked before any conversion."""
+    if re.fullmatch(pattern, token) is None:
+        raise ValueError(f"{field} {token!r} is not {kind}")
+    # a token no longer than the bound holds no longer run of digits
+    if len(token) > MAX_DIGITS and max(map(len, re.findall(_DIGITS, token))) > MAX_DIGITS:
+        raise ValueError(f"{field} has more than MAX_DIGITS = {MAX_DIGITS} digits in a row")
+    return token
+
+
+def parse_integer(token: str, field: str) -> int:
+    """The value of an integer token [+-]?[0-9]+; ValueError naming field
+    for any other text.  The one reader of the integer fields of the text
+    formats and the command line."""
+    return int(_token(_INTEGER, token, field, "an integer"))
 
 
 def parse_coefficient(token: str) -> Fraction:
     """The value of an integer or a/b token; ValueError for any other text,
     ZeroDivisionError for a zero denominator, which each caller words."""
-    if re.fullmatch(_COEFF, token, re.ASCII) is None:
-        raise ValueError(f"coefficient {token!r} is not an integer or a/b")
-    return Fraction(token)
+    return Fraction(_token(_COEFF, token, "coefficient", "an integer or a/b"))
 
 
 def format_poly(poly: MultiPoly, prefix: str = "x") -> str:
@@ -734,22 +771,22 @@ def parse_poly(text: str, nvars: int, prefix: str = "x") -> MultiPoly:
             chunk = chunk[1:]
         if not chunk:
             raise ValueError("empty term in polynomial text")
-        m = _TERM_RE.match(chunk)
+        m = _TERM_RE.fullmatch(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
         cstr, varpart = m.group(1), m.group(2) or ""
         try:
-            coeff = Fraction(cstr or 1)
+            coeff = parse_coefficient(cstr) if cstr else 1
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in term {chunk!r}") from exc
         exps = [0] * nvars
         for name, idx, exp in _VAR_RE.findall(varpart):
             if name != prefix:
                 raise ValueError(f"unexpected variable {name}{idx}")
-            i = int(idx) - 1
+            i = parse_integer(idx, "variable index") - 1
             if not 0 <= i < nvars:
                 raise ValueError(f"variable index {idx} out of range")
-            exps[i] += int(exp) if exp else 1
+            exps[i] += parse_integer(exp, "exponent") if exp else 1
         if neg:
             coeff = -coeff
         e = tuple(exps)

@@ -20,6 +20,7 @@ from .ntheory import CertificateError, is_prime
 from .polyring import (
     MultiPoly,
     _coeff_normalize,
+    _integral,
     _sum_of_products,
     basis_has_finite_zeros,
     buchberger,
@@ -27,6 +28,7 @@ from .polyring import (
     gcd_multivariate,
     normal_form,
     parse_coefficient,
+    parse_integer,
     primitive_part,
     principal_pfaffians,
 )
@@ -80,7 +82,8 @@ class Trivector:
         """coeffs maps index triples (1-based) to coefficients, or is an
         iterable of (triple, coefficient) pairs.
 
-        The one owner of the triple rules: three distinct indices in
+        The one owner of the triple rules: three indices equal to ints
+        (read by polyring._integral, else ValueError), distinct and in
         1..10 (else TripleError "bad index triple"), and no triple twice up
         to reordering, whatever the coefficient of either occurrence (else
         TripleError "duplicate triple").
@@ -88,7 +91,8 @@ class Trivector:
         self.p = p
         store: dict[tuple[int, int, int], object] = {}
         entries = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        for position, ((i, j, k), c) in enumerate(entries):
+        for position, (triple, c) in enumerate(entries):
+            i, j, k = map(_integral, triple)
             if len({i, j, k}) != 3 or not all(1 <= t <= DIM for t in (i, j, k)):
                 raise TripleError("bad index triple", (i, j, k), position)
             key, sign = _sort_triple(i - 1, j - 1, k - 1)
@@ -209,14 +213,15 @@ def peskine_equations(sigma: Trivector) -> PeskineSystem:
 
 @dataclass(frozen=True)
 class Flag:
-    """A marked flag: a line spanned by w1 inside the 6-space rows(w6)."""
+    """A marked flag: a line spanned by w1 inside the 6-space rows(w6),
+    integer vectors whose entries are read by polyring._integral."""
 
     w1: tuple[int, ...]
     w6: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        w1 = tuple(int(x) for x in self.w1)
-        w6 = tuple(tuple(int(x) for x in row) for row in self.w6)
+        w1 = tuple(map(_integral, self.w1))
+        w6 = tuple(tuple(map(_integral, row)) for row in self.w6)
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w6", w6)
         if len(w1) != DIM or any(len(r) != DIM for r in w6) or len(w6) != 6:
@@ -440,8 +445,10 @@ def line_in_peskine(sigma: Trivector, v2) -> bool:
 def parse_trivector(text: str, p: int | None = None) -> Trivector:
     """Parse the line format `i j k c` with `#` comments.
 
-    c is a nonzero integer or a/b, read by parse_coefficient, so `1e3` is
-    refused.  The triple rules are those of Trivector.  Errors name the line.
+    i, j and k are integer tokens, read by parse_integer; c is a nonzero
+    integer or a/b, read by parse_coefficient.  So `1_0`, `1e3` and
+    non-ASCII digits are refused.  The triple rules are those of
+    Trivector.  Errors name the line.
     """
     entries = []
     linenos = []
@@ -453,7 +460,7 @@ def parse_trivector(text: str, p: int | None = None) -> Trivector:
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'i j k c', got {raw!r}")
         try:
-            i, j, k = (int(x) for x in parts[:3])
+            i, j, k = (parse_integer(x, "index") for x in parts[:3])
             c = parse_coefficient(parts[3])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc

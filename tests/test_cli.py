@@ -3,10 +3,13 @@ import hashlib
 import io
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import peskine
 from peskine.cli import build_parser, main
 from peskine.fixtures import appendix_cubic_text, appendix_sigma_text
 from peskine.markings import D_MAX, admissible, admissible_range
@@ -361,6 +364,29 @@ class TestBoundedInputs:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: cannot parse term {term!r}\n"
 
+    def test_digit_bound_without_the_interpreter_limit(self, tmp_path):
+        # Python before 3.10.7 has no int_max_str_digits; 0 switches it off here
+        big = tmp_path / "big.tvec"
+        big.write_text("1 2 3 " + "7" * 200_000 + "\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(peskine.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=0", "-m", "peskine.cli",
+             "peskine", str(big), "rank", "--at", "e1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: {big}: line 1: coefficient has more than MAX_DIGITS = 1000 digits"
+            " in a row\n"
+        )
+
+    def test_digit_bound_of_an_option(self, capsys):
+        code, out, err = run(capsys, "assoc", "--d", "9" * 1001)
+        assert (code, out) == (2, "")
+        assert err == "error: --d has more than MAX_DIGITS = 1000 digits in a row\n"
+
     def test_cubic_file_past_the_degree_bound(self, capsys, tmp_path):
         bad = tmp_path / "big.poly"
         bad.write_text("v1^5000\n", encoding="utf-8")
@@ -403,6 +429,9 @@ GOLDEN_FILES = {
     "big.poly": "v1^5000\n",
     "garbage.poly": "v1^^3\n",
     "w.poly": "w1^3\n",
+    "underscore.tvec": "1_0 2 3 4\n",
+    "wide.tvec": "1 2 3 " + "9" * 1000 + "\n",  # MAX_DIGITS digits
+    "long.tvec": "1 2 3 " + "9" * 1001 + "\n",
 }
 
 
@@ -442,7 +471,10 @@ GOLDEN = [
     (None, "marking --d -4", 2, EMPTY, "error: -4 is not positive\n"),
     (None, "marking --d 1000000000012", 2, EMPTY,
      "error: d = 1000000000012 is above the supported ceiling D_MAX = 10000000\n"),
-    (None, "marking --d x", 2, EMPTY, "argparse"),
+    (None, "marking --d x", 2, EMPTY, "error: --d 'x' is not an integer\n"),
+    # one integer token, [+-]?[0-9]+: no underscore, space or non-ASCII digit
+    (None, "marking --d 2_4", 2, EMPTY, "error: --d '2_4' is not an integer\n"),
+    (None, "assoc --d \uff12\uff14", 2, EMPTY, "error: --d '\uff12\uff14' is not an integer\n"),
     (None, "assoc --d 24", 0, "ef32d72b71be1804", ""),
     (None, "assoc --d 998 --kind k3", 0, "86b378a6cb916ac6", ""),
     (None, "assoc --d 30 --kind cubic", 0, "d1704311580c1613", ""),
@@ -462,7 +494,10 @@ GOLDEN = [
      "error: range '1..3000000' sums to 1227273272724 over its admissible d, above the"
      " supported cost RANGE_COST_MAX = 10000000\n"),
     (None, "table --range 9999900..10000100", 2, EMPTY,
-     "error: range '9999900..10000100' passes the supported ceiling D_MAX = 10000000\n"),
+     "error: range 9999900..10000100 passes the supported ceiling D_MAX = 10000000\n"),
+    (None, "table --range 10000005..10", 2, EMPTY,
+     "error: range 10000005..10 passes the supported ceiling D_MAX = 10000000\n"),
+    (None, "table --range 2_2..3_0", 2, EMPTY, "error: bad range '2_2..3_0', expected A..B\n"),
     (None, "table --d 24 --d 30", 0, "07309cb48e712899", ""),
     (None, "table --d 26", 2, EMPTY, "error: 26 mod 22 = 4 not admissible\n"),
     (None, "table --d 10000012", 2, EMPTY,
@@ -478,11 +513,15 @@ GOLDEN = [
     (None, "peskine {tmp}/sigma.tvec rank --at 1,0,0,0,0,0,0,0,0,x", 2, EMPTY,
      "error: cannot parse vector '1,0,0,0,0,0,0,0,0,x'\n"),
     (None, "peskine {tmp}/sigma.tvec rank --at 0,1,0,0,0,0,0,0,0,0", 0, "aa67a169b0bba217", ""),
+    (None, "peskine {tmp}/sigma.tvec rank --at 1_0,0,0,0,0,0,0,0,0,0", 2, EMPTY,
+     "error: cannot parse vector '1_0,0,0,0,0,0,0,0,0,0'\n"),
     # str.isdigit takes an Arabic-Indic one and a superscript two; eN is ASCII only
     (None, "peskine {tmp}/sigma.tvec rank --at e\u0661", 2, EMPTY,
      "error: cannot parse vector 'e\u0661'\n"),
     (None, "peskine {tmp}/sigma.tvec rank --at e\u00b2", 2, EMPTY,
      "error: cannot parse vector 'e\u00b2'\n"),
+    # N of eN takes no sign, although the integer token does
+    (None, "peskine {tmp}/sigma.tvec rank --at e+1", 2, EMPTY, "error: cannot parse vector 'e+1'\n"),
     (None, "peskine {tmp}/sigma.tvec flag-verify", 0, "42bcbb7bec31f2c8", ""),
     (None, "peskine {tmp}/sigma.tvec flag-verify --flag e1:e1..e5:e7", 1, "e94176f844f625f6", ""),
     (None, "peskine {tmp}/sigma.tvec flag-verify --flag e1:e1..e12", 2, EMPTY,
@@ -508,6 +547,8 @@ GOLDEN = [
      "error: --primes must list exactly two primes, e.g. 10007,31013\n"),
     (None, "peskine {tmp}/sigma.tvec smooth --primes 10007,4294967311", 2, EMPTY,
      "error: p = 4294967311: 4294967311 is not below the prime bound 2^31\n"),
+    (None, "peskine {tmp}/sigma.tvec smooth --primes 10_007,31_013", 2, EMPTY,
+     "error: --primes '10_007' is not an integer\n"),
     (None, "peskine {tmp}/sigma.tvec equations", 0, "c239478a3b8716d0", ""),
     (None, "peskine {tmp}/sigma.tvec bogus", 2, EMPTY, "argparse"),
     (None, "peskine {tmp}/missing.tvec rank --at e1", 2, EMPTY,
@@ -523,6 +564,12 @@ GOLDEN = [
      "error: {tmp}/words.tvec: line 1: coefficient 'x' is not an integer or a/b\n"),
     (None, "peskine {tmp}/exponent.tvec rank --at e1", 2, EMPTY,
      "error: {tmp}/exponent.tvec: line 1: coefficient '1e2000000' is not an integer or a/b\n"),
+    (None, "peskine {tmp}/underscore.tvec rank --at e1", 2, EMPTY,
+     "error: {tmp}/underscore.tvec: line 1: index '1_0' is not an integer\n"),
+    (None, "peskine {tmp}/wide.tvec rank --at e1", 0, "53c234e5e8472b6a", ""),
+    (None, "peskine {tmp}/long.tvec rank --at e1", 2, EMPTY,
+     "error: {tmp}/long.tvec: line 1: coefficient has more than MAX_DIGITS = 1000 digits"
+     " in a row\n"),
     (None, "peskine {tmp}/empty.tvec cubic", 1, EMPTY,
      "mismatch: all restricted quartics vanish identically\n"),
     (None, "peskine {tmp}/corrupt.tvec cubic", 0, "274a50deaf40b228", ""),
@@ -531,7 +578,7 @@ GOLDEN = [
      "mismatch: flag does not annihilate the trivector\n"),
     (None, "verify-appendix --primes 10007,3", 2, EMPTY,
      "error: p = 3: characteristic 3 is excluded\n"),
-    (None, "verify-appendix --primes a,b", 2, EMPTY, "error: bad --primes: 'a,b'\n"),
+    (None, "verify-appendix --primes a,b", 2, EMPTY, "error: --primes 'a' is not an integer\n"),
     (None, "verify-appendix --primes 1000000000000000003,10007", 2, EMPTY,
      "error: p = 1000000000000000003:"
      " 1000000000000000003 is not below the prime bound 2^31\n"),
@@ -637,18 +684,21 @@ class TestFuzz:
                 lambda t: str(22 * t[0] + t[1])  # admissible, but for 0
             ),
             st.integers(-50, 10**5).map(str),
-            st.sampled_from(["x", "", "1.5", "0x10", "٢٤", str(10**30), str(D_MAX + 12)]),
+            st.sampled_from(
+                ["x", "", "1.5", "0x10", "٢٤", "１", "1_0", " 24", str(10**30), str(D_MAX + 12)]
+            ),
         )
         ranges = st.one_of(
             st.tuples(st.integers(-50, 10**5), st.integers(-5, 30)).map(
                 lambda t: f"{t[0]}..{t[0] + t[1]}"
             ),
             st.sampled_from(
-                ["1..3000000", f"{D_MAX}..{D_MAX + 50}", "5", "a..b", "..", "1..2..3"]
+                ["1..3000000", f"{D_MAX}..{D_MAX + 50}", "5", "a..b", "..", "1..2..3",
+                 "１..30", "1_0..30", " 24..30"]
             ),
         )
         vectors = st.one_of(
-            st.sampled_from(["e1", "e0", "e11", "e٣", "", "x", "1,2"]),
+            st.sampled_from(["e1", "e0", "e11", "e٣", "e+1", "", "x", "1,2"]),
             st.lists(st.integers(-2, 2), min_size=9, max_size=11).map(
                 lambda xs: ",".join(map(str, xs))
             ),
@@ -662,7 +712,8 @@ class TestFuzz:
         )
         primes = st.sampled_from(
             ["10007,31013", "31013 10007", "3,31013", "4,7", "0,10007", "-5,10007", "5,7",
-             "2147483647,10007", "1000000000000000003,10007", "x", "1,2,3", "", "10007"]
+             "2147483647,10007", "1000000000000000003,10007", "x", "1,2,3", "", "10007",
+             "１,10007", "1_0,10007", " 24,10007"]
         )
         coefficients = st.one_of(
             st.integers(-3, 3).map(str),

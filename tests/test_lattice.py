@@ -187,6 +187,22 @@ class TestRowReduction:
             assert field_kernel(m, p) == kernel_reference(m, p) == []
         assert bareiss_determinant([]) == 1
 
+    @pytest.mark.parametrize(
+        "m, bad",
+        [
+            ([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], r"Fraction\(1, 2\)"),
+            ([[2.5, 0], [0, 2]], "2.5"),
+        ],
+    )
+    def test_determinant_refuses_entries_that_are_not_integers(self, m, bad):
+        # the floor-divided update would give 0 and 5.0
+        with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
+            bareiss_determinant(m)
+
+    def test_determinant_reads_integral_values(self):
+        det = bareiss_determinant([[Fraction(4, 2), 1], [1, 2.0]])
+        assert det == 3 and type(det) is int
+
     def test_fraction_entries_are_read_exactly_mod_p(self):
         # 1/2 = 4 mod 7; int(1/2) % 7 would read it as 0
         assert rank([[Fraction(1, 2)]], 7) == 1

@@ -93,6 +93,14 @@ class TestRequireAdmissible:
         assert time.perf_counter() - start < 1.0
         assert admissible_range(D_MAX - 1, D_MAX) == [D_MAX]
 
+    @pytest.mark.parametrize("lo, hi", [(D_MAX + 5, 10), (D_MAX + 1, D_MAX + 1), (1, D_MAX + 1)])
+    def test_either_endpoint_past_the_ceiling(self, lo, hi):
+        # an empty range too: admissible_range owns the ceiling of table --range
+        message = f"^range {lo}..{hi} passes the supported ceiling D_MAX = {D_MAX}$"
+        for function in (admissible_range, range_cost):
+            with pytest.raises(ValueError, match=message):
+                function(lo, hi)
+
 
 class TestHlsSet:
     def test_exact_value(self):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,6 +9,7 @@ import pytest
 from peskine.fixtures import appendix_cubic, appendix_cubic_text
 from peskine.lattice import bareiss_determinant
 from peskine.polyring import (
+    MAX_DIGITS,
     MultiPoly,
     buchberger,
     exact_div,
@@ -16,6 +18,7 @@ from peskine.polyring import (
     normal_form,
     only_zero_at_origin,
     parse_coefficient,
+    parse_integer,
     parse_poly,
     pfaffian,
     primitive_part,
@@ -56,7 +59,7 @@ def arithmetic_results(a, b, n):
     """Every kind of result built from the validated operands a and b."""
     out = [a + b, a - b, -a, a * b, a**n]
     out += [a.derivative(i) for i in range(a.nvars)]
-    out += [a.scalar_mul(s) for s in SCALARS]
+    out += [a * MultiPoly.constant(s, a.nvars, a.p) for s in SCALARS]
     if not b.is_zero():
         q = exact_div(a * b, b)
         assert q == a
@@ -166,7 +169,7 @@ class TestCanonicalForm:
     def test_cancellation_leaves_no_zero_terms(self):
         for p in (None, 7):
             x, y = variables(2, p)
-            half = x.scalar_mul(Fraction(1, 2))
+            half = x * MultiPoly.constant(Fraction(1, 2), 2, p)
             assert_canonical(half + half - x)
             assert (half + half - x).terms == {}
             assert ((x + y) * (x - y) - x * x).terms == (-(y * y)).terms
@@ -212,12 +215,22 @@ class TestValidation:
 
     def test_scalar_with_denominator_divisible_by_p(self):
         with pytest.raises(ValueError, match="not defined mod 7"):
-            MultiPoly.variable(0, 2, 7).scalar_mul(Fraction(1, 14))
+            MultiPoly.variable(0, 2, 7) * MultiPoly.constant(Fraction(1, 14), 2, 7)
 
     def test_integral_fraction_scalar_gives_int(self):
-        r = MultiPoly(2, {(1, 0): 3, (0, 1): Fraction(1, 2)}).scalar_mul(Fraction(4, 2))
+        two = MultiPoly.constant(Fraction(4, 2), 2)
+        r = MultiPoly(2, {(1, 0): 3, (0, 1): Fraction(1, 2)}) * two
         assert r.terms == {(1, 0): 6, (0, 1): 1}
         assert all(type(c) is int for c in r.terms.values())
+
+    @pytest.mark.parametrize("bad", [1.5, "2", Fraction(1, 2)])
+    def test_exponent_that_is_not_an_integer(self, bad):
+        # int() would read 1.5 as 1 and "2" as 2
+        with pytest.raises(ValueError, match="is not an integer"):
+            MultiPoly(2, {(bad, 0): 1})
+
+    def test_integral_exponent_values(self):
+        assert MultiPoly(2, {(2.0, Fraction(3, 1)): 1}) == MultiPoly(2, {(2, 3): 1})
 
 
 class TestDegreeBound:
@@ -412,7 +425,7 @@ class TestPfaffian:
         m = [[MultiPoly.zero(3)] * size for _ in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
-                m[i][j] = x[rng.randrange(3)].scalar_mul(rng.randint(-5, 5))
+                m[i][j] = x[rng.randrange(3)] * MultiPoly.constant(rng.randint(-5, 5), 3)
                 m[j][i] = -m[i][j]
         index_sets = [(0, 1, 2, 3), (1, 2, 4, 5), (), (0, 1, 2, 3, 4, 5)]
         got = principal_pfaffians(m, index_sets)
@@ -491,7 +504,7 @@ class TestPfaffian:
                 d = [Fraction(1, 2), Fraction(2, 3), Fraction(3)] + [1] * (size - 3)
                 rng.shuffle(d)
                 scaled = [
-                    [ints[a][b].scalar_mul(d[a] * d[b]) for b in range(size)]
+                    [ints[a][b] * MultiPoly.constant(d[a] * d[b], nvars) for b in range(size)]
                     for a in range(size)
                 ]
                 coeffs = [c for row in scaled for e in row for c in e.terms.values()]
@@ -564,18 +577,18 @@ class TestGcd:
 
     def test_gcd_with_self(self):
         x, y = variables(2)
-        p = (x + y).scalar_mul(6)
+        p = (x + y) * MultiPoly.constant(6, 2)
         assert gcd_multivariate(p, p) == x + y
 
     def test_gcd_with_zero(self):
         x, y = variables(2)
-        p = (x * x - y).scalar_mul(-4)
+        p = (x * x - y) * MultiPoly.constant(-4, 2)
         assert gcd_multivariate(p, MultiPoly.zero(2)) == x * x - y
 
     def test_constants_are_units(self):
         two = MultiPoly.constant(2, 2)
         x = MultiPoly.variable(0, 2)
-        assert gcd_multivariate(two, x.scalar_mul(4)) == MultiPoly.constant(1, 2)
+        assert gcd_multivariate(two, x * MultiPoly.constant(4, 2)) == MultiPoly.constant(1, 2)
 
     def test_construct_and_recover(self):
         rng = random.Random(22)
@@ -603,7 +616,8 @@ class TestGcd:
 
         rng = random.Random(5)
         x = variables(3)
-        poly = random_poly(rng, 3, 3, 12) * (x[1] + x[2].scalar_mul(2)) * (x[0] - x[1])
+        two = MultiPoly.constant(2, 3)
+        poly = random_poly(rng, 3, 3, 12) * (x[1] + x[2] * two) * (x[0] - x[1])
         reverse = MultiPoly(3, dict(reversed(list(poly.terms.items()))))
         assert reverse == poly and list(reverse.terms) != list(poly.terms)
         calls = []
@@ -670,7 +684,7 @@ class TestExactDiv:
             (x * x + y, x),  # the second term is not a multiple of x
             (x * y, x * x),  # one exponent too small
             (three, x),  # the degree field would go negative
-            (x * y * z + y * y * z, (x * z).scalar_mul(5)),
+            (x * y * z + y * y * z, x * z * MultiPoly.constant(5, 3, p)),
         ):
             with pytest.raises(ValueError, match="division is not exact"):
                 exact_div(num, den)
@@ -703,7 +717,8 @@ class TestTextFormat:
             with pytest.raises(ValueError, match="unexpected variable"):
                 parse_poly(bad, 3)
         x, y, z = variables(3)
-        for q in (x * y * z.scalar_mul(Fraction(-7, 3)) + z**3, x - y.scalar_mul(5), x**0):
+        minus_7_3, five = MultiPoly.constant(Fraction(-7, 3), 3), MultiPoly.constant(5, 3)
+        for q in (x * y * z * minus_7_3 + z**3, x - y * five, x**0):
             assert parse_poly(format_poly(q), 3) == q
 
     def test_malformed_terms_rejected(self):
@@ -723,6 +738,38 @@ class TestTextFormat:
             with pytest.raises(ValueError, match="is not an integer or a/b"):
                 parse_coefficient(bad)
         assert parse_coefficient("-4/6") == Fraction(-2, 3)
+
+    @pytest.mark.parametrize("good, value", [("0", 0), ("+24", 24), ("-7", -7), ("007", 7)])
+    def test_integer_token(self, good, value):
+        assert parse_integer(good, "d") == value
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["1_0", " 24", "24 ", "\uff12\uff14", "\u0662", "", "+", "1.0", "0x10", "2/1", "--1"],
+    )
+    def test_integer_token_refused(self, bad):
+        with pytest.raises(ValueError, match=f"^d {re.escape(repr(bad))} is not an integer$"):
+            parse_integer(bad, "d")
+
+    def test_digit_bound(self):
+        top = "9" * MAX_DIGITS
+        assert parse_integer("-" + top, "d") == -int(top)
+        assert parse_coefficient(f"{top}/{top}") == 1
+        over = "9" * (MAX_DIGITS + 1)
+        refused = f"has more than MAX_DIGITS = {MAX_DIGITS} digits in a row$"
+        for call in (
+            lambda: parse_integer(over, "d"),
+            lambda: parse_coefficient(over),
+            lambda: parse_coefficient(f"1/{over}"),
+            lambda: parse_poly(f"{over}*x1", 2),
+            lambda: parse_poly(f"x{'0' * MAX_DIGITS}1", 2),
+            lambda: parse_poly(f"x1^{'0' * MAX_DIGITS}2", 2),
+        ):
+            with pytest.raises(ValueError, match=refused):
+                call()
+        assert parse_poly(f"x{'0' * (MAX_DIGITS - 1)}1^{'0' * (MAX_DIGITS - 1)}2", 2) == (
+            parse_poly("x1^2", 2)
+        )
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match=r"zero denominator in term '1/0\*v1\^3'"):

@@ -98,6 +98,16 @@ class TestTrivector:
         with pytest.raises(ValueError):
             Trivector({(3, 4, 11): 1})
 
+    @pytest.mark.parametrize("bad", [1.5, "1", Fraction(1, 2)])
+    def test_rejects_indices_that_are_not_integers(self, bad):
+        # 1.5 passed the range test and was stored under the key (0.5, 1, 2)
+        with pytest.raises(ValueError, match="is not an integer"):
+            Trivector({(bad, 2, 3): 1})
+
+    def test_reads_integral_indices(self):
+        t = Trivector({(Fraction(4, 2), 1.0, 3): 5})
+        assert t.coeffs == {(0, 1, 2): -5}
+
     def test_trilinear_alternating(self):
         rng = random.Random(40)
         sigma = random_trivector(rng)
@@ -343,6 +353,18 @@ class TestFlag:
     def test_rejects_zero_w1(self):
         with pytest.raises(ValueError):
             Flag((0,) * DIM, basis_rows(1, 2, 3, 4, 5, 6))
+
+    @pytest.mark.parametrize("bad", [1.5, "1", Fraction(1, 2)])
+    def test_rejects_entries_that_are_not_integers(self, bad):
+        # int() would read (1.5, 0, ...) as e1, a flag of the appendix
+        with pytest.raises(ValueError, match="is not an integer"):
+            Flag((bad,) + (0,) * 9, basis_rows(1, 2, 3, 4, 5, 6))
+        with pytest.raises(ValueError, match="is not an integer"):
+            Flag(E[0], basis_rows(1, 2, 3, 4, 5) + ((bad,) + (0,) * 9,))
+
+    def test_reads_integral_values(self):
+        flag = Flag((Fraction(2, 2), 0.0) + (0,) * 8, basis_rows(1, 2, 3, 4, 5, 6))
+        assert flag == standard_flag()
 
 
 class TestVerifyFlag:
@@ -613,13 +635,13 @@ class TestSmoothness:
     def test_singular(self, shape, p):
         x = [MultiPoly.variable(i, 6) for i in range(6)]
         # l * quadric is singular exactly on l = quadric = 0
+        three, five = MultiPoly.constant(3, 6), MultiPoly.constant(5, 6)
         quadric = sum(
-            (xi * xi for xi in x[1:]),
-            x[1] * x[2] + (x[3] * x[5]).scalar_mul(3) - (x[0] * x[0]).scalar_mul(5),
+            (xi * xi for xi in x[1:]), x[1] * x[2] + x[3] * x[5] * three - x[0] * x[0] * five
         )
         cubic = {
             "cone": x[0] ** 3,
-            "l*quadric": (x[4] - x[0].scalar_mul(3)) * quadric,
+            "l*quadric": (x[4] - x[0] * three) * quadric,
             "x0*quadric": x[0] * quadric,
         }[shape]
         assert smoothness_check(cubic, p).kind == "singular"
@@ -651,7 +673,7 @@ class TestSmoothness:
         )
         assert driven == plain and (plain_pairs, driven_pairs) == (115, 101)
         assert smoothness_check(nodal_cubic(), P).kind == "singular"
-        for cubic in (x[0] ** 3, (x[4] - x[0].scalar_mul(3)) * quadric):
+        for cubic in (x[0] ** 3, (x[4] - x[0] * MultiPoly.constant(3, 6)) * quadric):
             (plain, _), (driven, _) = jacobian_bases(cubic, P, monkeypatch)
             assert driven == plain
 
@@ -817,6 +839,14 @@ class TestFileFormat:
         sigma = parse_trivector("1 2 3 +4\n1 2 4 -3/6\n")
         assert sigma.coefficient(1, 2, 3) == 4
         assert sigma.coefficient(1, 2, 4) == Fraction(-1, 2)
+
+    def test_index_grammar(self):
+        # int() reads 1_0 as 10, so this line was the triple (10, 2, 3)
+        lines = (("1_0 2 3 4", "1_0"), ("1 \uff12 3 4", "\uff12"), ("1 2 3.0 4", "3.0"))
+        for line, token in lines:
+            with pytest.raises(ValueError, match=f"^line 2: index '{token}' is not an integer$"):
+                parse_trivector(f"1 2 3 4\n{line}\n")
+        assert parse_trivector("+1 02 3 4\n").coefficient(1, 2, 3) == 4
 
     def test_exponent_coefficient_is_refused_fast(self):
         start = time.perf_counter()
