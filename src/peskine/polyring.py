@@ -487,7 +487,8 @@ def pfaffian(matrix) -> MultiPoly:
 def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """Quotient num/den when the division is exact; ValueError otherwise.
 
-    A one-term divisor c*x^b divides term by term: every key shifts by
+    The inverse of den's leading coefficient is computed once.  A
+    one-term divisor c*x^b divides term by term: every key shifts by
     zero - b, checked by the guard test of _layout, and every coefficient
     scales by 1/c.  Any other divisor runs the long division.
     """
@@ -498,15 +499,15 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     q: dict[int, object] = {}
     dterms = den._packed
     p = num.p
+    dlm = max(dterms)
+    if p is None:
+        inv = 1 / Fraction(dterms[dlm])
+        if inv.denominator == 1:
+            inv = inv.numerator
+    else:
+        inv = pow(dterms[dlm], -1, p)
     if len(dterms) == 1:
-        ((dlm, dlc),) = dterms.items()
         shift = zero - dlm
-        if p is None:
-            inv = 1 / Fraction(dlc)
-            if inv.denominator == 1:
-                inv = inv.numerator
-        else:
-            inv = pow(dlc, -1, p)
         for e, c in num._packed.items():
             e += shift
             if e < 0 or e & guards:
@@ -514,17 +515,14 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
             q[e] = c * inv
         return MultiPoly._raw(num.nvars, q, p)
     rem = dict(num._packed)
-    dlm = max(dterms)
-    dlc = dterms[dlm]
     while rem:
         lm = max(rem)
         qe = lm + zero - dlm
         if qe < 0 or qe & guards:
             raise ValueError("division is not exact")
-        if p is None:
-            qc = Fraction(rem[lm]) / Fraction(dlc)
-        else:
-            qc = rem[lm] * pow(dlc, -1, p) % p
+        qc = rem[lm] * inv
+        if p is not None:
+            qc %= p
         q[qe] = qc
         qe -= zero
         for e, c in dterms.items():
@@ -582,17 +580,17 @@ def _from_univar(coeffs: dict[int, MultiPoly], var: int, nvars: int) -> MultiPol
     return MultiPoly._raw(nvars, terms, None)
 
 
-def _content_wrt(poly: MultiPoly, var: int) -> MultiPoly:
+def _content(view: dict[int, MultiPoly]) -> MultiPoly:
+    """GCD of the coefficients of a univariate view, with positive lead."""
     # fold from the sparsest coefficient, ties by power, so the GCD work is the same
     # whatever the order of the terms
-    univar = _univar(poly, var)
-    cs = [univar[d] for d in sorted(univar, key=lambda d: (len(univar[d]._packed), d))]
+    cs = [view[d] for d in sorted(view, key=lambda d: (len(view[d]._packed), d))]
     g = cs[0]
     for c in cs[1:]:
         g = _gcd_zz(g, c)
         if g.is_constant() and g.constant_value() == 1:
             break
-    return g
+    return g if g.leading_coefficient() > 0 else -g
 
 
 def _prem(a: dict[int, MultiPoly], b: dict[int, MultiPoly]):
@@ -619,11 +617,14 @@ def _prem(a: dict[int, MultiPoly], b: dict[int, MultiPoly]):
 
 
 def _gcd_zz(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """GCD of integer polynomials, including integer content."""
-    if a.is_zero():
-        return b if b.leading_coefficient() > 0 or b.is_zero() else -b
-    if b.is_zero():
-        return a if a.leading_coefficient() > 0 else -a
+    """GCD of nonzero integer polynomials, including integer content,
+    with positive lead.
+
+    Each input is split once into its univariate view in the variable
+    that occurs in the most terms; the contents and primitive parts come
+    from those views, and the last subresultant's primitive part from its
+    own view.
+    """
     if a.is_constant() or b.is_constant():
         content = gcd(*map(int, a._packed.values()), *map(int, b._packed.values()))
         return MultiPoly.constant(content, a.nvars)
@@ -638,21 +639,17 @@ def _gcd_zz(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     var = max(range(a.nvars), key=lambda i: counts[i])
 
     ua, ub = _univar(a, var), _univar(b, var)
-    if max(ua) == 0 or max(ub) == 0:
-        flat = a if max(ua) == 0 else b
-        other = b if max(ua) == 0 else a
-        return _gcd_zz(flat, _content_wrt(other, var))
-
-    cont_a = _content_wrt(a, var)
-    cont_b = _content_wrt(b, var)
+    cont_a, cont_b = _content(ua), _content(ub)
     cont = _gcd_zz(cont_a, cont_b)
-    ppa = {d: exact_div(c, cont_a) for d, c in ua.items()}
-    ppb = {d: exact_div(c, cont_b) for d, c in ub.items()}
-    if max(ppa) < max(ppb):
-        ppa, ppb = ppb, ppa
+    if max(ua) == 0 or max(ub) == 0:
+        # a view of degree 0 is its own content
+        return cont
+    f1 = {d: exact_div(c, cont_a) for d, c in ua.items()}
+    f2 = {d: exact_div(c, cont_b) for d, c in ub.items()}
+    if max(f1) < max(f2):
+        f1, f2 = f2, f1
 
     one = MultiPoly.constant(1, a.nvars)
-    f1, f2 = ppa, ppb
     g = h = one
     while True:
         delta = max(f1) - max(f2)
@@ -669,12 +666,11 @@ def _gcd_zz(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             h = g
         elif delta > 1:
             h = exact_div(g**delta, h ** (delta - 1))
-    tail = _from_univar(f2, var, a.nvars)
-    tail_pp = exact_div(tail, _content_wrt(tail, var))
-    result = cont * tail_pp
-    if result.leading_coefficient() < 0:
-        result = -result
-    return result
+    cont_f2 = _content(f2)
+    result = cont * _from_univar(
+        {d: exact_div(c, cont_f2) for d, c in f2.items()}, var, a.nvars
+    )
+    return result if result.leading_coefficient() > 0 else -result
 
 
 def gcd_multivariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -68,6 +68,15 @@ class TripleError(ValueError):
         self.position = position
 
 
+def _read_triple(triple, position: int = 0) -> tuple[int, int, int]:
+    """Three indices equal to ints (read by polyring._integral, else
+    ValueError), each in 1..10 (else TripleError "bad index triple")."""
+    i, j, k = map(_integral, triple)
+    if not all(1 <= t <= DIM for t in (i, j, k)):
+        raise TripleError("bad index triple", (i, j, k), position)
+    return i, j, k
+
+
 class Trivector:
     """An alternating 3-form on a 10-dimensional space.
 
@@ -82,18 +91,17 @@ class Trivector:
         """coeffs maps index triples (1-based) to coefficients, or is an
         iterable of (triple, coefficient) pairs.
 
-        The one owner of the triple rules: three indices equal to ints
-        (read by polyring._integral, else ValueError), distinct and in
-        1..10 (else TripleError "bad index triple"), and no triple twice up
-        to reordering, whatever the coefficient of either occurrence (else
-        TripleError "duplicate triple").
+        The one owner of the triple rules: three indices read by
+        _read_triple, distinct (else TripleError "bad index triple"), and
+        no triple twice up to reordering, whatever the coefficient of
+        either occurrence (else TripleError "duplicate triple").
         """
         self.p = p
         store: dict[tuple[int, int, int], object] = {}
         entries = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for position, (triple, c) in enumerate(entries):
-            i, j, k = map(_integral, triple)
-            if len({i, j, k}) != 3 or not all(1 <= t <= DIM for t in (i, j, k)):
+            i, j, k = _read_triple(triple, position)
+            if len({i, j, k}) != 3:
                 raise TripleError("bad index triple", (i, j, k), position)
             key, sign = _sort_triple(i - 1, j - 1, k - 1)
             if key in store:
@@ -102,7 +110,9 @@ class Trivector:
         self.coeffs = {key: c for key, c in store.items() if c}
 
     def coefficient(self, i: int, j: int, k: int):
-        """sigma(e_i, e_j, e_k) for 1-based indices, any order."""
+        """sigma(e_i, e_j, e_k) for 1-based indices, any order, read by
+        _read_triple; 0 for a repeated index, as for any alternating form."""
+        i, j, k = _read_triple((i, j, k))
         if len({i, j, k}) != 3:
             return 0
         key, sign = _sort_triple(i - 1, j - 1, k - 1)
@@ -265,6 +275,22 @@ def rank_at_point(sigma: Trivector, v) -> int:
     return rank(contract(sigma, v), sigma.p)
 
 
+def _subspace_rows(rows, count: int | None, name: str, p: int | None) -> list[tuple]:
+    """rows as tuples, once they are count 10-vectors (at least one when
+    count is None) of full rank over Q or F_p; ValueError naming the
+    argument if not."""
+    rows = [tuple(r) for r in rows]
+    if (
+        not rows
+        or count not in (None, len(rows))
+        or any(len(r) != DIM for r in rows)
+        or rank(rows, p) != len(rows)
+    ):
+        size = "" if count is None else f"{count} "
+        raise ValueError(f"{name} must be {size}linearly independent 10-vectors")
+    return rows
+
+
 def restrict_to_subspace(sigma: Trivector, rows) -> list[MultiPoly]:
     """The 45 quartics of sigma on the subspace spanned by rows.
 
@@ -273,13 +299,7 @@ def restrict_to_subspace(sigma: Trivector, rows) -> list[MultiPoly]:
     substitution, so the forms are the principal Pfaffians of the
     contraction built on the rows themselves, in len(rows) variables.
     """
-    rows = [tuple(r) for r in rows]
-    if (
-        not rows
-        or any(len(r) != DIM for r in rows)
-        or rank(rows, sigma.p) != len(rows)
-    ):
-        raise ValueError("rows must be linearly independent 10-vectors")
+    rows = _subspace_rows(rows, None, "rows", sigma.p)
     return principal_pfaffians(symbolic_contract(sigma, rows), _COMPLEMENTS)
 
 
@@ -386,9 +406,7 @@ def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
 
 def x6_membership(sigma: Trivector, v6) -> bool:
     """Whether sigma restricts to zero on the 6-space spanned by v6."""
-    rows = [tuple(r) for r in v6]
-    if len(rows) != 6 or rank(rows, sigma.p) != 6:
-        raise ValueError("v6 must be a rank-6 6x10 matrix")
+    rows = _subspace_rows(v6, 6, "v6", sigma.p)
     for a, b, c in combinations(range(6), 3):
         if sigma.trilinear(rows[a], rows[b], rows[c]) != 0:
             return False
@@ -405,9 +423,7 @@ def x7_kernel(sigma: Trivector, v7, domain: str = "v7") -> list[tuple]:
     """
     if domain not in ("v7", "v10"):
         raise ValueError("domain must be 'v7' or 'v10'")
-    rows = [tuple(r) for r in v7]
-    if len(rows) != 7 or rank(rows, sigma.p) != 7:
-        raise ValueError("v7 must be a rank-7 7x10 matrix")
+    rows = _subspace_rows(v7, 7, "v7", sigma.p)
     basis = rows if domain == "v7" else _STANDARD_BASIS
     forms = [
         [sigma.trilinear(u, rows[a], rows[b]) for u in basis]
@@ -433,9 +449,7 @@ def line_in_peskine(sigma: Trivector, v2) -> bool:
     Takes the 45 quartics on the 2-space spanned by the rows (see
     restrict_to_subspace) and checks that every binary quartic vanishes.
     """
-    rows = [tuple(r) for r in v2]
-    if len(rows) != 2:
-        raise ValueError("v2 must be a rank-2 2x10 matrix")
+    rows = _subspace_rows(v2, 2, "v2", sigma.p)
     return all(q.is_zero() for q in restrict_to_subspace(sigma, rows))
 
 

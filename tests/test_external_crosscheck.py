@@ -6,6 +6,7 @@ not implementations, so any disagreement is a genuine bug on one side.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ sympy = pytest.importorskip("sympy")
 from peskine.lattice import smith_normal_form
 from peskine.ntheory import factorize, legendre
 from peskine.polyring import MultiPoly, buchberger, gcd_multivariate, primitive_part
+from peskine.trivector import Trivector, restrict_to_subspace, standard_flag
 
 P = 10007
 
@@ -93,6 +95,30 @@ class TestGcd:
             ref_poly = _poly_from_sympy(ref, 3)
             assert ours == primitive_part(ref_poly), (a, b)
             checked += 1
+
+    def test_restricted_quartics_of_planted_flags(self):
+        # what extract_cubic asks of the GCD: the first two nonzero quartics
+        # of trivectors vanishing on the flag e1 in <e1..e6>, restricted to it
+        rng = random.Random(64)
+        syms = sympy.symbols("y1:7")
+        w6 = standard_flag().w6
+        for _ in range(4):
+            coeffs = {}
+            for i, j, k in combinations(range(1, 11), 3):
+                if i == 1 and j <= 6:
+                    continue
+                c = rng.randint(-9, 9)
+                if c:
+                    coeffs[(i, j, k)] = c
+            quartics = restrict_to_subspace(Trivector(coeffs), w6)
+            a, b = [q for q in quartics if not q.is_zero()][:2]
+            ours = gcd_multivariate(a, b)
+            ref = sympy.gcd(
+                sympy.Poly(_to_sympy(a, syms), *syms),
+                sympy.Poly(_to_sympy(b, syms), *syms),
+            )
+            assert ours == primitive_part(_poly_from_sympy(ref, 6))
+            assert ours.total_degree() == 3
 
 
 def _random_poly(rng, nvars):

@@ -71,6 +71,11 @@ def basis_rows(*indices):
     return tuple(E[i - 1] for i in indices)
 
 
+def unit_rows(count, length):
+    """The first count unit vectors of length length."""
+    return [tuple(int(i == j) for i in range(length)) for j in range(count)]
+
+
 class TestTrivector:
     def test_sign_normalization(self):
         t = Trivector({(2, 1, 3): 5})
@@ -78,6 +83,15 @@ class TestTrivector:
         assert t.coefficient(2, 1, 3) == 5
         assert t.coefficient(3, 1, 2) == -5
         assert t.coefficient(1, 1, 3) == 0
+
+    @pytest.mark.parametrize(
+        "triple", [(1.5, 2, 3), (11, 12, 13), (0, 1, 2), ("1", 2, 3)]
+    )
+    def test_coefficient_reads_indices_by_the_constructor_rule(self, triple):
+        with pytest.raises(ValueError):
+            Trivector({triple: 5})
+        with pytest.raises(ValueError):
+            Trivector({(1, 2, 3): 5}).coefficient(*triple)
 
     def test_rejects_repeated_index(self):
         with pytest.raises(ValueError):
@@ -729,6 +743,11 @@ class TestX6Membership:
     def test_rejects_rank_deficient(self):
         with pytest.raises(ValueError):
             x6_membership(Trivector({}), basis_rows(1, 2, 3, 4, 5, 5))
+        # rows of 9 or 11 coordinates are not read up to the 10th
+        for sigma in (Trivector({(1, 2, 3): 1}), Trivector({(1, 2, 10): 1})):
+            for length in (9, 11):
+                with pytest.raises(ValueError, match="v6 must be 6 linearly independent"):
+                    x6_membership(sigma, unit_rows(6, length))
 
 
 class TestX7Kernel:
@@ -767,6 +786,11 @@ class TestX7Kernel:
     def test_rejects_rank_deficient(self):
         with pytest.raises(ValueError):
             x7_kernel(Trivector({}), basis_rows(1, 2, 3, 4, 5, 6, 6))
+        for sigma in (Trivector({(1, 2, 3): 1}), Trivector({(1, 2, 10): 1})):
+            for length in (9, 11):
+                for domain in ("v7", "v10"):
+                    with pytest.raises(ValueError, match="v7 must be 7 linearly independent"):
+                        x7_kernel(sigma, unit_rows(7, length), domain)
 
 
 class TestLineInPeskine:
