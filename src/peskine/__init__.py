@@ -51,6 +51,7 @@ from .trivector import (
     rank_at_point,
     restrict_to_subspace,
     smoothness_check,
+    smoothness_checks,
     symbolic_contract,
     verify_flag,
     x6_membership,

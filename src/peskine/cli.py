@@ -30,7 +30,7 @@ from .trivector import (
     peskine_equations,
     rank_at_point,
     require_prime,
-    smoothness_check,
+    smoothness_checks,
     standard_flag,
     verify_flag,
 )
@@ -217,10 +217,9 @@ def cmd_peskine(args) -> int:
     primes = _parse_primes(args.primes)  # action == "smooth"
     cubic = extract_cubic(sigma, flag)
     smooth = True
-    for p in primes:
-        kind = smoothness_check(cubic, p).kind
-        smooth = smooth and kind == "smooth"
-        print(f"p = {p}: {kind}")
+    for verdict in smoothness_checks(cubic, primes):
+        smooth = smooth and verdict.is_smooth()
+        print(f"p = {verdict.prime}: {verdict.kind}")
     print("combined verdict: " + ("Smooth" if smooth else "Singular"))
     return 0 if smooth else 1
 
@@ -257,9 +256,11 @@ def cmd_verify_appendix(args) -> int:
         cubic = extract_cubic(sigma, flag)
         if cubic != reference:
             raise CertificateError("extracted cubic does not match the reference")
+    # one Groebner run serves every prime; each stage draws its verdict
+    verdicts = smoothness_checks(cubic, primes)
     for p in primes:
         with stage(f"smooth-{p}"):
-            if not smoothness_check(cubic, p).is_smooth():
+            if not next(verdicts).is_smooth():
                 raise CertificateError(f"cubic is singular mod {p}")
 
     print("verify-appendix: PASS")

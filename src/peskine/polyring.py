@@ -7,7 +7,9 @@ reverse lexicographic order, fixed) strong enough to certify that a
 homogeneous system only vanishes at the origin.  On n forms in n
 variables (the partials of a cubic) the engine skips the S-pairs that
 the Hilbert function of a regular sequence proves redundant; the basis
-is the same.  Also the one reading of integers: parse_integer and
+is the same.  The engine also runs over Z/N for a product N of distinct
+primes, one run for all of them, while every leading coefficient is a
+unit mod N.  Also the one reading of integers: parse_integer and
 parse_coefficient for text (one ASCII digit pattern, at most MAX_DIGITS
 digits per run), _integral for values.
 """
@@ -44,10 +46,14 @@ def _integral(x) -> int:
 def _coeff_normalize(c, p: int | None):
     """Canonical coefficient: an int or non-integral Fraction over Q, an
     int in [0, p) over F_p.  A value that is not an int is read as the
-    exact Fraction it equals, so a/b over F_p is a * b^-1 mod p."""
+    exact Fraction it equals, so a/b over F_p is a * b^-1 mod p, and a
+    float is its binary value, never a rounding.  Text is not a value
+    (ValueError naming it); it is read by parse_coefficient."""
     if isinstance(c, int):
         return c if p is None else c % p
     if not isinstance(c, Fraction):
+        if isinstance(c, str):
+            raise ValueError(f"value {c!r} is text, not a number")
         c = Fraction(c)
     if p is None:
         return c.numerator if c.denominator == 1 else c
@@ -295,7 +301,8 @@ class MultiPoly:
     # -- calculus and evaluation ------------------------------------
 
     def evaluate(self, point):
-        """Value at a point; Fraction-or-int over Q, int over F_p.
+        """Value at a point; Fraction-or-int over Q, int over F_p.  Each
+        coordinate is read once by _coeff_normalize.
 
         A packed key splits into a low half, the fields of the first
         ceil(n/2) variables, and a high half holding the rest.  The value
@@ -305,6 +312,7 @@ class MultiPoly:
         """
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
+        point = [_coeff_normalize(x, self.p) for x in point]
         h = (self.nvars + 1) // 2
         split = h * _W
         mask = (1 << split) - 1
@@ -894,13 +902,19 @@ def _reduce(
 
 
 def _make_monic(terms: dict[int, int], p: int) -> dict[int, int]:
+    """terms divided by the leading coefficient, the one inversion of the
+    engine; ZeroDivisionError when that coefficient is no unit mod p,
+    which only a composite modulus allows (see buchberger)."""
     lm = max(terms)
-    inv = pow(terms[lm], -1, p)
+    try:
+        inv = pow(terms[lm], -1, p)
+    except ValueError:
+        raise ZeroDivisionError(f"leading coefficient {terms[lm]} is not a unit mod {p}") from None
     return {m: c * inv % p for m, c in terms.items()}
 
 
 def buchberger(gens) -> list[MultiPoly]:
-    """Reduced grevlex Groebner basis over F_p.
+    """Reduced grevlex Groebner basis over F_p, or over Z/N with unit leads.
 
     Pair handling uses the coprime-leading-term criterion and the chain
     criterion; the returned basis is monic, autoreduced, and sorted by
@@ -934,6 +948,30 @@ def buchberger(gens) -> list[MultiPoly]:
     loop stops.  Each skip is sound on any input, so the basis is the
     plain loop's; an input that is not a regular sequence never covers
     the top degree and runs until no pair is left.
+
+    The modulus may also be a product N of distinct primes, the
+    Chinese-remainder image of one run per prime.  _make_monic raises
+    ZeroDivisionError at the first leading coefficient that is no unit
+    mod N.  A run that finishes reduces mod each prime q | N to the run
+    over F_q, step for step, so its basis read mod q (coefficients mod
+    q, zeros dropped) is the reduced basis over F_q.  By induction on
+    the steps, with both runs holding the same basis mod q and the same
+    leads so far:
+    - the pairs queued, their heap order, the coprime and chain criteria
+      and the Hilbert coverage depend only on leading terms and pending
+      pairs, so both runs reduce the same S-pairs, built from the same
+      monic elements;
+    - a coefficient that vanishes mod q alone is a zero term in the F_q
+      run.  In _reduce such a term is reduced by a multiple of a divisor
+      that vanishes mod q, or kept in the remainder as a zero mod q;
+      neither moves the image mod q.  The divisor cache holds indices of
+      first divisors, not coefficients.  So the remainders agree mod q;
+    - a remainder or generator joins the basis with a unit lead, nonzero
+      mod q, so the F_q run adds the same lead, and dividing by it
+      commutes with reduction mod q.  One that vanishes mod q alone has
+      a lead divisible by q, which is no unit, and the run raises;
+    - autoreduction reads leads to drop elements, and its tail
+      reductions agree mod q as above.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:

@@ -12,12 +12,16 @@ verifiers.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 from .lattice import field_kernel, rank
 from .ntheory import CertificateError, is_prime
 from .polyring import (
+    MAX_DIGITS,
     MultiPoly,
     _coeff_normalize,
     _integral,
@@ -41,6 +45,8 @@ _COMPLEMENTS = tuple(
     tuple(t for t in range(DIM) if t not in pair) for pair in _PAIRS
 )
 _ROW0 = DIM - 1  # the first _ROW0 pairs are (0, j), the minors without row 0
+# a common denominator over Q below this has at most MAX_DIGITS digits
+_DENOMINATOR_LIMIT = 10**MAX_DIGITS
 
 
 def _sort_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -60,7 +66,7 @@ def _sort_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
 
 
 class TripleError(ValueError):
-    """A triple that Trivector refuses; position is its place among the
+    """An entry that Trivector refuses; position is its place among the
     given entries, so a parser can name the line it came from."""
 
     def __init__(self, reason: str, triple, position: int):
@@ -94,11 +100,16 @@ class Trivector:
         The one owner of the triple rules: three indices read by
         _read_triple, distinct (else TripleError "bad index triple"), and
         no triple twice up to reordering, whatever the coefficient of
-        either occurrence (else TripleError "duplicate triple").
+        either occurrence (else TripleError "duplicate triple").  Each
+        coefficient is read by _coeff_normalize.  Over Q the lcm of the
+        denominators read so far must keep at most MAX_DIGITS digits
+        (else TripleError at the entry that passes it): the cost of the
+        cubic and its size follow that lcm.
         """
         self.p = p
         store: dict[tuple[int, int, int], object] = {}
         entries = coeffs.items() if hasattr(coeffs, "items") else coeffs
+        den = 1
         for position, (triple, c) in enumerate(entries):
             i, j, k = _read_triple(triple, position)
             if len({i, j, k}) != 3:
@@ -106,7 +117,20 @@ class Trivector:
             key, sign = _sort_triple(i - 1, j - 1, k - 1)
             if key in store:
                 raise TripleError("duplicate triple", (i, j, k), position)
-            store[key] = _coeff_normalize(sign * c, p)
+            # the sign applies to a value read, never to text
+            c = sign * _coeff_normalize(c, p)
+            if p is not None:
+                c %= p
+            elif type(c) is Fraction:
+                den = lcm(den, c.denominator)
+                if den >= _DENOMINATOR_LIMIT:
+                    raise TripleError(
+                        f"common denominator has more than MAX_DIGITS = {MAX_DIGITS} digits"
+                        " at triple",
+                        (i, j, k),
+                        position,
+                    )
+            store[key] = c
         self.coeffs = {key: c for key, c in store.items() if c}
 
     def coefficient(self, i: int, j: int, k: int):
@@ -122,7 +146,9 @@ class Trivector:
         return not self.coeffs
 
     def trilinear(self, u, v, w):
-        """sigma(u, v, w) for coordinate vectors of length 10."""
+        """sigma(u, v, w) for coordinate vectors of length 10, each entry
+        read by _coeff_normalize."""
+        u, v, w = ([_coeff_normalize(x, self.p) for x in vec] for vec in (u, v, w))
         total = 0
         for (i, j, k), c in self.coeffs.items():
             det = (
@@ -136,9 +162,11 @@ class Trivector:
 
 
 def contract(sigma: Trivector, v) -> list[list]:
-    """The 10x10 skew matrix M[j][k] = sigma(v, e_j, e_k)."""
+    """The 10x10 skew matrix M[j][k] = sigma(v, e_j, e_k); each entry of v
+    is read by _coeff_normalize."""
     if len(v) != DIM:
         raise ValueError("vector must have 10 coordinates")
+    v = [_coeff_normalize(x, sigma.p) for x in v]
     m = [[0] * DIM for _ in range(DIM)]
     for (i, j, k), c in sigma.coeffs.items():
         m[j][k] += v[i] * c
@@ -276,10 +304,10 @@ def rank_at_point(sigma: Trivector, v) -> int:
 
 
 def _subspace_rows(rows, count: int | None, name: str, p: int | None) -> list[tuple]:
-    """rows as tuples, once they are count 10-vectors (at least one when
-    count is None) of full rank over Q or F_p; ValueError naming the
-    argument if not."""
-    rows = [tuple(r) for r in rows]
+    """rows as tuples of entries read by _coeff_normalize, once they are
+    count 10-vectors (at least one when count is None) of full rank over
+    Q or F_p; ValueError naming the argument if not."""
+    rows = [tuple(_coeff_normalize(x, p) for x in r) for r in rows]
     if (
         not rows
         or count not in (None, len(rows))
@@ -375,33 +403,71 @@ def require_prime(p: int) -> int:
 
 
 def smoothness_check(cubic: MultiPoly, p: int) -> SmoothnessVerdict:
-    """Jacobian criterion for a cubic fourfold, over F_p.
+    """Jacobian criterion for a cubic fourfold over F_p: the one-prime
+    case of smoothness_checks."""
+    return next(smoothness_checks(cubic, (p,)))
 
-    Reduces the cubic mod p (a ValueError if p is 2 or 3 or not prime),
-    forms the six partials and computes one reduced Groebner basis of
-    their ideal.  The primitive part has coprime integer coefficients,
-    so its reduction keeps degree 3 for every p.  When all six partials
-    are nonzero, buchberger skips the S-pairs that the Hilbert function
-    (1 + t)^6 of a regular sequence of quadrics proves redundant, and
-    stops at degree 7 when the cubic is smooth; the basis is the same.
-    The basis certifies the Euler relation (the cubic lies in the
-    ideal; CertificateError if not) and decides the verdict: smooth
-    exactly when the partials' only common zero over the closure is the
-    origin.
+
+def smoothness_checks(cubic: MultiPoly, primes) -> Iterator[SmoothnessVerdict]:
+    """Jacobian criterion for a cubic fourfold over F_p, for each of the
+    given distinct primes: one verdict per prime, yielded in their order.
+
+    The cubic and the primes are checked at the call (ValueError for a
+    polynomial that is not a rational cubic in 6 variables, for no
+    prime, a repeated one, or one that require_prime refuses); the
+    verdicts are computed as they are drawn.  The primitive part has
+    coprime integer coefficients, so its reduction keeps degree 3 for
+    every p.  Its six partials are reduced mod N, the product of the
+    primes, and one reduced Groebner basis of their ideal is computed
+    over Z/N; read mod each p it is the basis over F_p (see buchberger).
+    When a leading coefficient is no unit mod N, as when the cubic is
+    singular mod only some of the primes, each prime gets its own basis
+    instead.  When all six partials are nonzero, buchberger skips the
+    S-pairs that the Hilbert function (1 + t)^6 of a regular sequence
+    of quadrics proves redundant, and stops at degree 7 when the cubic
+    is smooth; the basis is the same.  In F_p the basis certifies the
+    Euler relation (the cubic lies in the ideal; CertificateError if
+    not) and decides the verdict: smooth exactly when the partials' only
+    common zero over the closure is the origin.
     """
     if cubic.p is not None or cubic.nvars != 6:
         raise ValueError("expected a rational cubic in 6 variables")
     if cubic.total_degree() != 3 or not cubic.is_homogeneous():
         raise ValueError("polynomial is not a homogeneous cubic")
-    require_prime(p)
-    reduced = primitive_part(cubic).reduce_mod(p)
+    primes = tuple(map(require_prime, primes))
+    if not primes:
+        raise ValueError("smoothness needs at least one prime")
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"the primes must differ, got {', '.join(map(str, primes))}")
+    return _verdicts(primitive_part(cubic), primes)
+
+
+def _jacobian_basis(prim: MultiPoly, n: int) -> list[MultiPoly]:
+    """The reduced Groebner basis over Z/n of the nonzero partials of
+    prim mod n; ZeroDivisionError from buchberger at a lead that is no
+    unit mod n."""
+    reduced = prim.reduce_mod(n)
     partials = [reduced.derivative(i) for i in range(6)]
-    basis = buchberger([q for q in partials if not q.is_zero()])
-    # internal consistency: 3f = sum x_i df/dx_i, so f lies in the ideal
-    if not normal_form(reduced, basis).is_zero():
-        raise CertificateError(f"Euler relation failed against the Groebner basis mod {p}")
-    kind = "smooth" if basis_has_finite_zeros(basis, 6) else "singular"
-    return SmoothnessVerdict(kind, p)
+    return buchberger([q for q in partials if not q.is_zero()])
+
+
+def _verdicts(prim: MultiPoly, primes: tuple[int, ...]) -> Iterator[SmoothnessVerdict]:
+    try:
+        joint = _jacobian_basis(prim, prod(primes))
+    except ZeroDivisionError:
+        joint = None  # the primes disagree on a lead: one basis per prime
+    for p in primes:
+        if joint is None:
+            basis = _jacobian_basis(prim, p)
+        elif len(primes) == 1:
+            basis = joint
+        else:  # coefficients mod p, zeros dropped
+            basis = [MultiPoly._raw(6, b._packed, p) for b in joint]
+        # internal consistency: 3f = sum x_i df/dx_i, so f lies in the ideal
+        if not normal_form(prim.reduce_mod(p), basis).is_zero():
+            raise CertificateError(f"Euler relation failed against the Groebner basis mod {p}")
+        kind = "smooth" if basis_has_finite_zeros(basis, 6) else "singular"
+        yield SmoothnessVerdict(kind, p)
 
 
 def x6_membership(sigma: Trivector, v6) -> bool:

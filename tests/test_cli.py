@@ -432,6 +432,10 @@ GOLDEN_FILES = {
     "underscore.tvec": "1_0 2 3 4\n",
     "wide.tvec": "1 2 3 " + "9" * 1000 + "\n",  # MAX_DIGITS digits
     "long.tvec": "1 2 3 " + "9" * 1001 + "\n",
+    # 10^499 and 10^500 have 500 and 501 digits, 3^1048 has 501: a common
+    # denominator of MAX_DIGITS digits, and one of a digit more
+    "lcm.tvec": f"1 2 3 1/{10**499}\n1 2 4 1/{3**1048}\n",
+    "denominators.tvec": f"1 2 3 1/{10**500}\n1 2 4 1/{3**1048}\n",
 }
 
 
@@ -570,6 +574,10 @@ GOLDEN = [
     (None, "peskine {tmp}/long.tvec rank --at e1", 2, EMPTY,
      "error: {tmp}/long.tvec: line 1: coefficient has more than MAX_DIGITS = 1000 digits"
      " in a row\n"),
+    (None, "peskine {tmp}/lcm.tvec rank --at e1", 0, "53c234e5e8472b6a", ""),
+    (None, "peskine {tmp}/denominators.tvec rank --at e1", 2, EMPTY,
+     "error: {tmp}/denominators.tvec: line 2: common denominator has more than"
+     " MAX_DIGITS = 1000 digits at triple 1 2 4\n"),
     (None, "peskine {tmp}/empty.tvec cubic", 1, EMPTY,
      "mismatch: all restricted quartics vanish identically\n"),
     (None, "peskine {tmp}/corrupt.tvec cubic", 0, "274a50deaf40b228", ""),

@@ -146,6 +146,31 @@ class TestArithmetic:
         p = MultiPoly(1, {(1,): 10, (0,): -3}, 7)
         assert p.terms == {(1,): 3, (0,): 4}
 
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_evaluate_reads_a_float_point_exactly(self, p):
+        # the float sum 3*0.1 - 0.3 rounded to 2^-54; the exact value is 2^-55
+        f = MultiPoly(2, {(1, 0): 3, (0, 1): -1}, p)
+        assert f.evaluate((0.1, 0.3)) == f.evaluate((Fraction(0.1), Fraction(0.3)))
+        if p is None:
+            assert f.evaluate((0.1, 0.3)) == Fraction(1, 2**55)
+        rng = random.Random(45)
+        g = random_poly(rng, 3, 4, 12, p, den=6)
+        for _ in range(5):
+            point = [rng.uniform(-3, 3) for _ in range(3)]
+            assert g.evaluate(point) == g.evaluate([Fraction(x) for x in point])
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_text_is_not_a_value(self, p):
+        # Fraction("3") reads text, so "3" was taken as the coefficient 3
+        for call in (
+            lambda: polyring._coeff_normalize("3", p),
+            lambda: MultiPoly(1, {(1,): "3"}, p),
+            lambda: MultiPoly.constant("3", 1, p),
+            lambda: MultiPoly.variable(0, 2, p).evaluate(("3", 1)),
+        ):
+            with pytest.raises(ValueError, match="value '3' is text, not a number"):
+                call()
+
     def test_float_coefficient_is_read_exactly_mod_p(self):
         # 2.5 is 5/2 and 2^-1 = 4 mod 7, so 6; int(2.5) % 7 would give 2
         assert polyring._coeff_normalize(2.5, 7) == 6
@@ -798,6 +823,34 @@ class TestBuchberger:
     def test_requires_prime_field(self):
         with pytest.raises(ValueError):
             buchberger([MultiPoly.variable(0, 2)])
+
+    def test_a_lead_that_is_no_unit_mod_n(self):
+        x, y = variables(2, 15)
+        three = MultiPoly.constant(3, 2, 15)
+        with pytest.raises(ZeroDivisionError, match="leading coefficient 3 is not a unit mod 15"):
+            buchberger([three * x + y])
+        # the S-polynomial 5*y vanishes mod 5 only: the runs over F_3 and F_5
+        # part ways, and the run mod 15 refuses its lead
+        six = MultiPoly.constant(6, 2, 15)
+        with pytest.raises(ZeroDivisionError, match="leading coefficient 5 is not a unit"):
+            buchberger([x + y, x + six * y])
+
+    @pytest.mark.parametrize("primes", [(P, 31013), (P, 31013, 65537)])
+    def test_run_mod_n_reads_mod_p_as_the_run_over_f_p(self, primes):
+        n = 1
+        for p in primes:
+            n *= p
+        rng = random.Random(46)
+        for nvars, count in ((3, 3), (3, 4), (4, 4)):
+            # dense quadrics and a random form of degree at most 3
+            monomials = [e for e in itertools.product(range(3), repeat=nvars) if sum(e) == 2]
+            gens = [MultiPoly(nvars, {e: rng.randrange(n) for e in monomials}, n)
+                    for _ in range(count - 1)]
+            gens.append(random_poly(rng, nvars, 3, 6, n))
+            joint = buchberger(gens)
+            for p in primes:
+                mod_p = [MultiPoly(nvars, g.terms, p) for g in gens]
+                assert [MultiPoly(nvars, b.terms, p) for b in joint] == buchberger(mod_p)
 
     def test_euler_relation_membership(self):
         xs = variables(6, P)

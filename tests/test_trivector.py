@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 import time
@@ -37,6 +38,7 @@ from peskine.trivector import (
     require_prime,
     restrict_to_subspace,
     smoothness_check,
+    smoothness_checks,
     standard_flag,
     symbolic_contract,
     verify_flag,
@@ -122,6 +124,27 @@ class TestTrivector:
         t = Trivector({(Fraction(4, 2), 1.0, 3): 5})
         assert t.coeffs == {(0, 1, 2): -5}
 
+    @pytest.mark.parametrize("triple", [(1, 2, 3), (2, 1, 3)])
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_rejects_text_coefficients(self, triple, p):
+        # "5" was read as 5, and -1 * "5" as the empty string
+        with pytest.raises(ValueError, match="value '5' is text, not a number"):
+            Trivector({triple: "5"}, p)
+
+    def test_bounds_the_common_denominator(self):
+        # 10^500 and 3^1048 have 501 digits each, their lcm 1001
+        big = (Fraction(1, 10**500), Fraction(1, 3**1048))
+        with pytest.raises(ValueError) as info:
+            Trivector({(1, 2, 3): big[0], (1, 2, 4): big[1]})
+        assert str(info.value) == (
+            "common denominator has more than MAX_DIGITS = 1000 digits at triple 1 2 4"
+        )
+        # 1000 digits pass, and so do denominators whose lcm stays small
+        Trivector({(1, 2, 3): Fraction(1, 10**499), (1, 2, 4): big[1]})
+        Trivector({(1, 2, 3): Fraction(1, 10**999), (1, 2, 4): Fraction(7, 2**999)})
+        # over F_p a coefficient is an int mod p
+        Trivector({(1, 2, 3): big[0], (1, 2, 4): big[1]}, P)
+
     def test_trilinear_alternating(self):
         rng = random.Random(40)
         sigma = random_trivector(rng)
@@ -174,6 +197,57 @@ class TestContract:
         for j in range(DIM):
             for k in range(DIM):
                 assert m[j][k] == sigma.trilinear(v, E[j], E[k])
+
+
+class TestExactReading:
+    """Every vector and point entry is read once by polyring._coeff_normalize:
+    a float is the exact Fraction it equals, text is a ValueError."""
+
+    @staticmethod
+    def as_fractions(vectors):
+        return [[Fraction(x) for x in v] for v in vectors]
+
+    @pytest.mark.parametrize("p", [None, P])
+    def test_contraction_trilinear_and_rank(self, p):
+        rng = random.Random(43)
+        sigma = random_trivector(rng, p)
+        u, v, w = ([rng.uniform(-2, 2) for _ in range(DIM)] for _ in range(3))
+        fu, fv, fw = self.as_fractions((u, v, w))
+        assert contract(sigma, u) == contract(sigma, fu)
+        assert sigma.trilinear(u, v, w) == sigma.trilinear(fu, fv, fw)
+        assert sigma.trilinear(u, v, w) != 0
+        assert rank_at_point(sigma, u) == rank_at_point(sigma, fu)
+
+    @pytest.mark.parametrize("p", [None, P])
+    def test_subspace_rows(self, p):
+        # quarters keep the Pfaffians of restrict_to_subspace small
+        rng = random.Random(44)
+        sigma = random_trivector(rng, p, density=0.3)
+        rows = [[rng.randint(-8, 8) / 4 for _ in range(DIM)] for _ in range(7)]
+        exact = self.as_fractions(rows)
+        assert x7_kernel(sigma, rows) == x7_kernel(sigma, exact)
+        assert x7_kernel(sigma, rows, "v10") == x7_kernel(sigma, exact, "v10")
+        assert x6_membership(sigma, rows[:6]) == x6_membership(sigma, exact[:6])
+        assert line_in_peskine(sigma, rows[:2]) == line_in_peskine(sigma, exact[:2])
+        assert restrict_to_subspace(sigma, rows[:2]) == restrict_to_subspace(sigma, exact[:2])
+        assert symbolic_contract(sigma, rows) == symbolic_contract(sigma, exact)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, v: contract(s, v),
+            lambda s, v: rank_at_point(s, v),
+            lambda s, v: s.trilinear(v, E[1], E[2]),
+            lambda s, v: symbolic_contract(s, [v]),
+            lambda s, v: x6_membership(s, [v] + E[1:6]),
+            lambda s, v: line_in_peskine(s, [v, E[1]]),
+        ],
+    )
+    def test_text_entry_is_a_value_error(self, call):
+        # contract read '1' * c as a repeated string and raised TypeError
+        sigma = Trivector({(1, 2, 3): 1})
+        with pytest.raises(ValueError, match="value '1' is text, not a number"):
+            call(sigma, ("1",) + (0,) * (DIM - 1))
 
 
 class TestSymbolicContract:
@@ -616,6 +690,32 @@ def jacobian_bases(cubic, p, monkeypatch):
     return out
 
 
+def recording_buchberger(monkeypatch):
+    """Patch every peskine namespace that binds buchberger by name with a
+    wrapper that records (modulus, basis or the exception raised)."""
+    calls = []
+
+    def recording(gens):
+        gens = list(gens)
+        try:
+            basis = buchberger(gens)
+        except ZeroDivisionError as exc:
+            calls.append((gens[0].p, exc))
+            raise
+        calls.append((gens[0].p, basis))
+        return basis
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "peskine" and getattr(module, "buchberger", None) is buchberger:
+            monkeypatch.setattr(module, "buchberger", recording)
+    return calls
+
+
+def read_mod(basis, p):
+    """A basis over Z/N read mod a prime p | N: coefficients mod p, zeros dropped."""
+    return [MultiPoly(6, b.terms, p) for b in basis]
+
+
 class TestSmoothness:
     def test_fermat_smooth(self):
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
@@ -623,16 +723,7 @@ class TestSmoothness:
         assert smoothness_check(fermat, P).is_smooth()
 
     def test_one_groebner_basis_per_prime(self, monkeypatch):
-        calls = []
-
-        def counting(gens):
-            calls.append(1)
-            return buchberger(gens)
-
-        # patch every peskine namespace that binds buchberger by name
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "peskine" and getattr(module, "buchberger", None) is buchberger:
-                monkeypatch.setattr(module, "buchberger", counting)
+        calls = recording_buchberger(monkeypatch)
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
         fermat = sum((x**3 for x in xs[1:]), xs[0] ** 3)
         for cubic in (fermat, xs[0] ** 3, appendix_cubic(), nodal_cubic()):
@@ -715,6 +806,80 @@ class TestSmoothness:
         x0 = MultiPoly.variable(0, 6)
         with pytest.raises(ValueError):
             smoothness_check(x0 * x0, P)
+
+
+class TestJointSmoothness:
+    """One Groebner run over Z/(p1...pk) serves every prime."""
+
+    PRIME_SETS = [(P, 31013), (2147483647, P), (P, 31013, 65537)]
+
+    @staticmethod
+    def cubics():
+        rng = random.Random(27)
+        return [appendix_cubic()] + [flagged_cubic(rng) for _ in range(20)]
+
+    def test_one_run_gives_the_per_prime_verdicts_and_bases(self, monkeypatch):
+        calls = recording_buchberger(monkeypatch)
+        for cubic in self.cubics():
+            separate = {}
+            for p in {p for primes in self.PRIME_SETS for p in primes}:
+                calls.clear()
+                separate[p] = (smoothness_check(cubic, p), calls[0][1])
+            for primes in self.PRIME_SETS:
+                calls.clear()
+                verdicts = list(smoothness_checks(cubic, primes))
+                assert verdicts == [separate[p][0] for p in primes]
+                [(modulus, joint)] = calls
+                assert modulus == math.prod(primes)
+                for p in primes:
+                    assert read_mod(joint, p) == separate[p][1]
+
+    @pytest.mark.parametrize("which", ["lead", "singular-mod-one"])
+    def test_a_lead_that_is_no_unit_splits_the_run(self, which, monkeypatch):
+        x = [MultiPoly.variable(i, 6) for i in range(6)]
+        scale = MultiPoly.constant(P, 6)
+        if which == "lead":
+            # d/dx1 has the leading coefficient 3*10007
+            cubes = sum((xi**3 for xi in x[2:]), x[1] ** 3)
+            cubic = scale * x[0] ** 3 + x[0] * x[1] * x[2] + cubes
+        else:
+            # f is singular at e1; f + 10007*(x1^3 + ... + x6^3) is smooth mod 31013
+            f = x[0] * x[1] * x[2] + x[3] ** 3 + x[4] ** 3 + x[5] ** 3
+            cubic = f + scale * sum((xi**3 for xi in x[1:]), x[0] ** 3)
+        calls = recording_buchberger(monkeypatch)
+        verdicts = list(smoothness_checks(cubic, (P, 31013)))
+        assert [m for m, _ in calls] == [P * 31013, P, 31013]
+        assert isinstance(calls[0][1], ZeroDivisionError)
+        calls.clear()
+        assert verdicts == [smoothness_check(cubic, P), smoothness_check(cubic, 31013)]
+        if which == "singular-mod-one":
+            assert [v.kind for v in verdicts] == ["singular", "smooth"]
+
+    def test_verdicts_are_drawn_lazily(self, monkeypatch):
+        calls = recording_buchberger(monkeypatch)
+        verdicts = smoothness_checks(appendix_cubic(), (P, 31013))
+        assert calls == []
+        assert next(verdicts) == trivector.SmoothnessVerdict("smooth", P)
+        assert len(calls) == 1
+        assert next(verdicts) == trivector.SmoothnessVerdict("smooth", 31013)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "primes, message",
+        [((), "at least one prime"), ((P, 31013, P), "the primes must differ"),
+         ((P, 4), "p = 4: 4 is not prime")],
+    )
+    def test_bad_prime_lists_are_refused_at_the_call(self, primes, message):
+        with pytest.raises(ValueError, match=message):
+            smoothness_checks(appendix_cubic(), primes)
+
+    def test_verify_appendix_makes_one_groebner_run(self, monkeypatch, capsys):
+        calls = recording_buchberger(monkeypatch)
+        assert main(["verify-appendix"]) == 0
+        assert [m for m, _ in calls] == [P * 31013]
+        assert capsys.readouterr().out.endswith(
+            "stage smooth-10007: pass\nstage smooth-31013: pass\nverify-appendix: PASS\n"
+        )
 
 
 class TestX6Membership:
@@ -883,6 +1048,11 @@ class TestFileFormat:
             parse_trivector("1 2 3\n")
         with pytest.raises(ValueError):
             parse_trivector("1 2 11 4\n")
+
+    def test_common_denominator_bound_names_its_line(self):
+        text = f"1 2 3 4\n1 2 4 1/{10**500}\n\n1 2 5 -2/{3**1048}\n"
+        with pytest.raises(ValueError, match="^line 4: common denominator has more than"):
+            parse_trivector(text)
 
     def test_fixture_has_78_terms(self):
         assert len(appendix_sigma().coeffs) == 78
