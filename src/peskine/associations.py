@@ -8,7 +8,12 @@ twice, by independent routes that must agree:
     solves the gluing equation between discriminant forms: it reduces
     coeff*k^2 = a to k^2 = b modulo m' and walks the one residue class
     b mod m' up to the square of half a period of k -> coeff*k^2 mod m
-    for a perfect square.
+    for a perfect square.  The walk is sieved: a candidate that is no
+    square mod 64, 63, 65 or 11 is skipped, and every other one is
+    decided by isqrt.  The sieve's tables come from squaring every
+    residue mod those four moduli, and a failed table entry is only a
+    necessary condition for an integer square, so the oracle stays brute
+    force and shares nothing with legendre() or factorize().
 
 The oracle congruences come from matching the generator value of the
 marking complement's discriminant form against the K3 or cubic side.
@@ -57,8 +62,9 @@ def k3_witness(d: int) -> int | None:
     121 does not divide d, and the congruence is k^2 = 8d' - 11
     (mod 2d).  The scan walks the class of -11 (or 8d' - 11) mod 2d up
     to (d/2)^2, about d/8 candidates, for a perfect square.  It uses
-    gcd, one modular inverse and isqrt, with no factorization, Legendre
-    symbol or CRT, so this route stays independent of k3_closed.
+    gcd, one modular inverse, tables of squares made by squaring residues
+    and isqrt, with no factorization, Legendre symbol or CRT, so this
+    route stays independent of k3_closed.
     """
     require_admissible(d)
     if d % 22 != 0:
@@ -116,8 +122,8 @@ def cubic_witness(d: int) -> int | None:
     Cyclicity failures (9 | d in cases 2 and 4, 121 | d in cases 3 and
     4) return None.  Each scan divides out g = gcd(coeff, m), inverts
     coeff/g mod m/g and walks one residue class mod m/g for a perfect
-    square, at most d/8 + 1 candidates, with no factorization, Legendre
-    symbol or CRT, as in k3_witness.
+    square, at most d/8 + 1 candidates, sieved by tables of squares, with
+    no factorization, Legendre symbol or CRT, as in k3_witness.
     """
     require_admissible(d)
     r6 = d % 6

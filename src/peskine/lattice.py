@@ -286,9 +286,11 @@ def _unit_scan(order: int, q: QmodTwoZ, target: QmodTwoZ, diagonal) -> tuple[int
     values compare as integer numerators modulo 2*den, and the shifted
     targets B - den*diagonal[i] all agree with B modulo den.  So u solves
     A*u*u = B (mod den), which square_roots_mod walks as one residue
-    class modulo m' = den // gcd(A, den) = q.den, in ascending u; each
-    root is then tested for coprimality and for the shift it hits.  On a
-    nondegenerate lattice q(g) has exact order `order` in Q/Z, so
+    class modulo m' = den // gcd(A, den) = q.den, in ascending u.  Each
+    root has A*u*u = B - den*e (mod 2*den) with e = 0 or 1, and the
+    shift diagonal[i] hits it iff diagonal[i] = e (mod 2): the least s is
+    0 when e = 0, and one past the first odd diagonal entry when e = 1.
+    On a nondegenerate lattice q(g) has exact order `order` in Q/Z, so
     m' = order and the walk visits at most order candidates, about
     u*u/order before the answer u.  CertificateError if m' != order.
     """
@@ -297,14 +299,15 @@ def _unit_scan(order: int, q: QmodTwoZ, target: QmodTwoZ, diagonal) -> tuple[int
             f"generator q-value {q} has denominator {q.den}, not the group order {order}"
         )
     den = lcm(order, target.den)
-    mod = 2 * den
     a = q.num * (den // order)
     b = target.num * (den // target.den)
-    bs = [b] + [(b - den * x) % mod for x in diagonal]
     for u in square_roots_mod(b, den, a, order - 1):
-        r = u * u * a % mod
-        if r in bs and gcd(u, order) == 1:
-            return u, bs.index(r)
+        if gcd(u, order) == 1:
+            if (b - u * u * a) // den % 2 == 0:
+                return u, 0
+            odd = next((i for i, x in enumerate(diagonal) if x % 2), None)
+            if odd is not None:
+                return u, odd + 1
     return None
 
 

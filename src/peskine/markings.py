@@ -24,17 +24,17 @@ from .ntheory import CertificateError, QmodTwoZ
 ADMISSIBLE_RESIDUES = frozenset({0, 2, 6, 8, 10, 18})
 
 # Largest discriminant the package accepts (require_admissible).  Each
-# brute-force oracle walks at most d/8 + 1 candidates of one residue class;
-# the slowest d near the ceiling, 9 999 986, where both scans fail, takes
-# about 0.3-0.6 s on 2 CPUs.  The marking generator search walks one class
-# mod d, at most d/4 + 1 candidates (its unit u is at most d/2): the slowest
-# marking near the ceiling, 9 999 898 (u = 4 999 947), takes 0.25-0.45 s,
-# against 0.75-1.1 s for the earlier scan over every unit.
+# brute-force oracle walks at most d/8 + 1 candidates of one residue class,
+# sieved by squares mod 64, 63, 65 and 11; the slowest d near the ceiling,
+# 9 999 986, where both scans fail, takes about 0.1-0.16 s as a command on
+# 2 CPUs.  The marking generator search walks one class mod d, at most
+# d/4 + 1 candidates (its unit u is at most d/2): the slowest marking near
+# the ceiling, 9 999 898 (u = 4 999 947), takes 0.1-0.14 s as a command.
 D_MAX = 10**7
 
 # Largest cost, sum of d over the admissible d of a range, that the CLI
-# tables in one call.  The oracle scans take about 0.03 us per unit of d,
-# so a range at the cap takes about 0.3 s.
+# tables in one call.  The oracle scans take about 0.002 us per unit of d
+# below 10^4, so a range at the cap takes about 0.11-0.13 s as a command.
 RANGE_COST_MAX = 10**7
 
 # (a, b) of the marking Gram per residue of d mod 22; c = (d + offset) / 11.

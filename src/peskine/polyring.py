@@ -740,6 +740,28 @@ def parse_coefficient(token: str) -> Fraction:
     return Fraction(_token(_COEFF, token, "coefficient", "an integer or a/b"))
 
 
+_LIMB_DIGITS = 1000
+_LIMB = 10**_LIMB_DIGITS
+
+
+def format_integer(n: int) -> str:
+    """Decimal text of an int of any size.
+
+    str() refuses more than the interpreter's limit of digits (4 300 by
+    default since Python 3.10.7), so the number is split into limbs of
+    _LIMB_DIGITS digits with divmod, least significant first; each limb
+    but the leading one is zero-padded to full width.
+    """
+    if n < 0:
+        return "-" + format_integer(-n)
+    limbs = []
+    while n >= _LIMB:
+        n, r = divmod(n, _LIMB)
+        limbs.append(f"{r:0{_LIMB_DIGITS}d}")
+    limbs.append(str(n))
+    return "".join(reversed(limbs))
+
+
 def format_poly(poly: MultiPoly, prefix: str = "x") -> str:
     """Canonical text: grevlex-descending sum of c*<prefix>i^e terms."""
     if poly.is_zero():
@@ -749,8 +771,10 @@ def format_poly(poly: MultiPoly, prefix: str = "x") -> str:
         monomial = "".join(
             f"*{prefix}{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e
         )
-        # a canonical coefficient is an int or a non-integral Fraction: str gives a or a/b
-        pieces.append(("- " if c < 0 else "+ ") + f"{abs(c)}{monomial}")
+        # a canonical coefficient is an int a or a non-integral Fraction a/b
+        num, den = (c, 1) if isinstance(c, int) else (c.numerator, c.denominator)
+        text = format_integer(abs(num)) + ("" if den == 1 else "/" + format_integer(den))
+        pieces.append(("- " if c < 0 else "+ ") + text + monomial)
     head = pieces[0]
     pieces[0] = head[2:] if head[0] == "+" else "-" + head[2:]
     return " ".join(pieces)

@@ -1,6 +1,6 @@
 """Shared helpers for tests: block lattices, orthogonal complements, the
 cyclic q-value match, membership checks, a reference row reduction, a
-reference square scan, the reference grevlex order, a reference
+reference square scan and square walk, the reference grevlex order, a reference
 polynomial evaluation and a reference normal form over F_p.
 
 The *_model functions build explicit even lattices in the genus of the
@@ -12,7 +12,7 @@ ground truth for the congruence constants.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from peskine.lattice import GramLattice, field_kernel, mat_vec, smith_normal_form
 
@@ -266,6 +266,27 @@ def square_root_mod_reference(a: int, m: int, coeff: int = 1) -> int | None:
         if coeff * k * k % m == a:
             return k
     return None
+
+
+def square_roots_mod_reference(a: int, m: int, coeff: int, top: int):
+    """Every k in 0..top with coeff*k*k = a (mod m), ascending, for m > 0 and
+    top >= 0: the plain walk.
+
+    The residue-class walk that ntheory.square_roots_mod sieves: with
+    g = gcd(coeff, m) and m' = m // g it visits every x = b, b + m', ...
+    up to top*top, b = (a // g) * (coeff // g)^-1 mod m', and yields isqrt(x)
+    at each perfect square, with no filter before isqrt.
+    """
+    a %= m
+    coeff %= m
+    g = gcd(coeff, m)
+    if a % g:
+        return
+    mp = m // g
+    for x in range(a // g * pow(coeff // g, -1, mp) % mp, top * top + 1, mp):
+        k = isqrt(x)
+        if k * k == x:
+            yield k
 
 
 def grevlex_key(exps):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
@@ -413,6 +414,19 @@ class TestParser:
 # environment cannot change the primes or the names of the stages.
 
 
+def big_cubic_text() -> str:
+    """A trivector vanishing on the standard flag, every coefficient inside
+    the input bounds: 1 000-digit numerators, the first over the prime
+    10^999 + 7.  Its cubic has coefficients of 4 996 digits, more than
+    str() writes under the interpreter's default limit of 4 300."""
+    triples = [t for t in combinations(range(1, 11), 3) if not (t[0] == 1 and t[1] <= 6)]
+    lines = [
+        f"{i} {j} {k} {(-1) ** n * (10**999 + 7919 * n * n + 1)}" + ("" if n else f"/{10**999 + 7}")
+        for n, (i, j, k) in enumerate(triples)
+    ]
+    return "\n".join(lines) + "\n"
+
+
 GOLDEN_FILES = {
     "sigma.tvec": appendix_sigma_text(),
     "corrupt.tvec": appendix_sigma_text().replace("\n1 7 8 -4\n", "\n1 7 8 -3\n"),
@@ -436,6 +450,7 @@ GOLDEN_FILES = {
     # denominator of MAX_DIGITS digits, and one of a digit more
     "lcm.tvec": f"1 2 3 1/{10**499}\n1 2 4 1/{3**1048}\n",
     "denominators.tvec": f"1 2 3 1/{10**500}\n1 2 4 1/{3**1048}\n",
+    "bigcubic.tvec": big_cubic_text(),
 }
 
 
@@ -581,6 +596,7 @@ GOLDEN = [
     (None, "peskine {tmp}/empty.tvec cubic", 1, EMPTY,
      "mismatch: all restricted quartics vanish identically\n"),
     (None, "peskine {tmp}/corrupt.tvec cubic", 0, "274a50deaf40b228", ""),
+    (None, "peskine {tmp}/bigcubic.tvec cubic", 0, "2fa1b214066f66e2", ""),
     (None, "peskine {tmp}/corrupt.tvec smooth", 0, "465b225a22abc5a5", ""),
     (None, "peskine {tmp}/flagbad.tvec cubic", 1, EMPTY,
      "mismatch: flag does not annihilate the trivector\n"),

@@ -1,9 +1,16 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
+from peskine import ntheory
+from peskine.associations import cubic_witness, k3_witness
 from peskine.ntheory import (
+    _CHUNK_CAP,
+    _CHUNK_FIRST,
+    _SIEVE,
     QmodTwoZ,
     _square_period,
     factorize,
@@ -14,7 +21,7 @@ from peskine.ntheory import (
     square_roots_mod,
 )
 
-from _models import square_root_mod_reference
+from _models import square_root_mod_reference, square_roots_mod_reference
 
 
 def divisors(m):
@@ -152,6 +159,166 @@ class TestSquareRootsMod:
             top = random.Random(a * m).randint(0, 2 * m)
             roots = [k for k in range(top + 1) if (coeff * k * k - a) % m == 0]
             assert list(square_roots_mod(a, m, coeff, top)) == roots, (a, m, coeff, top)
+
+
+# lcm(64, 63, 65, 11): a multiple of it leaves the walk no sieve mask
+SIEVE_LCM = 2_882_880
+
+
+def walk(a, m, coeff, top):
+    return list(square_roots_mod(a, m, coeff, top))
+
+
+def walk_reference(a, m, coeff, top):
+    return list(square_roots_mod_reference(a, m, coeff, top))
+
+
+def chunk_bounds(limit):
+    """First and last index of each chunk of the sieved walk below limit."""
+    start, size, out = 1, _CHUNK_FIRST, []
+    while start < limit:
+        out += [start, start + size - 1]
+        start += size
+        size = min(2 * size, _CHUNK_CAP)
+    return out
+
+
+class TestSquareRootsModSieve:
+    """The sieved walk yields what the plain walk of _models yields."""
+
+    def test_contract(self):
+        for m in (0, -7):
+            with pytest.raises(ValueError, match="modulus must be positive"):
+                walk(1, m, 1, 3)
+        assert walk(4, 5, 1, -3) == []
+        assert walk(4, 5, 1, -1) == []
+        assert walk(1, 7, 1, 8) == [1, 6, 8]
+
+    def test_tables_are_the_squares(self):
+        assert [q for q, _ in _SIEVE] == [64, 63, 65, 11]
+        for q, table in _SIEVE:
+            assert len(table) == q * (q + 1)
+            squares = {k * k % q for k in range(q)}
+            assert [r for r in range(q) if table[r]] == sorted(squares)
+            assert table == table[:q] * (q + 1)
+
+    def test_seeded_against_the_plain_walk(self):
+        rng = random.Random(28)
+        for a, m, coeff in seeded_cases(28, 400, 5000):
+            # at most 5 000 candidates: top*top // m' < 5 000
+            mp = m // gcd(coeff % m, m)
+            top = rng.randint(0, min(3 * m, isqrt(5000 * mp)))
+            assert walk(a, m, coeff, top) == walk_reference(a, m, coeff, top), (a, m, coeff, top)
+
+    @pytest.mark.parametrize("q", [64, 63, 65, 11, SIEVE_LCM])
+    def test_modulus_divisible_by_a_sieve_modulus(self, q):
+        # m' = 0 (mod q): the mask of q has period 1, so it is dropped or
+        # it rejects the class; with q = lcm no mask is left at all
+        rng = random.Random(q)
+        for t in (1, 2, 3, 7):
+            m = q * t
+            top = isqrt(3000 * m)
+            for a in [k * k for k in rng.sample(range(m), 10)] + rng.sample(range(m), 10):
+                assert walk(a, m, 1, top) == walk_reference(a, m, 1, top), (a, m)
+            # coeff sharing a factor with m: m' = m // g is a multiple of q too
+            assert walk(3 * 25, 3 * m, 3, top) == walk_reference(3 * 25, 3 * m, 3, top)
+
+    def test_no_mask_left_tests_every_candidate(self, monkeypatch):
+        calls = []
+        real = ntheory.isqrt
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(ntheory, "isqrt", counting)
+        # b a square mod every q: each mask is all squares and is dropped
+        m, top = SIEVE_LCM, 150_000
+        for a in (0, 1, 49, 10**6, 12345**2):
+            calls.clear()
+            roots = walk(a, m, 1, top)
+            assert calls == list(range(a % m, top * top + 1, m)), a
+            assert roots == walk_reference(a, m, 1, top)
+            assert len(roots) > 1
+        # m - 1 is no square mod 64: the class is rejected after x_0
+        calls.clear()
+        assert walk(m - 1, m, 1, top) == []
+        assert calls == [m - 1]
+
+    def test_class_rejected_outright(self, monkeypatch):
+        # 2 is no square mod 64 and mod 65, 3 none mod 63, 7 none mod 11:
+        # with m' a multiple of q the walk stops after its first candidate
+        calls = []
+        real = ntheory.isqrt
+        monkeypatch.setattr(ntheory, "isqrt", lambda x: calls.append(x) or real(x))
+        # top = 10^9: a walk of the class would read 10^16 candidates or more
+        for a, m in ((2, 64), (2, 640), (3, 63), (7, 11 * 17), (2, 65 * 3)):
+            calls.clear()
+            assert walk(a, m, 1, 10**9) == []
+            assert calls == [a], (a, m)
+
+    def test_modulus_one(self):
+        assert walk(0, 1, 1, 0) == [0]
+        assert walk(5, 1, 7, 0) == [0]
+        assert walk(0, 1, 0, 40) == list(range(41))
+        assert walk(3, 2, 1, 0) == []
+        assert walk(0, 12, 24, 5) == list(range(6))
+
+    def test_roots_on_chunk_bounds(self):
+        # a root at index j of the walk of the prime modulus p: b = k*k - j*p
+        p = 1_000_003
+        for j in chunk_bounds(300_000):
+            k = isqrt((j + 1) * p - 1)
+            assert k * k >= j * p, j
+            b = k * k - j * p
+            top = k + 1 + j % 5
+            roots = walk(b, p, 1, top)
+            assert k in roots, j
+            assert roots == walk_reference(b, p, 1, top), j
+
+    def test_walks_longer_than_the_chunk_cap(self):
+        rng = random.Random(3)
+        for m, coeff in ((1_000_003, 1), (2 * 99_991, -11), (6 * 40_000, -33), (SIEVE_LCM, 5)):
+            top = isqrt(3 * _CHUNK_CAP * m)
+            assert top * top // m > 2 * _CHUNK_CAP
+            for a in (coeff * rng.randrange(m) ** 2, rng.randrange(m)):
+                assert walk(a, m, coeff, top) == walk_reference(a, m, coeff, top), (a, m, coeff)
+
+    def test_memory_of_the_longest_walks(self):
+        # both witnesses fail at d = 9 999 986 after walking about d/8 = 1.25
+        # million candidates; chunks of at most _CHUNK_CAP indices keep the
+        # peak near 0.3 MB, where chunks doubling without a cap took 1.9 MB
+        for witness in (k3_witness, cubic_witness):
+            tracemalloc.start()
+            try:
+                assert witness(9_999_986) is None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (witness.__name__, peak)
+
+    def test_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def cases(draw):
+            base = draw(st.sampled_from([1, 64, 63, 65, 11, SIEVE_LCM]))
+            m = base * draw(st.integers(1, {1: 3000, SIEVE_LCM: 4}.get(base, 40)))
+            coeff = draw(st.integers(-3 * m, 3 * m))
+            a = draw(st.one_of(st.integers(-m, m), st.integers(0, m).map(lambda k: coeff * k * k)))
+            mp = m // gcd(coeff % m, m)
+            top = draw(st.integers(0, isqrt(20_000 * mp)))
+            return a, m, coeff, top
+
+        @hypothesis.settings(
+            max_examples=300, deadline=None, derandomize=True, database=None
+        )
+        @hypothesis.given(cases())
+        def check(case):
+            assert walk(*case) == walk_reference(*case)
+
+        check()
 
 
 class TestSquareRootModReference:

@@ -13,6 +13,7 @@ from peskine.polyring import (
     MultiPoly,
     buchberger,
     exact_div,
+    format_integer,
     format_poly,
     gcd_multivariate,
     normal_form,
@@ -729,6 +730,24 @@ class TestTextFormat:
         x, y = variables(2)
         p = y * y + x * x
         assert format_poly(p) == "1*x1^2 + 1*x2^2"
+
+    def test_coefficients_past_the_digit_limit_of_str(self):
+        # 10^5000 + 7, 3*10^4999 + 1 and 10^4400 + 3 have 5 001, 5 000 and
+        # 4 401 digits, more than str() writes under the interpreter's
+        # default limit of 4 300; the expected text is built by hand
+        p = MultiPoly(1, {(1,): 10**5000 + 7})
+        assert format_poly(p) == "1" + "0" * 4999 + "7*x1"
+        q = MultiPoly(2, {(1, 0): Fraction(-(3 * 10**4999 + 1), 2), (0, 1): Fraction(5, 10**4400 + 3)})
+        assert format_poly(q, "v") == "-3" + "0" * 4998 + "1/2*v1 + 5/1" + "0" * 4399 + "3*v2"
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 7, -7, 10**999, 10**1000 - 1, 10**1000, 10**1000 + 1, -(10**2000),
+         10**3000 + 10**1000, 10**2500 + 1, 12345 * 10**4000 + 999],
+    )
+    def test_integer_limbs(self, n):
+        # limb edges, zero limbs inside and at the end, within str()'s limit
+        assert format_integer(n) == str(n)
 
     def test_bad_variable(self):
         with pytest.raises(ValueError):
