@@ -492,13 +492,29 @@ def pfaffian(matrix) -> MultiPoly:
 # -- exact division and GCD ------------------------------------------
 
 
+def _quotient(c, a: int):
+    """c / a over Q for a nonzero int a: c itself for a = 1, an int when a
+    divides the int c, else the Fraction."""
+    if a == 1:
+        return c
+    if type(c) is int:
+        q, r = divmod(c, a)
+        if not r:
+            return q
+    return Fraction(c, a)
+
+
 def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """Quotient num/den when the division is exact; ValueError otherwise.
 
-    The inverse of den's leading coefficient is computed once.  A
-    one-term divisor c*x^b divides term by term: every key shifts by
-    zero - b, checked by the guard test of _layout, and every coefficient
-    scales by 1/c.  Any other divisor runs the long division.
+    Dividing by the leading coefficient a/b of den is multiplying by b
+    and dividing by a (_quotient).  Over F_p, a = 1 and b is the inverse
+    of the lead, computed once; over Q an int lead is a with b = 1, so a
+    Fraction is made only for a coefficient that a does not divide.  A
+    one-term divisor c*x^m divides term by term: every key shifts by
+    zero - m, checked by the guard test of _layout, and every coefficient
+    is divided by c.  Any other divisor runs the long division, which
+    takes the largest remaining term from a heap of keys.
     """
     num._check_compatible(den)
     if den.is_zero():
@@ -509,39 +525,45 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     p = num.p
     dlm = max(dterms)
     if p is None:
-        inv = 1 / Fraction(dterms[dlm])
-        if inv.denominator == 1:
-            inv = inv.numerator
+        a, b = dterms[dlm].numerator, dterms[dlm].denominator
     else:
-        inv = pow(dterms[dlm], -1, p)
+        a, b = 1, pow(dterms[dlm], -1, p)
     if len(dterms) == 1:
         shift = zero - dlm
         for e, c in num._packed.items():
             e += shift
             if e < 0 or e & guards:
                 raise ValueError("division is not exact")
-            q[e] = c * inv
+            q[e] = _quotient(c * b, a)
         return MultiPoly._raw(num.nvars, q, p)
     rem = dict(num._packed)
-    while rem:
-        lm = max(rem)
+    # the keys of rem, largest first; a key that cancelled is skipped
+    heap = [-e for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        lm = -heapq.heappop(heap)
+        if lm not in rem:
+            continue
         qe = lm + zero - dlm
         if qe < 0 or qe & guards:
             raise ValueError("division is not exact")
-        qc = rem[lm] * inv
+        qc = _quotient(rem[lm] * b, a)
         if p is not None:
             qc %= p
         q[qe] = qc
         qe -= zero
         for e, c in dterms.items():
             te = e + qe
-            v = rem.get(te, 0) - qc * c
+            old = rem.get(te)
+            v = (0 if old is None else old) - qc * c
             if p is not None:
                 v %= p
-            if v:
-                rem[te] = v
-            else:
+            if not v:
                 rem.pop(te, None)
+            else:
+                if old is None:
+                    heapq.heappush(heap, -te)
+                rem[te] = v
     return MultiPoly._raw(num.nvars, q, p)
 
 
@@ -549,20 +571,23 @@ def primitive_part(poly: MultiPoly) -> MultiPoly:
     """Integer-primitive, positive-leading-coefficient normalization.
 
     A nonzero Q-polynomial divided by its content: integer coefficients
-    with gcd 1 and a positive leading coefficient under grevlex.
+    with gcd 1 and a positive leading coefficient under grevlex.  The
+    coefficients are scaled to integers by the lcm of their denominators
+    (no scaling for int data, whose denominators are 1) and divided by
+    the signed gcd of those integers, in integers throughout.
     """
     if poly.is_zero():
         return poly
     if poly.p is not None:
         raise ValueError("content normalization is for Q-coefficients")
-    fracs = {e: Fraction(c) for e, c in poly._packed.items()}
-    den_lcm = lcm(*(f.denominator for f in fracs.values()))
-    num_gcd = gcd(*(f.numerator * (den_lcm // f.denominator) for f in fracs.values()))
-    content = Fraction(num_gcd, den_lcm)
-    prim = MultiPoly._raw(
-        poly.nvars, {e: f / content for e, f in fracs.items()}, None
-    )
-    return -prim if prim.leading_coefficient() < 0 else prim
+    terms = poly._packed
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den != 1:
+        terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    g = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    return MultiPoly._raw(poly.nvars, {e: c // g for e, c in terms.items()}, None)
 
 
 def _univar(poly: MultiPoly, var: int) -> dict[int, MultiPoly]:
@@ -706,6 +731,7 @@ _INTEGER = f"[+-]?{_DIGITS}"
 _COEFF = f"{_INTEGER}(?:/{_DIGITS})?"
 _TERM_RE = re.compile(rf"({_COEFF})?((?:\*?[A-Za-z]+{_DIGITS}(?:\^{_DIGITS})?)*)")
 _VAR_RE = re.compile(rf"([A-Za-z]+)({_DIGITS})(?:\^({_DIGITS}))?")
+_DIGITS_RE, _INTEGER_RE, _COEFF_RE = map(re.compile, (_DIGITS, _INTEGER, _COEFF))
 
 # Digits of one run in a token: a numerator, a denominator, an index or
 # an exponent.  Converting text costs time quadratic in its length, and
@@ -715,14 +741,14 @@ _VAR_RE = re.compile(rf"([A-Za-z]+)({_DIGITS})(?:\^({_DIGITS}))?")
 MAX_DIGITS = 1000
 
 
-def _token(pattern: str, token: str, field: str, kind: str) -> str:
+def _token(pattern: re.Pattern, token: str, field: str, kind: str) -> str:
     """token once it is a full match of pattern, else ValueError naming
     field and the kind of token expected; ValueError too when a run of
     digits in it is longer than MAX_DIGITS, checked before any conversion."""
-    if re.fullmatch(pattern, token) is None:
+    if pattern.fullmatch(token) is None:
         raise ValueError(f"{field} {token!r} is not {kind}")
     # a token no longer than the bound holds no longer run of digits
-    if len(token) > MAX_DIGITS and max(map(len, re.findall(_DIGITS, token))) > MAX_DIGITS:
+    if len(token) > MAX_DIGITS and max(map(len, _DIGITS_RE.findall(token))) > MAX_DIGITS:
         raise ValueError(f"{field} has more than MAX_DIGITS = {MAX_DIGITS} digits in a row")
     return token
 
@@ -731,13 +757,16 @@ def parse_integer(token: str, field: str) -> int:
     """The value of an integer token [+-]?[0-9]+; ValueError naming field
     for any other text.  The one reader of the integer fields of the text
     formats and the command line."""
-    return int(_token(_INTEGER, token, field, "an integer"))
+    return int(_token(_INTEGER_RE, token, field, "an integer"))
 
 
-def parse_coefficient(token: str) -> Fraction:
-    """The value of an integer or a/b token; ValueError for any other text,
-    ZeroDivisionError for a zero denominator, which each caller words."""
-    return Fraction(_token(_COEFF, token, "coefficient", "an integer or a/b"))
+def parse_coefficient(token: str) -> int | Fraction:
+    """The value of an integer or a/b token: an int for a token without
+    "/", so integer data stays in integers, else the Fraction.  ValueError
+    for any other text, ZeroDivisionError for a zero denominator, which
+    each caller words."""
+    token = _token(_COEFF_RE, token, "coefficient", "an integer or a/b")
+    return Fraction(token) if "/" in token else int(token)
 
 
 _LIMB_DIGITS = 1000

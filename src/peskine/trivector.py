@@ -1,10 +1,13 @@
 """Geometry of trivectors on a 10-dimensional space.
 
 Contraction to skew matrices, the 45 quartic equations of the rank <= 6
-degeneracy locus (principal 8x8 Pfaffians: nine expanded, the other 36
-exact quotients by x_1 of the Pfaffian relations of the contraction),
-flag verification, exact rank at a point, the quartics on a subspace
-built on its own basis, extraction of the distinguished cubic fourfold
+degeneracy locus (principal 8x8 Pfaffians, built by one construction:
+the nine that delete a pivot index r expanded, the other 36 exact
+quotients by x_r of the Pfaffian relations of the contraction, where r
+is the first nonzero coordinate whose row of the contraction is
+nonzero), flag verification, exact rank at a point, the
+quartics on a subspace built on its own basis by the same construction,
+extraction of the distinguished cubic fourfold
 as a certified GCD, smoothness certification through prime-field
 Jacobian checks, and the auxiliary membership, kernel and line
 verifiers.
@@ -25,6 +28,7 @@ from .polyring import (
     MultiPoly,
     _coeff_normalize,
     _integral,
+    _pack,
     _sum_of_products,
     basis_has_finite_zeros,
     buchberger,
@@ -39,12 +43,8 @@ from .polyring import (
 
 DIM = 10
 _STANDARD_BASIS = tuple(tuple(int(i == j) for i in range(DIM)) for j in range(DIM))
-# the 45 principal 8x8 minors: pair (a, b) deleted, its complement kept
+# the 45 principal 8x8 minors, each named by the pair (a, b) it deletes
 _PAIRS = tuple(combinations(range(DIM), 2))
-_COMPLEMENTS = tuple(
-    tuple(t for t in range(DIM) if t not in pair) for pair in _PAIRS
-)
-_ROW0 = DIM - 1  # the first _ROW0 pairs are (0, j), the minors without row 0
 # a common denominator over Q below this has at most MAX_DIGITS digits
 _DENOMINATOR_LIMIT = 10**MAX_DIGITS
 
@@ -188,13 +188,18 @@ def symbolic_contract(sigma: Trivector, rows=None) -> list[list[MultiPoly]]:
         rows = _STANDARD_BASIS
     n = len(rows)
     entries = [[{} for _ in range(DIM)] for _ in range(DIM)]
-    for a, row in enumerate(rows):
-        y_a = tuple(int(t == a) for t in range(n))
+    for y_a, row in zip(_variable_keys(n), rows):
         for j, mrow in enumerate(contract(sigma, row)):
             for k, c in enumerate(mrow):
                 if c:
                     entries[j][k][y_a] = c
-    return [[MultiPoly(n, entry, sigma.p) for entry in erow] for erow in entries]
+    # contract has normalised every entry
+    return [[MultiPoly._raw(n, entry, sigma.p) for entry in erow] for erow in entries]
+
+
+def _variable_keys(n: int) -> list[int]:
+    """The packed keys of the n variables y_1, ..., y_n."""
+    return [_pack([int(t == a) for t in range(n)], n) for a in range(n)]
 
 
 @dataclass(frozen=True)
@@ -202,50 +207,81 @@ class PeskineSystem:
     """The 45 quartics cutting the rank <= 6 locus of a trivector.
 
     quartics[t] is the Pfaffian of the principal 8x8 submatrix with the
-    rows and columns removed_pairs[t] (1-based, lexicographic) deleted:
-    the first nine expanded, the other 36 read off them as exact
-    quotients by x_1 (see peskine_equations).
+    rows and columns removed_pairs[t] (1-based, lexicographic) deleted
+    (see _quartics for how they are built).
     """
 
     removed_pairs: tuple[tuple[int, int], ...]
     quartics: tuple[MultiPoly, ...]
 
 
+def _quartics(matrix, x) -> list[MultiPoly]:
+    """The 45 principal 8x8 Pfaffians of a 10x10 skew matrix M of forms
+    with M x = 0, for linear forms x_0..x_9 in its ring; entry t deletes
+    the rows and columns _PAIRS[t] (0-based indices).
+
+    The columns of the Pfaffian adjugate P~ (P~_ij = (-1)^(i+j) Pf_ij for
+    i < j, skew) lie in ker M together with x, so x wedge P~ = 0: over
+    Z[M][x], hence over Q and every F_p, for distinct r, j, k,
+
+        x_r P~_jk = -x_j P~_kr - x_k P~_rj.
+
+    The pivot r is the first index with x_r nonzero and row r of M
+    nonzero, else the first with x_r nonzero.  The nine Pfaffians Pf_rk
+    are expanded by principal_pfaffians; each of the other 36 is the
+    two-product numerator on the right divided exactly by x_r (term by
+    term when x_r is one term, by long division otherwise), and a term
+    that x_r does not divide raises CertificateError.  A zero row of M,
+    as the row of w1 on the 6-space of a flag, is passed over, and the
+    eight Pf_rk that keep it vanish; when it comes first, as row 0 on the
+    standard flag, they vanish at the first step of their expansion, and
+    one 8x8 expansion remains.
+    """
+    live = [r for r in range(DIM) if x[r]._packed]
+    r = next((r for r in live if any(q._packed for q in matrix[r])), live[0])
+    others = [k for k in range(DIM) if k != r]
+    heads = principal_pfaffians(
+        matrix, [[t for t in others if t != k] for k in others]
+    )
+    pf = dict(zip(others, heads))  # pf[k] = Pf_rk
+    nvars, p = x[r].nvars, x[r].p
+    quartics = []
+    for j, k in _PAIRS:
+        if r in (j, k):
+            quartics.append(pf[k if j == r else j])
+            continue
+        # the signs of -x_j P~_kr and -x_k P~_rj written with Pf_rk, Pf_rj
+        numerator = _sum_of_products(
+            nvars,
+            p,
+            (
+                (((j + r) % 2 == 0) == (k < r), x[j]._packed, pf[k]._packed),
+                (((k + r) % 2 == 0) == (r < j), x[k]._packed, pf[j]._packed),
+            ),
+        )
+        try:
+            quartics.append(exact_div(numerator, x[r]))
+        except ValueError as exc:
+            raise CertificateError(
+                f"x{r + 1} does not divide the Pfaffian relation for the pair ({j + 1}, {k + 1})"
+            ) from exc
+    return quartics
+
+
 def peskine_equations(sigma: Trivector) -> PeskineSystem:
     """All principal 8x8 Pfaffians of the symbolic contraction M.
 
     A skew matrix has even rank, so rank <= 6 is rank < 8, which is the
-    simultaneous vanishing of these 45 degree-4 forms.
-
-    Only the nine Pfaffians Pf_0j that delete row 0 are expanded
-    (0-based indices).  M x = 0, since sigma(x, x, .) = 0, so the columns
-    of the Pfaffian adjugate P~ (P~_ij = (-1)^(i+j) Pf_ij for i < j, skew)
-    lie in ker M together with x, and x wedge P~ = 0: over Z[sigma][x],
-    hence over Q and every F_p,
-
-        x_0 Pf_jk = (-1)^j x_j Pf_0k - (-1)^k x_k Pf_0j    (0 < j < k).
-
-    Each of the other 36 quartics is that two-product numerator divided
-    exactly by x_0; a term that x_0 does not divide raises
-    CertificateError.
+    simultaneous vanishing of these 45 degree-4 forms.  M x = 0, since
+    sigma(x, x, .) = 0, so _quartics builds them: the nine that delete
+    the first index of a nonzero row of M are expanded (index 1 unless
+    no triple holds it), the other 36 are exact quotients by that
+    coordinate; a term it does not divide raises CertificateError.
     """
     p = sigma.p
-    head = principal_pfaffians(symbolic_contract(sigma), _COMPLEMENTS[:_ROW0])
-    pf0 = [None] + [q._packed for q in head]  # pf0[j] = Pf_0j
     x = [MultiPoly.variable(i, DIM, p) for i in range(DIM)]
-    quartics = list(head)
-    for j, k in _PAIRS[_ROW0:]:
-        numerator = _sum_of_products(
-            DIM, p, ((j % 2 == 1, x[j]._packed, pf0[k]), (k % 2 == 0, x[k]._packed, pf0[j]))
-        )
-        try:
-            quartics.append(exact_div(numerator, x[0]))
-        except ValueError as exc:
-            raise CertificateError(
-                f"x1 does not divide the Pfaffian relation for the pair ({j + 1}, {k + 1})"
-            ) from exc
     return PeskineSystem(
-        tuple((a + 1, b + 1) for a, b in _PAIRS), tuple(quartics)
+        tuple((a + 1, b + 1) for a, b in _PAIRS), tuple(_quartics(symbolic_contract(sigma), x))
     )
 
 
@@ -325,10 +361,20 @@ def restrict_to_subspace(sigma: Trivector, rows) -> list[MultiPoly]:
     Entry t is the quartic that peskine_equations lists t-th, composed
     with x = sum_a y_a rows[a].  Taking a Pfaffian commutes with that
     substitution, so the forms are the principal Pfaffians of the
-    contraction built on the rows themselves, in len(rows) variables.
+    contraction built on the rows themselves, in len(rows) variables,
+    and that contraction annihilates the coordinate forms x_i =
+    sum_a rows[a][i] y_a, which are not all zero as the rows have full
+    rank.  So _quartics builds them: on the standard flag row 1 of the
+    contraction is zero, the pivot is x_2 = y_2, and one 8x8 expansion
+    remains; on general rows the pivot is a form of several terms, and
+    the 36 quotients are long divisions.
     """
-    rows = _subspace_rows(rows, None, "rows", sigma.p)
-    return principal_pfaffians(symbolic_contract(sigma, rows), _COMPLEMENTS)
+    p = sigma.p
+    rows = _subspace_rows(rows, None, "rows", p)
+    n = len(rows)
+    keys = _variable_keys(n)
+    x = [MultiPoly._raw(n, {y_a: row[i] for y_a, row in zip(keys, rows)}, p) for i in range(DIM)]
+    return _quartics(symbolic_contract(sigma, rows), x)
 
 
 class CubicExtractionError(CertificateError):

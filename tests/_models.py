@@ -1,7 +1,9 @@
 """Shared helpers for tests: block lattices, orthogonal complements, the
 cyclic q-value match, membership checks, a reference row reduction, a
 reference square scan and square walk, the reference grevlex order, a reference
-polynomial evaluation and a reference normal form over F_p.
+polynomial evaluation, a reference normal form over F_p, a reference
+exact division and content over Q in Fractions, and the 45 quartics of a
+trivector on a subspace as 45 separate Pfaffian expansions.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -12,9 +14,12 @@ ground truth for the congruence constants.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from peskine.lattice import GramLattice, field_kernel, mat_vec, smith_normal_form
+from peskine.polyring import principal_pfaffians
+from peskine.trivector import symbolic_contract
 
 # Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.
 E8_GRAM = (
@@ -348,3 +353,55 @@ def reference_normal_form(terms, basis, p: int) -> dict:
         else:
             out[lm] = lc
     return out
+
+
+def exact_div_reference(num: dict, den: dict) -> dict:
+    """num / den over Q for dicts from exponent tuples to coefficients.
+
+    Long division in Fractions: each step divides the grevlex-largest
+    remaining term by den's leading term; ValueError when that term is
+    not a multiple of it.  No packed keys and no integer shortcut.
+    """
+    lead = max(den, key=grevlex_key)
+    inv = 1 / Fraction(den[lead])
+    rem = {e: Fraction(c) for e, c in num.items() if c}
+    out = {}
+    while rem:
+        lm = max(rem, key=grevlex_key)
+        q = tuple(x - y for x, y in zip(lm, lead))
+        if min(q) < 0:
+            raise ValueError("division is not exact")
+        qc = out[q] = rem[lm] * inv
+        for e, c in den.items():
+            m = tuple(x + y for x, y in zip(e, q))
+            v = rem.get(m, 0) - qc * c
+            if v:
+                rem[m] = v
+            else:
+                rem.pop(m, None)
+    return out
+
+
+def primitive_part_reference(terms: dict) -> dict:
+    """terms (exponent tuples to nonzero rationals) cleared of
+    denominators by their lcm, divided by the gcd of the integers that
+    gives, and signed so that the grevlex-largest term is positive."""
+    den = lcm(*(Fraction(c).denominator for c in terms.values()))
+    ints = {e: int(c * den) for e, c in terms.items()}
+    g = gcd(*ints.values())
+    if ints[max(ints, key=grevlex_key)] < 0:
+        g = -g
+    return {e: c // g for e, c in ints.items()}
+
+
+_PAIR_COMPLEMENTS = [
+    [t for t in range(10) if t not in pair] for pair in combinations(range(10), 2)
+]
+
+
+def restriction_reference(sigma, rows=None) -> list:
+    """The 45 quartics of sigma on the span of rows (V10 itself when rows
+    is None), in lexicographic order of the deleted pair: each principal
+    8x8 Pfaffian of the symbolic contraction expanded on its own, with
+    no pivot, no Pfaffian relation and no exact quotient."""
+    return principal_pfaffians(symbolic_contract(sigma, rows), _PAIR_COMPLEMENTS)

@@ -29,7 +29,13 @@ from peskine.polyring import (
 from peskine import polyring
 from peskine.polyring import _complete_intersection_targets, _hilbert_targets, _monomial_steps
 
-from _models import grevlex_key, power_product_value, reference_normal_form
+from _models import (
+    exact_div_reference,
+    grevlex_key,
+    power_product_value,
+    primitive_part_reference,
+    reference_normal_form,
+)
 
 P = 10007
 
@@ -714,6 +720,92 @@ class TestExactDiv:
         ):
             with pytest.raises(ValueError, match="division is not exact"):
                 exact_div(num, den)
+
+
+def integer_corpus():
+    """Seeded (numerator, divisor) pairs over Q, four kinds in turn: int
+    data with an integral quotient, int data whose divisor has content 6
+    (so the quotient has Fractions), Fraction dividends and divisors,
+    and one-term divisors; every other divisor negated, and every fifth
+    numerator given a stray term, so some divisions are not exact."""
+    rng = random.Random(2029)
+    n = 3
+    cases = []
+    for trial in range(80):
+        kind = trial % 4
+        if kind == 3:
+            e = tuple(rng.randint(0, 2) for _ in range(n))
+            den = MultiPoly(n, {e: rng.choice((1, 3, -4, Fraction(2, 3), Fraction(-5, 2)))})
+        else:
+            den = random_poly(rng, n, 2, 3, den=4 if kind == 2 else 1)
+            if kind == 1:
+                den = den * MultiPoly.constant(6, n)
+        if den.is_zero():
+            continue
+        if trial % 2:
+            den = -den
+        if kind == 1:
+            q = random_poly(rng, n, 3, 5) * MultiPoly.constant(Fraction(1, 6), n)
+        else:
+            q = random_poly(rng, n, 3, 5, den=5 if kind == 2 else 1)
+        num = q * den
+        if trial % 5 == 0:
+            num = num + MultiPoly(n, {(5, 0, 1): 7})
+        cases.append((num, den))
+    return cases
+
+
+class TestIntegerPaths:
+    """exact_div and primitive_part keep int data in ints: the same values
+    as a division and a content taken in Fractions, with a coefficient an
+    int exactly where it is integral."""
+
+    def test_corpus_covers_every_path(self):
+        def all_int(f):
+            return all(type(c) is int for c in f.terms.values())
+
+        quotients = []
+        for num, den in integer_corpus():
+            try:
+                quotients.append((num, den, exact_div(num, den)))
+            except ValueError:
+                quotients.append((num, den, None))
+        exact = [case for case in quotients if case[2] is not None]
+        assert any(all_int(num) and all_int(den) and not all_int(q) for num, den, q in exact)
+        assert any(all_int(q) for _, _, q in exact)
+        assert any(not all_int(num) for num, _, _ in exact)
+        assert any(den.leading_coefficient() < 0 for _, den, _ in exact)
+        assert any(len(den.terms) == 1 and den.leading_coefficient() != 1 for _, den, _ in exact)
+        assert len(exact) < len(quotients)
+
+    def test_exact_div_matches_fractions(self):
+        inexact = 0
+        for num, den in integer_corpus():
+            try:
+                expected = exact_div_reference(num.terms, den.terms)
+            except ValueError:
+                inexact += 1
+                with pytest.raises(ValueError, match="division is not exact"):
+                    exact_div(num, den)
+                continue
+            got = exact_div(num, den)
+            assert dict(got.terms) == expected
+            assert_canonical(got)
+        assert inexact
+
+    def test_primitive_part_matches_fractions(self):
+        for num, den in integer_corpus():
+            for poly in (num, den, -num):
+                got = primitive_part(poly)
+                assert dict(got.terms) == primitive_part_reference(poly.terms)
+                assert all(type(c) is int for c in got.terms.values())
+                assert got.leading_coefficient() > 0
+
+    def test_parse_coefficient_types(self):
+        assert type(parse_coefficient("4")) is int and parse_coefficient("4") == 4
+        assert type(parse_coefficient("-007")) is int and parse_coefficient("-007") == -7
+        got = parse_coefficient("-4/6")
+        assert type(got) is Fraction and got == Fraction(-2, 3)
 
 
 class TestTextFormat:

@@ -46,7 +46,7 @@ from peskine.trivector import (
     x7_kernel,
 )
 
-from _models import integer_inverse, same_lattice
+from _models import integer_inverse, restriction_reference, same_lattice
 
 P = 10007
 E = [tuple(int(i == j) for i in range(DIM)) for j in range(DIM)]
@@ -62,11 +62,6 @@ def random_trivector(rng, p=None, bound=9, density=1.0, indices=range(1, DIM + 1
         if c:
             coeffs[t] = c
     return Trivector(coeffs, p)
-
-
-def full_expansion(sigma):
-    """The 45 quartics as 45 expanded Pfaffians, the reference route."""
-    return principal_pfaffians(symbolic_contract(sigma), trivector._COMPLEMENTS)
 
 
 def basis_rows(*indices):
@@ -368,8 +363,8 @@ class TestPeskineEquations:
 
 
 class TestCofactorQuotients:
-    """Nine expanded Pfaffians and 36 exact quotients by x_1 give the
-    45 Pfaffians of the full expansion."""
+    """Nine expanded Pfaffians and 36 exact quotients by the pivot x_r
+    give the 45 Pfaffians of the full expansion."""
 
     @pytest.mark.parametrize("p", [None, 7, P])
     @pytest.mark.parametrize("density", [0.1, 0.3, 0.6, 1.0])
@@ -377,7 +372,7 @@ class TestCofactorQuotients:
         rng = random.Random(int(density * 10) + 100 * (p or 1))
         for _ in range(2):
             sigma = random_trivector(rng, p, density=density)
-            assert list(peskine_equations(sigma).quartics) == full_expansion(sigma)
+            assert list(peskine_equations(sigma).quartics) == restriction_reference(sigma)
 
     @pytest.mark.parametrize("p", [None, P])
     def test_zero_first_row(self, p):
@@ -386,7 +381,7 @@ class TestCofactorQuotients:
         # product x_j Pf_0k of a numerator does, and the two cancel exactly
         sigma = random_trivector(random.Random(7), p, indices=range(2, DIM + 1))
         quartics = peskine_equations(sigma).quartics
-        assert list(quartics) == full_expansion(sigma)
+        assert list(quartics) == restriction_reference(sigma)
         assert all(q.total_degree() == 4 for q in quartics[: DIM - 1])
         assert all(q.is_zero() for q in quartics[DIM - 1 :])
 
@@ -400,7 +395,7 @@ class TestCofactorQuotients:
         ):
             quartics = peskine_equations(sigma).quartics
             assert len(quartics) == 45 and all(q.is_zero() for q in quartics)
-            assert list(quartics) == full_expansion(sigma)
+            assert list(quartics) == restriction_reference(sigma)
 
     def test_planted_fault_in_a_numerator(self, monkeypatch, capsys, tmp_path):
         # a term without x_1 in one numerator: the quotient is refused
@@ -422,6 +417,131 @@ class TestCofactorQuotients:
         assert main(["peskine", str(path), "equations"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("mismatch: x1 does not divide")
+
+    def test_planted_fault_on_the_restriction_path(self, monkeypatch, capsys, tmp_path):
+        # on the standard flag row 1 of the contraction is zero, so the
+        # pivot is x_2, and a y_1^4 term in one numerator is refused
+        y1_fourth = MultiPoly.variable(0, 6) ** 4
+        real = trivector._sum_of_products
+        calls = []
+
+        def faulty(nvars, p, products):
+            calls.append(1)
+            out = real(nvars, p, products)
+            return out + y1_fourth if len(calls) == 5 else out
+
+        monkeypatch.setattr(trivector, "_sum_of_products", faulty)
+        with pytest.raises(CertificateError, match=r"^x2 does not divide the Pfaffian relation"):
+            restrict_to_subspace(appendix_sigma(), standard_flag().w6)
+        calls.clear()
+        path = tmp_path / "sigma.tvec"
+        path.write_text(appendix_sigma_text(), encoding="utf-8")
+        assert main(["peskine", str(path), "cubic"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("mismatch: x2 does not divide")
+
+
+def flagged_trivector(rng, k, w6, p=None):
+    """Seeded sigma that the flag e_k in span(e_i, i in w6) annihilates
+    (1-based indices): every triple holding k and another index of w6
+    is zero, every other triple drawn."""
+    coeffs = {}
+    for t in combinations(range(1, DIM + 1), 3):
+        if k in t and any(i in w6 for i in t if i != k):
+            continue
+        c = rng.randint(-9, 9) if p is None else rng.randrange(p)
+        if c:
+            coeffs[t] = c
+    return Trivector(coeffs, p)
+
+
+def recording_pfaffians(monkeypatch):
+    """The index sets that each principal_pfaffians call of trivector
+    receives, one list per call."""
+    calls = []
+
+    def recorder(matrix, index_sets):
+        calls.append([tuple(idx) for idx in index_sets])
+        return principal_pfaffians(matrix, index_sets)
+
+    monkeypatch.setattr(trivector, "principal_pfaffians", recorder)
+    return calls
+
+
+class TestPivotRule:
+    """restrict_to_subspace against 45 separate expansions, with a pivot
+    of one term (coordinate rows) and of several (general rows)."""
+
+    @pytest.mark.parametrize("p", [None, P])
+    @pytest.mark.parametrize("k", range(1, DIM + 1))
+    def test_flag_at_each_basis_vector(self, p, k, monkeypatch):
+        rng = random.Random(1000 * k + (p or 0))
+        w6 = [k] + rng.sample([i for i in range(1, DIM + 1) if i != k], 5)
+        sigma = flagged_trivector(rng, k, w6, p)
+        rows = list(basis_rows(*w6))
+        rng.shuffle(rows)
+        assert verify_flag(sigma, Flag(E[k - 1], rows))
+        if k % 2 == 0:
+            # scaled rows: the pivot's coordinate is a term with a lead
+            # other than 1, negative in every other row
+            rows = [tuple((-1) ** a * (a + 2) * t for t in row) for a, row in enumerate(rows)]
+        calls = recording_pfaffians(monkeypatch)
+        got = restrict_to_subspace(sigma, rows)
+        monkeypatch.undo()
+        assert got == restriction_reference(sigma, rows)
+        # row k of the contraction is zero: the pivot lies past it, and
+        # of the nine heads only the one deleting row k is expanded
+        assert len(calls) == 1 and len(calls[0]) == DIM - 1
+        assert sum(k - 1 not in idx for idx in calls[0]) == 1
+
+    @pytest.mark.parametrize("p", [None, P])
+    def test_dense_with_no_zero_row(self, p):
+        rng = random.Random(77 + (p or 0))
+        for _ in range(2):
+            sigma = random_trivector(rng, p)
+            rows = list(basis_rows(*rng.sample(range(1, DIM + 1), 6)))
+            rng.shuffle(rows)
+            matrix = symbolic_contract(sigma, rows)
+            assert all(any(not q.is_zero() for q in row) for row in matrix)
+            assert restrict_to_subspace(sigma, rows) == restriction_reference(sigma, rows)
+
+    @pytest.mark.parametrize("p", [None, P])
+    def test_general_rows_divide_by_a_form(self, p, monkeypatch):
+        # every coordinate form has six terms and a lead other than 1:
+        # the pivot is x_1, and the 36 quotients are long divisions
+        rng = random.Random(91 + (p or 0))
+        sigma = random_trivector(rng, p, density=0.5)
+        while True:
+            rows = [tuple(rng.choice((-3, -2, 2, 3)) for _ in range(DIM)) for _ in range(6)]
+            if rank(rows, p) == 6:
+                break
+        calls = recording_pfaffians(monkeypatch)
+        got = restrict_to_subspace(sigma, rows)
+        monkeypatch.undo()
+        assert calls == [[tuple(t for t in range(1, DIM) if t != k) for k in range(1, DIM)]]
+        assert got == restriction_reference(sigma, rows)
+
+    def test_zero_coordinate_is_never_the_pivot(self, monkeypatch):
+        # column 1 of the rows is zero, so x_1 = 0 and the pivot is x_2
+        rng = random.Random(93)
+        sigma = random_trivector(rng)
+        while True:
+            rows = [(0,) + tuple(rng.randint(-3, 3) for _ in range(DIM - 1)) for _ in range(6)]
+            if rank(rows, None) == 6:
+                break
+        calls = recording_pfaffians(monkeypatch)
+        got = restrict_to_subspace(sigma, rows)
+        monkeypatch.undo()
+        assert all(1 not in idx for idx in calls[0])
+        assert got == restriction_reference(sigma, rows)
+
+    def test_standard_flag_expands_one_head(self, monkeypatch):
+        calls = recording_pfaffians(monkeypatch)
+        restricted = restrict_to_subspace(appendix_sigma(), standard_flag().w6)
+        assert len(calls) == 1 and len(calls[0]) == DIM - 1
+        assert [idx for idx in calls[0] if 0 not in idx] == [tuple(range(2, DIM))]
+        monkeypatch.undo()
+        assert restricted == restriction_reference(appendix_sigma(), standard_flag().w6)
 
 
 class TestFlag:
