@@ -88,8 +88,8 @@ def _layout(n: int) -> tuple[int, int]:
     exact quotients (the long division, and the one-term shift by
     zero - b that turns the Pfaffian relations of trivector into 36 of
     the 45 quartics) and the univariate splits of the GCD never raise a
-    degree, and the GCD checks the degree of what it reassembles.  In
-    the Groebner engine buchberger checks the degree of every S-pair
+    degree, and the GCD checks the degree of what it reassembles.  The
+    Groebner pair loop _groebner checks the degree of every S-pair
     lcm.  Grevlex is graded, so a term m of a polynomial with leading
     term t has deg m <= deg t.
     An S-polynomial term m*q with lcm = t*q thus has degree at most
@@ -917,7 +917,7 @@ def _reduce(
     whose lead divides it.  cache, owned by the caller, maps a monomial
     to the index where that search stopped: the first divisor, or
     len(basis) when none divides.  The basis may grow between calls that
-    share a cache (buchberger only appends), but never otherwise change:
+    share a cache (_groebner only appends), but never otherwise change:
     then the first divisor stays the first, and a miss re-scans only the
     elements added since.  Updates below the lead are plain integer
     sums; a coefficient is reduced mod p once, when its monomial becomes
@@ -954,10 +954,16 @@ def _reduce(
     return out
 
 
+def _divides(a: int, b: int, zero: int, guards: int) -> bool:
+    """Whether the packed monomial a divides b (see _layout)."""
+    q = b + zero - a
+    return q >= 0 and not q & guards
+
+
 def _make_monic(terms: dict[int, int], p: int) -> dict[int, int]:
     """terms divided by the leading coefficient, the one inversion of the
     engine; ZeroDivisionError when that coefficient is no unit mod p,
-    which only a composite modulus allows (see buchberger)."""
+    which only a composite modulus allows (see _groebner)."""
     lm = max(terms)
     try:
         inv = pow(terms[lm], -1, p)
@@ -966,23 +972,17 @@ def _make_monic(terms: dict[int, int], p: int) -> dict[int, int]:
     return {m: c * inv % p for m, c in terms.items()}
 
 
-def buchberger(gens) -> list[MultiPoly]:
-    """Reduced grevlex Groebner basis over F_p, or over Z/N with unit leads.
+def _groebner(gens) -> list[MultiPoly]:
+    """A monic grevlex Groebner basis over F_p, or over Z/N with unit
+    leads: the pair loop of buchberger, without its autoreduction.
 
+    The elements come in the order the loop adds them, the nonzero
+    generators first; empty or all-zero input gives [].  Their leading
+    terms generate the initial ideal, so a caller that reads only leads
+    (basis_has_finite_zeros) or normal forms needs no reduced basis.
     Pair handling uses the coprime-leading-term criterion and the chain
-    criterion; the returned basis is monic, autoreduced, and sorted by
-    ascending leading monomial.  Empty or all-zero input gives [].
-    Every S-polynomial reduction shares one divisor cache (see _reduce),
-    valid because the basis only grows.  Autoreduction drops each element
-    whose lead another lead divides (of equal leads, it keeps the first),
-    then reduces only the tail of each survivor against all survivors,
-    with one more shared cache, and puts its monic lead back.  That is
-    sound because grevlex, like any monomial order, refines divisibility
-    (t | m implies t <= m): every term of a tail, and every term its
-    reduction writes, is below the element's own lead, so that lead
-    divides none of them, and no other lead divides a survivor's lead.
-    The result is the unique reduced basis, so the filter decides it:
-    an element it kept by mistake would stay in the output.
+    criterion.  Every S-polynomial reduction shares one divisor cache
+    (see _reduce), valid because the basis only grows.
 
     On nvars homogeneous generators of positive degree, within the size
     bound of _hilbert_targets, the pair loop is Traverso's Hilbert-driven
@@ -1002,14 +1002,23 @@ def buchberger(gens) -> list[MultiPoly]:
     plain loop's; an input that is not a regular sequence never covers
     the top degree and runs until no pair is left.
 
+    A pair of lcm degree above the top waits outside the heap and
+    pending: a loop that covers the top stops before popping one.  Only
+    a heap that runs dry with the top uncovered queues the waiting
+    pairs, and every later pair at once.  The chain criterion stays
+    sound, since a pair consults only pairs whose lcm divides its own:
+    one of degree <= top never consults a waiting pair.  So the loop
+    reduces the same S-pairs in the same order as one that queues every
+    pair when it is made.
+
     The modulus may also be a product N of distinct primes, the
     Chinese-remainder image of one run per prime.  _make_monic raises
     ZeroDivisionError at the first leading coefficient that is no unit
     mod N.  A run that finishes reduces mod each prime q | N to the run
     over F_q, step for step, so its basis read mod q (coefficients mod
-    q, zeros dropped) is the reduced basis over F_q.  By induction on
-    the steps, with both runs holding the same basis mod q and the same
-    leads so far:
+    q, zeros dropped) is the basis over F_q.  By induction on the steps,
+    with both runs holding the same basis mod q and the same leads so
+    far:
     - the pairs queued, their heap order, the coprime and chain criteria
       and the Hilbert coverage depend only on leading terms and pending
       pairs, so both runs reduce the same S-pairs, built from the same
@@ -1022,9 +1031,7 @@ def buchberger(gens) -> list[MultiPoly]:
     - a remainder or generator joins the basis with a unit lead, nonzero
       mod q, so the F_q run adds the same lead, and dividing by it
       commutes with reduction mod q.  One that vanishes mod q alone has
-      a lead divisible by q, which is no unit, and the run raises;
-    - autoreduction reads leads to drop elements, and its tail
-      reductions agree mod q as above.
+      a lead divisible by q, which is no unit, and the run raises.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -1046,18 +1053,17 @@ def buchberger(gens) -> list[MultiPoly]:
     slot = (1 << 2 * _W) - 1
     most = nvars * MAX_DEGREE
 
-    def divides(a: int, b: int) -> bool:
-        q = b + zero - a
-        return q >= 0 and not q & guards
-
     basis: list[tuple[int, dict[int, int]]] = []
     pending: set[int] = set()  # the pair k < new as k << 32 | new
     heap: list[tuple[int, int, int]] = []
+    waiting: list[tuple[int, int, int]] = []  # pairs above the top, not yet queued
     cache: dict[int, int] = {}
     targets = _hilbert_targets(gens)
     if targets is not None:
         top = len(targets) - 1
         covered: list[set[int]] = [set() for _ in targets]
+    # pairs from this lcm key up (degree top + 1) wait; None queues every pair
+    above = None if targets is None else (top + 1) << shift
 
     def add(terms: dict[int, int]) -> None:
         """Append terms, made monic, queue its pairs and cover its multiples.
@@ -1082,8 +1088,12 @@ def buchberger(gens) -> list[MultiPoly]:
             f = b ^ ((a ^ b) & (g - (g >> (_W - 1))))
             lcm_deg = most - ((((f & even) + ((f >> _W) & even)) * ones >> at) & slot)
             _check_degree(lcm_deg)
-            pending.add(k << 32 | new)
-            heapq.heappush(heap, (lcm_deg << shift | f, k, new))
+            key = lcm_deg << shift | f
+            if above is not None and key >= above:
+                waiting.append((key, k, new))
+            else:
+                pending.add(k << 32 | new)
+                heapq.heappush(heap, (key, k, new))
         if targets is not None:
             deg = lt >> shift
             for d in range(deg, top + 1):
@@ -1096,7 +1106,7 @@ def buchberger(gens) -> list[MultiPoly]:
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if not divides(basis[k][0], lcm_ij):
+            if not _divides(basis[k][0], lcm_ij, zero, guards):
                 continue
             if (
                 min(i, k) << 32 | max(i, k) not in pending
@@ -1105,7 +1115,14 @@ def buchberger(gens) -> list[MultiPoly]:
                 return True
         return False
 
-    while heap:
+    while heap or waiting:
+        if not heap:
+            if len(covered[top]) >= targets[top]:
+                break  # J holds every monomial of degree >= top
+            above = None  # the top stays uncovered: queue every pair from now on
+            pending.update(k << 32 | new for _, k, new in waiting)
+            heap[:] = sorted(waiting)
+            waiting.clear()
         lcm_ij, j, i = heapq.heappop(heap)
         pending.remove(j << 32 | i)
         if targets is not None:
@@ -1127,13 +1144,41 @@ def buchberger(gens) -> list[MultiPoly]:
         r = _reduce(s, basis, nvars, p, cache)
         if r:
             add(r)
+    return [MultiPoly._raw(nvars, terms, p) for _, terms in basis]
 
+
+def buchberger(gens) -> list[MultiPoly]:
+    """Reduced grevlex Groebner basis over F_p, or over Z/N with unit leads.
+
+    The pair loop _groebner followed by autoreduction; the returned basis
+    is monic, autoreduced, and sorted by ascending leading monomial.
+    Empty or all-zero input gives [].  Autoreduction drops each element
+    whose lead another lead divides (of equal leads, it keeps the first),
+    then reduces only the tail of each survivor against all survivors,
+    with one shared divisor cache, and puts its monic lead back.  That is
+    sound because grevlex, like any monomial order, refines divisibility
+    (t | m implies t <= m): every term of a tail, and every term its
+    reduction writes, is below the element's own lead, so that lead
+    divides none of them, and no other lead divides a survivor's lead.
+    The result is the unique reduced basis, so the filter decides it:
+    an element it kept by mistake would stay in the output.
+
+    Over Z/N (see _groebner) the basis read mod a prime q | N is the
+    reduced basis over F_q: autoreduction reads leads to drop elements,
+    and its tail reductions agree mod q as the pair loop's do.
+    """
+    groebner = _groebner(gens)
+    if not groebner:
+        return []
+    nvars, p = groebner[0].nvars, groebner[0].p
+    zero, guards = _layout(nvars)
+    basis = [(max(b._packed), b._packed) for b in groebner]
     # autoreduce: drop elements whose lead is divisible by another lead,
     # then reduce the tail of each survivor against all of them
     final = []
     for i, (lt, terms) in enumerate(basis):
         for k, (lk, _) in enumerate(basis):
-            if k != i and (lk != lt or k < i) and divides(lk, lt):
+            if k != i and (lk != lt or k < i) and _divides(lk, lt, zero, guards):
                 break
         else:
             final.append((lt, terms))
@@ -1147,12 +1192,19 @@ def buchberger(gens) -> list[MultiPoly]:
 
 
 def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
-    """Full remainder of poly on division by the basis."""
+    """Full remainder of poly on division by the basis, over F_p or over
+    Z/N with unit leads.
+
+    Over Z/N the remainder read mod a prime q | N is the remainder over
+    F_q of poly and the basis read mod q: making a divisor monic by a
+    unit commutes with reduction mod q, and _reduce agrees mod q step
+    for step (the _reduce bullet of _groebner).
+    """
     if not basis:
         return poly
     nvars, p = poly.nvars, poly.p
     if p is None:
-        raise ValueError("normal_form works over a prime field")
+        raise ValueError("normal_form works over F_p or Z/N")
     monic = []
     for g in basis:
         poly._check_compatible(g)  # packed keys only mean something in one ring
@@ -1167,7 +1219,8 @@ def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
 def only_zero_at_origin(gens) -> bool:
     """Whether homogeneous generators vanish only at the origin.
 
-    Computes a reduced grevlex basis and applies basis_has_finite_zeros.
+    Computes a grevlex Groebner basis (_groebner: the leads are all it
+    reads, so no autoreduction) and applies basis_has_finite_zeros.
     Non-homogeneous input is rejected.
     """
     gens = list(gens)
@@ -1179,16 +1232,18 @@ def only_zero_at_origin(gens) -> bool:
         return False
     if any(g.is_constant() for g in gens):
         return True
-    return basis_has_finite_zeros(buchberger(gens), gens[0].nvars)
+    return basis_has_finite_zeros(_groebner(gens), gens[0].nvars)
 
 
 def basis_has_finite_zeros(basis: list[MultiPoly], nvars: int) -> bool:
-    """Whether a reduced grevlex basis has finitely many common zeros.
+    """Whether a grevlex Groebner basis has finitely many common zeros.
 
     True when the basis holds a constant or every variable contributes a
     pure power among the leading terms (equivalently the quotient ring
-    is finite-dimensional).  For a homogeneous ideal this means its zero
-    set over the algebraic closure contains no nonzero point.
+    is finite-dimensional).  The basis need not be reduced: a pure power
+    or 1 in the initial ideal is divided by some lead, itself a pure
+    power of that variable or 1.  For a homogeneous ideal this means its
+    zero set over the algebraic closure contains no nonzero point.
     """
     if any(b.is_constant() for b in basis):
         return True

@@ -27,11 +27,11 @@ from .polyring import (
     MAX_DIGITS,
     MultiPoly,
     _coeff_normalize,
+    _groebner,
     _integral,
     _pack,
     _sum_of_products,
     basis_has_finite_zeros,
-    buchberger,
     exact_div,
     gcd_multivariate,
     normal_form,
@@ -464,17 +464,20 @@ def smoothness_checks(cubic: MultiPoly, primes) -> Iterator[SmoothnessVerdict]:
     verdicts are computed as they are drawn.  The primitive part has
     coprime integer coefficients, so its reduction keeps degree 3 for
     every p.  Its six partials are reduced mod N, the product of the
-    primes, and one reduced Groebner basis of their ideal is computed
-    over Z/N; read mod each p it is the basis over F_p (see buchberger).
-    When a leading coefficient is no unit mod N, as when the cubic is
-    singular mod only some of the primes, each prime gets its own basis
-    instead.  When all six partials are nonzero, buchberger skips the
-    S-pairs that the Hilbert function (1 + t)^6 of a regular sequence
-    of quadrics proves redundant, and stops at degree 7 when the cubic
-    is smooth; the basis is the same.  In F_p the basis certifies the
-    Euler relation (the cubic lies in the ideal; CertificateError if
-    not) and decides the verdict: smooth exactly when the partials' only
-    common zero over the closure is the origin.
+    primes, and the pair loop _groebner computes one Groebner basis of
+    their ideal over Z/N, not autoreduced: read mod each p it is a
+    basis over F_p (see _groebner).  When a leading coefficient is no
+    unit mod N, as when the cubic is singular mod only some of the
+    primes, each prime gets its own run instead.  When all six partials
+    are nonzero, the loop skips the S-pairs that the Hilbert function
+    (1 + t)^6 of a regular sequence of quadrics proves redundant, and
+    stops at degree 7 when the cubic is smooth; the basis is the same.
+    A run is read twice.  Its leads are units, the same mod every prime
+    it serves, and decide the verdict once: smooth exactly when the
+    partials' only common zero over the closure is the origin.  One
+    normal form of the cubic against it certifies the Euler relation
+    (the cubic lies in the ideal): its remainder, read mod each p (see
+    normal_form), must vanish there, else CertificateError names p.
     """
     if cubic.p is not None or cubic.nvars != 6:
         raise ValueError("expected a rational cubic in 6 variables")
@@ -489,30 +492,32 @@ def smoothness_checks(cubic: MultiPoly, primes) -> Iterator[SmoothnessVerdict]:
 
 
 def _jacobian_basis(prim: MultiPoly, n: int) -> list[MultiPoly]:
-    """The reduced Groebner basis over Z/n of the nonzero partials of
-    prim mod n; ZeroDivisionError from buchberger at a lead that is no
-    unit mod n."""
+    """A Groebner basis over Z/n, not autoreduced, of the nonzero
+    partials of prim mod n; ZeroDivisionError from _groebner at a lead
+    that is no unit mod n."""
     reduced = prim.reduce_mod(n)
     partials = [reduced.derivative(i) for i in range(6)]
-    return buchberger([q for q in partials if not q.is_zero()])
+    return _groebner([q for q in partials if not q.is_zero()])
+
+
+def _jacobian_run(prim: MultiPoly, n: int) -> tuple[str, dict]:
+    """The verdict of the Jacobian basis over Z/n and the packed Euler
+    remainder of prim against it."""
+    basis = _jacobian_basis(prim, n)
+    kind = "smooth" if basis_has_finite_zeros(basis, 6) else "singular"
+    return kind, normal_form(prim.reduce_mod(n), basis)._packed
 
 
 def _verdicts(prim: MultiPoly, primes: tuple[int, ...]) -> Iterator[SmoothnessVerdict]:
     try:
-        joint = _jacobian_basis(prim, prod(primes))
+        joint = _jacobian_run(prim, prod(primes))
     except ZeroDivisionError:
-        joint = None  # the primes disagree on a lead: one basis per prime
+        joint = None  # the primes disagree on a lead: one run per prime
     for p in primes:
-        if joint is None:
-            basis = _jacobian_basis(prim, p)
-        elif len(primes) == 1:
-            basis = joint
-        else:  # coefficients mod p, zeros dropped
-            basis = [MultiPoly._raw(6, b._packed, p) for b in joint]
+        kind, remainder = _jacobian_run(prim, p) if joint is None else joint
         # internal consistency: 3f = sum x_i df/dx_i, so f lies in the ideal
-        if not normal_form(prim.reduce_mod(p), basis).is_zero():
+        if any(c % p for c in remainder.values()):
             raise CertificateError(f"Euler relation failed against the Groebner basis mod {p}")
-        kind = "smooth" if basis_has_finite_zeros(basis, 6) else "singular"
         yield SmoothnessVerdict(kind, p)
 
 

@@ -2,8 +2,9 @@
 cyclic q-value match, membership checks, a reference row reduction, a
 reference square scan and square walk, the reference grevlex order, a reference
 polynomial evaluation, a reference normal form over F_p, a reference
-exact division and content over Q in Fractions, and the 45 quartics of a
-trivector on a subspace as 45 separate Pfaffian expansions.
+exact division and content over Q in Fractions, the 45 quartics of a
+trivector on a subspace as 45 separate Pfaffian expansions, and the
+smoothness verdict of a cubic from one reduced basis per prime.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -18,7 +19,8 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from peskine.lattice import GramLattice, field_kernel, mat_vec, smith_normal_form
-from peskine.polyring import principal_pfaffians
+from peskine.ntheory import CertificateError
+from peskine.polyring import buchberger, primitive_part, principal_pfaffians
 from peskine.trivector import symbolic_contract
 
 # Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.
@@ -405,3 +407,25 @@ def restriction_reference(sigma, rows=None) -> list:
     8x8 Pfaffian of the symbolic contraction expanded on its own, with
     no pivot, no Pfaffian relation and no exact quotient."""
     return principal_pfaffians(symbolic_contract(sigma, rows), _PAIR_COMPLEMENTS)
+
+
+def smoothness_reference(cubic, p: int) -> str:
+    """"smooth" or "singular": the Jacobian verdict of a rational cubic in
+    6 variables over F_p, one reduced basis per prime.
+
+    The partials of the primitive part mod p go through the public
+    buchberger (autoreduced, one run for p alone); the Euler relation is
+    checked by reference_normal_form against that basis (CertificateError
+    naming p if the cubic is not in the ideal), and the verdict read off
+    its leads: smooth when they hold a constant or a pure power of every
+    variable.  No Z/N run, no shared remainder.
+    """
+    reduced = primitive_part(cubic).reduce_mod(p)
+    partials = [reduced.derivative(i) for i in range(6)]
+    basis = [dict(b.terms) for b in buchberger([q for q in partials if not q.is_zero()])]
+    if reference_normal_form(reduced.terms, basis, p):
+        raise CertificateError(f"Euler relation failed against the reduced basis mod {p}")
+    leads = [max(b, key=grevlex_key) for b in basis]
+    powers = {i for lead in leads for i, e in enumerate(lead) if e and sum(lead) == e}
+    constant = any(not any(lead) for lead in leads)
+    return "smooth" if constant or len(powers) == 6 else "singular"

@@ -27,7 +27,12 @@ from peskine.polyring import (
     substitute_linear,
 )
 from peskine import polyring
-from peskine.polyring import _complete_intersection_targets, _hilbert_targets, _monomial_steps
+from peskine.polyring import (
+    _complete_intersection_targets,
+    _groebner,
+    _hilbert_targets,
+    _monomial_steps,
+)
 
 from _models import (
     exact_div_reference,
@@ -1109,6 +1114,45 @@ class TestHilbertDriven:
             assert buchberger(partials) == plain_basis(partials)
 
         check()
+
+
+class TestPairLoop:
+    """_groebner, the pair loop that buchberger autoreduces, is itself a
+    Groebner basis: monic, with the reduced basis's leads among its own."""
+
+    @staticmethod
+    def systems():
+        rng = random.Random(30)
+        for _ in range(60):
+            # non-homogeneous: the plain loop
+            yield [random_poly(rng, 3, 3, rng.randint(2, 4), p=P) for _ in range(3)]
+        for nvars in (3, 4):
+            # partials of dense cubics: the Hilbert-driven loop, with the
+            # partials of a singular one queueing the pairs above the top
+            monomials = [e for e in itertools.product(range(4), repeat=nvars) if sum(e) == 3]
+            for _ in range(10):
+                cubic = MultiPoly(nvars, {e: rng.randrange(P) for e in monomials}, P)
+                yield [cubic.derivative(i) for i in range(nvars)]
+            x, zero = variables(nvars, P), MultiPoly.zero(nvars, P)
+            nodal = x[0] * sum((xi * xi for xi in x[1:]), zero) + sum((xi**3 for xi in x[1:]), zero)
+            yield [nodal.derivative(i) for i in range(nvars)]
+
+    def test_a_basis_with_the_reduced_leads(self):
+        for gens in self.systems():
+            raw = _groebner(gens)
+            basis = [dict(g.terms) for g in raw]
+            leads = [max(b, key=grevlex_key) for b in basis]
+            assert [b[lead] for b, lead in zip(basis, leads)] == [1] * len(raw)
+            for g in gens:
+                assert not reference_normal_form(g.terms, basis, P)
+            for i in range(len(raw)):
+                for j in range(i):
+                    assert not reference_normal_form(_spoly(raw[i], raw[j]).terms, basis, P)
+            minimal = {
+                lead for lead in leads
+                if not any(o != lead and all(a <= b for a, b in zip(o, lead)) for o in leads)
+            }
+            assert sorted(minimal, key=grevlex_key) == [g.leading_monomial() for g in buchberger(gens)]
 
 
 def _spoly(f, g):

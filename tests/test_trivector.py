@@ -46,7 +46,7 @@ from peskine.trivector import (
     x7_kernel,
 )
 
-from _models import integer_inverse, restriction_reference, same_lattice
+from _models import integer_inverse, restriction_reference, same_lattice, smoothness_reference
 
 P = 10007
 E = [tuple(int(i == j) for i in range(DIM)) for j in range(DIM)]
@@ -810,25 +810,73 @@ def jacobian_bases(cubic, p, monkeypatch):
     return out
 
 
-def recording_buchberger(monkeypatch):
-    """Patch every peskine namespace that binds buchberger by name with a
-    wrapper that records (modulus, basis or the exception raised)."""
+def patch_everywhere(monkeypatch, name, wrap):
+    """Patch every peskine namespace that binds the polyring function name
+    with wrap(function)."""
+    fn = getattr(polyring, name)
+    wrapper = wrap(fn)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "peskine" and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, wrapper)
+
+
+def recording_groebner(monkeypatch):
+    """Patch the pair loop _groebner everywhere with a wrapper that records
+    (modulus, basis or the exception raised)."""
     calls = []
 
-    def recording(gens):
-        gens = list(gens)
-        try:
-            basis = buchberger(gens)
-        except ZeroDivisionError as exc:
-            calls.append((gens[0].p, exc))
-            raise
-        calls.append((gens[0].p, basis))
-        return basis
+    def wrap(groebner):
+        def recording(gens):
+            gens = list(gens)
+            try:
+                basis = groebner(gens)
+            except ZeroDivisionError as exc:
+                calls.append((gens[0].p, exc))
+                raise
+            calls.append((gens[0].p, basis))
+            return basis
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "peskine" and getattr(module, "buchberger", None) is buchberger:
-            monkeypatch.setattr(module, "buchberger", recording)
+        return recording
+
+    patch_everywhere(monkeypatch, "_groebner", wrap)
     return calls
+
+
+def counting_calls(monkeypatch, name):
+    """Patch the polyring function name everywhere with a wrapper that
+    counts its calls; the list of calls."""
+    calls = []
+    patch_everywhere(monkeypatch, name, lambda fn: lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def singular_cubics():
+    """The singular shapes by name; l * quadric is singular exactly on
+    l = quadric = 0."""
+    x = [MultiPoly.variable(i, 6) for i in range(6)]
+    three, five = MultiPoly.constant(3, 6), MultiPoly.constant(5, 6)
+    quadric = sum(
+        (xi * xi for xi in x[1:]), x[1] * x[2] + x[3] * x[5] * three - x[0] * x[0] * five
+    )
+    return {
+        "cone": x[0] ** 3,
+        "l*quadric": (x[4] - x[0] * three) * quadric,
+        "x0*quadric": x[0] * quadric,
+    }
+
+
+def split_cubic(which):
+    """A cubic on which the run over Z/(10007*31013) meets a lead that is
+    no unit."""
+    x = [MultiPoly.variable(i, 6) for i in range(6)]
+    scale = MultiPoly.constant(P, 6)
+    if which == "lead":
+        # d/dx1 has the leading coefficient 3*10007
+        cubes = sum((xi**3 for xi in x[2:]), x[1] ** 3)
+        return scale * x[0] ** 3 + x[0] * x[1] * x[2] + cubes
+    # f is singular at e1; f + 10007*(x1^3 + ... + x6^3) is smooth mod 31013
+    f = x[0] * x[1] * x[2] + x[3] ** 3 + x[4] ** 3 + x[5] ** 3
+    return f + scale * sum((xi**3 for xi in x[1:]), x[0] ** 3)
 
 
 def read_mod(basis, p):
@@ -843,7 +891,7 @@ class TestSmoothness:
         assert smoothness_check(fermat, P).is_smooth()
 
     def test_one_groebner_basis_per_prime(self, monkeypatch):
-        calls = recording_buchberger(monkeypatch)
+        calls = recording_groebner(monkeypatch)
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
         fermat = sum((x**3 for x in xs[1:]), xs[0] ** 3)
         for cubic in (fermat, xs[0] ** 3, appendix_cubic(), nodal_cubic()):
@@ -858,18 +906,7 @@ class TestSmoothness:
         ids=str,
     )
     def test_singular(self, shape, p):
-        x = [MultiPoly.variable(i, 6) for i in range(6)]
-        # l * quadric is singular exactly on l = quadric = 0
-        three, five = MultiPoly.constant(3, 6), MultiPoly.constant(5, 6)
-        quadric = sum(
-            (xi * xi for xi in x[1:]), x[1] * x[2] + x[3] * x[5] * three - x[0] * x[0] * five
-        )
-        cubic = {
-            "cone": x[0] ** 3,
-            "l*quadric": (x[4] - x[0] * three) * quadric,
-            "x0*quadric": x[0] * quadric,
-        }[shape]
-        assert smoothness_check(cubic, p).kind == "singular"
+        assert smoothness_check(singular_cubics()[shape], p).kind == "singular"
 
     @pytest.mark.parametrize("p", [P, 31013])
     def test_hilbert_driven_basis_of_the_appendix(self, p, monkeypatch):
@@ -901,6 +938,25 @@ class TestSmoothness:
         for cubic in (x[0] ** 3, (x[4] - x[0] * MultiPoly.constant(3, 6)) * quadric):
             (plain, _), (driven, _) = jacobian_bases(cubic, P, monkeypatch)
             assert driven == plain
+
+    def test_pairs_above_the_top_wait(self, monkeypatch):
+        # the smooth appendix cubic covers degree 7 before a pair above it
+        # would pop, so 643 pairs are queued, not 903; the singular cubics
+        # never cover it and queue the waiting pairs: the basis is the same
+        pushes = []
+        heappush = polyring.heapq.heappush
+        monkeypatch.setattr(
+            polyring.heapq, "heappush", lambda heap, pair: pushes.append(1) or heappush(heap, pair)
+        )
+        shapes = singular_cubics()
+        for cubic in (appendix_cubic(), nodal_cubic(), shapes["cone"], shapes["l*quadric"]):
+            (plain, _), (driven, _) = jacobian_bases(cubic, P, monkeypatch)
+            assert driven == plain
+        for p in (P, 31013, P * 31013):
+            reduced = primitive_part(appendix_cubic()).reduce_mod(p)
+            pushes.clear()
+            polyring._groebner([reduced.derivative(i) for i in range(6)])
+            assert len(pushes) == 643
 
     def test_bad_primes(self):
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
@@ -939,7 +995,7 @@ class TestJointSmoothness:
         return [appendix_cubic()] + [flagged_cubic(rng) for _ in range(20)]
 
     def test_one_run_gives_the_per_prime_verdicts_and_bases(self, monkeypatch):
-        calls = recording_buchberger(monkeypatch)
+        calls = recording_groebner(monkeypatch)
         for cubic in self.cubics():
             separate = {}
             for p in {p for primes in self.PRIME_SETS for p in primes}:
@@ -956,17 +1012,8 @@ class TestJointSmoothness:
 
     @pytest.mark.parametrize("which", ["lead", "singular-mod-one"])
     def test_a_lead_that_is_no_unit_splits_the_run(self, which, monkeypatch):
-        x = [MultiPoly.variable(i, 6) for i in range(6)]
-        scale = MultiPoly.constant(P, 6)
-        if which == "lead":
-            # d/dx1 has the leading coefficient 3*10007
-            cubes = sum((xi**3 for xi in x[2:]), x[1] ** 3)
-            cubic = scale * x[0] ** 3 + x[0] * x[1] * x[2] + cubes
-        else:
-            # f is singular at e1; f + 10007*(x1^3 + ... + x6^3) is smooth mod 31013
-            f = x[0] * x[1] * x[2] + x[3] ** 3 + x[4] ** 3 + x[5] ** 3
-            cubic = f + scale * sum((xi**3 for xi in x[1:]), x[0] ** 3)
-        calls = recording_buchberger(monkeypatch)
+        cubic = split_cubic(which)
+        calls = recording_groebner(monkeypatch)
         verdicts = list(smoothness_checks(cubic, (P, 31013)))
         assert [m for m, _ in calls] == [P * 31013, P, 31013]
         assert isinstance(calls[0][1], ZeroDivisionError)
@@ -976,13 +1023,67 @@ class TestJointSmoothness:
             assert [v.kind for v in verdicts] == ["singular", "smooth"]
 
     def test_verdicts_are_drawn_lazily(self, monkeypatch):
-        calls = recording_buchberger(monkeypatch)
+        calls = recording_groebner(monkeypatch)
         verdicts = smoothness_checks(appendix_cubic(), (P, 31013))
         assert calls == []
         assert next(verdicts) == trivector.SmoothnessVerdict("smooth", P)
         assert len(calls) == 1
         assert next(verdicts) == trivector.SmoothnessVerdict("smooth", 31013)
         assert len(calls) == 1
+
+    def test_verdicts_agree_with_one_reduced_basis_per_prime(self):
+        reference = {}
+
+        def expected(cubic, primes):
+            for p in primes:
+                if (cubic, p) not in reference:
+                    reference[cubic, p] = smoothness_reference(cubic, p)
+            return [reference[cubic, p] for p in primes]
+
+        for cubic in self.cubics():
+            for primes in self.PRIME_SETS:
+                assert [v.kind for v in smoothness_checks(cubic, primes)] == expected(cubic, primes)
+        for cubic in [nodal_cubic(), *singular_cubics().values()]:
+            for primes in [(7,), (11,), (13,), (101,), (P,), (7, 11, 13), (P, 31013)]:
+                verdicts = [v.kind for v in smoothness_checks(cubic, primes)]
+                assert verdicts == expected(cubic, primes) == ["singular"] * len(primes)
+        for which in ("lead", "singular-mod-one"):
+            cubic = split_cubic(which)
+            verdicts = [v.kind for v in smoothness_checks(cubic, (P, 31013))]
+            assert verdicts == expected(cubic, (P, 31013))
+
+    @pytest.mark.parametrize("which", ["joint", "lead"])
+    def test_the_euler_certificate_bites(self, which, monkeypatch):
+        # without its quadrics the basis no longer holds the cubic
+        jacobian_basis = trivector._jacobian_basis
+        monkeypatch.setattr(
+            trivector,
+            "_jacobian_basis",
+            lambda prim, n: [b for b in jacobian_basis(prim, n) if b.total_degree() != 2],
+        )
+        cubic = appendix_cubic() if which == "joint" else split_cubic(which)
+        for primes in [(P, 31013), (31013, P), (31013,)]:
+            verdicts = smoothness_checks(cubic, primes)
+            with pytest.raises(CertificateError, match=f"Groebner basis mod {primes[0]}$"):
+                next(verdicts)
+
+    def test_one_unreduced_run_and_one_normal_form(self, monkeypatch):
+        calls = recording_groebner(monkeypatch)
+        reduced = counting_calls(monkeypatch, "buchberger")
+        remainders = counting_calls(monkeypatch, "normal_form")
+        for primes in self.PRIME_SETS:
+            calls.clear()
+            remainders.clear()
+            assert all(v.is_smooth() for v in smoothness_checks(appendix_cubic(), primes))
+            [(_, basis)] = calls
+            assert len(remainders) == 1
+            # 6 partials and 37 S-pair remainders; autoreduction keeps 39
+            assert len(basis) == 43 and len(buchberger(basis)) == 39
+        calls.clear()
+        remainders.clear()
+        list(smoothness_checks(split_cubic("lead"), (P, 31013)))
+        assert len(calls) == 3 and len(remainders) == 2
+        assert reduced == []
 
     @pytest.mark.parametrize(
         "primes, message",
@@ -994,7 +1095,7 @@ class TestJointSmoothness:
             smoothness_checks(appendix_cubic(), primes)
 
     def test_verify_appendix_makes_one_groebner_run(self, monkeypatch, capsys):
-        calls = recording_buchberger(monkeypatch)
+        calls = recording_groebner(monkeypatch)
         assert main(["verify-appendix"]) == 0
         assert [m for m, _ in calls] == [P * 31013]
         assert capsys.readouterr().out.endswith(
