@@ -89,7 +89,7 @@ def _layout(n: int) -> tuple[int, int]:
     zero - b that turns the Pfaffian relations of trivector into 36 of
     the 45 quartics) and the univariate splits of the GCD never raise a
     degree, and the GCD checks the degree of what it reassembles.  The
-    Groebner pair loop _groebner checks the degree of every S-pair
+    Groebner pair loop buchberger checks the degree of every S-pair
     lcm.  Grevlex is graded, so a term m of a polynomial with leading
     term t has deg m <= deg t.
     An S-polynomial term m*q with lcm = t*q thus has degree at most
@@ -917,7 +917,7 @@ def _reduce(
     whose lead divides it.  cache, owned by the caller, maps a monomial
     to the index where that search stopped: the first divisor, or
     len(basis) when none divides.  The basis may grow between calls that
-    share a cache (_groebner only appends), but never otherwise change:
+    share a cache (buchberger only appends), but never otherwise change:
     then the first divisor stays the first, and a miss re-scans only the
     elements added since.  Updates below the lead are plain integer
     sums; a coefficient is reduced mod p once, when its monomial becomes
@@ -954,16 +954,10 @@ def _reduce(
     return out
 
 
-def _divides(a: int, b: int, zero: int, guards: int) -> bool:
-    """Whether the packed monomial a divides b (see _layout)."""
-    q = b + zero - a
-    return q >= 0 and not q & guards
-
-
 def _make_monic(terms: dict[int, int], p: int) -> dict[int, int]:
     """terms divided by the leading coefficient, the one inversion of the
     engine; ZeroDivisionError when that coefficient is no unit mod p,
-    which only a composite modulus allows (see _groebner)."""
+    which only a composite modulus allows (see buchberger)."""
     lm = max(terms)
     try:
         inv = pow(terms[lm], -1, p)
@@ -972,14 +966,15 @@ def _make_monic(terms: dict[int, int], p: int) -> dict[int, int]:
     return {m: c * inv % p for m, c in terms.items()}
 
 
-def _groebner(gens) -> list[MultiPoly]:
+def buchberger(gens) -> list[MultiPoly]:
     """A monic grevlex Groebner basis over F_p, or over Z/N with unit
-    leads: the pair loop of buchberger, without its autoreduction.
+    leads: the pair loop, the engine's one entry point.
 
     The elements come in the order the loop adds them, the nonzero
-    generators first; empty or all-zero input gives [].  Their leading
-    terms generate the initial ideal, so a caller that reads only leads
-    (basis_has_finite_zeros) or normal forms needs no reduced basis.
+    generators first, and none is reduced by a later one; empty or
+    all-zero input gives [].  Their leading terms generate the initial
+    ideal, so a caller that reads only leads (basis_has_finite_zeros) or
+    normal forms needs no reduced basis.
     Pair handling uses the coprime-leading-term criterion and the chain
     criterion.  Every S-polynomial reduction shares one divisor cache
     (see _reduce), valid because the basis only grows.
@@ -1001,15 +996,6 @@ def _groebner(gens) -> list[MultiPoly]:
     loop stops.  Each skip is sound on any input, so the basis is the
     plain loop's; an input that is not a regular sequence never covers
     the top degree and runs until no pair is left.
-
-    A pair of lcm degree above the top waits outside the heap and
-    pending: a loop that covers the top stops before popping one.  Only
-    a heap that runs dry with the top uncovered queues the waiting
-    pairs, and every later pair at once.  The chain criterion stays
-    sound, since a pair consults only pairs whose lcm divides its own:
-    one of degree <= top never consults a waiting pair.  So the loop
-    reduces the same S-pairs in the same order as one that queues every
-    pair when it is made.
 
     The modulus may also be a product N of distinct primes, the
     Chinese-remainder image of one run per prime.  _make_monic raises
@@ -1056,14 +1042,11 @@ def _groebner(gens) -> list[MultiPoly]:
     basis: list[tuple[int, dict[int, int]]] = []
     pending: set[int] = set()  # the pair k < new as k << 32 | new
     heap: list[tuple[int, int, int]] = []
-    waiting: list[tuple[int, int, int]] = []  # pairs above the top, not yet queued
     cache: dict[int, int] = {}
     targets = _hilbert_targets(gens)
     if targets is not None:
         top = len(targets) - 1
         covered: list[set[int]] = [set() for _ in targets]
-    # pairs from this lcm key up (degree top + 1) wait; None queues every pair
-    above = None if targets is None else (top + 1) << shift
 
     def add(terms: dict[int, int]) -> None:
         """Append terms, made monic, queue its pairs and cover its multiples.
@@ -1088,12 +1071,8 @@ def _groebner(gens) -> list[MultiPoly]:
             f = b ^ ((a ^ b) & (g - (g >> (_W - 1))))
             lcm_deg = most - ((((f & even) + ((f >> _W) & even)) * ones >> at) & slot)
             _check_degree(lcm_deg)
-            key = lcm_deg << shift | f
-            if above is not None and key >= above:
-                waiting.append((key, k, new))
-            else:
-                pending.add(k << 32 | new)
-                heapq.heappush(heap, (key, k, new))
+            pending.add(k << 32 | new)
+            heapq.heappush(heap, (lcm_deg << shift | f, k, new))
         if targets is not None:
             deg = lt >> shift
             for d in range(deg, top + 1):
@@ -1106,8 +1085,9 @@ def _groebner(gens) -> list[MultiPoly]:
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if not _divides(basis[k][0], lcm_ij, zero, guards):
-                continue
+            q = lcm_ij + zero - basis[k][0]
+            if q < 0 or q & guards:
+                continue  # the lead of k does not divide the lcm (see _layout)
             if (
                 min(i, k) << 32 | max(i, k) not in pending
                 and min(j, k) << 32 | max(j, k) not in pending
@@ -1115,14 +1095,7 @@ def _groebner(gens) -> list[MultiPoly]:
                 return True
         return False
 
-    while heap or waiting:
-        if not heap:
-            if len(covered[top]) >= targets[top]:
-                break  # J holds every monomial of degree >= top
-            above = None  # the top stays uncovered: queue every pair from now on
-            pending.update(k << 32 | new for _, k, new in waiting)
-            heap[:] = sorted(waiting)
-            waiting.clear()
+    while heap:
         lcm_ij, j, i = heapq.heappop(heap)
         pending.remove(j << 32 | i)
         if targets is not None:
@@ -1147,50 +1120,6 @@ def _groebner(gens) -> list[MultiPoly]:
     return [MultiPoly._raw(nvars, terms, p) for _, terms in basis]
 
 
-def buchberger(gens) -> list[MultiPoly]:
-    """Reduced grevlex Groebner basis over F_p, or over Z/N with unit leads.
-
-    The pair loop _groebner followed by autoreduction; the returned basis
-    is monic, autoreduced, and sorted by ascending leading monomial.
-    Empty or all-zero input gives [].  Autoreduction drops each element
-    whose lead another lead divides (of equal leads, it keeps the first),
-    then reduces only the tail of each survivor against all survivors,
-    with one shared divisor cache, and puts its monic lead back.  That is
-    sound because grevlex, like any monomial order, refines divisibility
-    (t | m implies t <= m): every term of a tail, and every term its
-    reduction writes, is below the element's own lead, so that lead
-    divides none of them, and no other lead divides a survivor's lead.
-    The result is the unique reduced basis, so the filter decides it:
-    an element it kept by mistake would stay in the output.
-
-    Over Z/N (see _groebner) the basis read mod a prime q | N is the
-    reduced basis over F_q: autoreduction reads leads to drop elements,
-    and its tail reductions agree mod q as the pair loop's do.
-    """
-    groebner = _groebner(gens)
-    if not groebner:
-        return []
-    nvars, p = groebner[0].nvars, groebner[0].p
-    zero, guards = _layout(nvars)
-    basis = [(max(b._packed), b._packed) for b in groebner]
-    # autoreduce: drop elements whose lead is divisible by another lead,
-    # then reduce the tail of each survivor against all of them
-    final = []
-    for i, (lt, terms) in enumerate(basis):
-        for k, (lk, _) in enumerate(basis):
-            if k != i and (lk != lt or k < i) and _divides(lk, lt, zero, guards):
-                break
-        else:
-            final.append((lt, terms))
-    cache = {}
-    reduced = []
-    for lt, terms in sorted(final, key=lambda e: e[0]):
-        t = {lt: 1}
-        t.update(_reduce({m: c for m, c in terms.items() if m != lt}, final, nvars, p, cache))
-        reduced.append(MultiPoly._raw(nvars, t, p))
-    return reduced
-
-
 def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
     """Full remainder of poly on division by the basis, over F_p or over
     Z/N with unit leads.
@@ -1198,7 +1127,7 @@ def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
     Over Z/N the remainder read mod a prime q | N is the remainder over
     F_q of poly and the basis read mod q: making a divisor monic by a
     unit commutes with reduction mod q, and _reduce agrees mod q step
-    for step (the _reduce bullet of _groebner).
+    for step (the _reduce bullet of buchberger).
     """
     if not basis:
         return poly
@@ -1219,8 +1148,8 @@ def normal_form(poly: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
 def only_zero_at_origin(gens) -> bool:
     """Whether homogeneous generators vanish only at the origin.
 
-    Computes a grevlex Groebner basis (_groebner: the leads are all it
-    reads, so no autoreduction) and applies basis_has_finite_zeros.
+    Computes a grevlex Groebner basis with buchberger and applies
+    basis_has_finite_zeros, which reads only its leading terms.
     Non-homogeneous input is rejected.
     """
     gens = list(gens)
@@ -1232,7 +1161,7 @@ def only_zero_at_origin(gens) -> bool:
         return False
     if any(g.is_constant() for g in gens):
         return True
-    return basis_has_finite_zeros(_groebner(gens), gens[0].nvars)
+    return basis_has_finite_zeros(buchberger(gens), gens[0].nvars)
 
 
 def basis_has_finite_zeros(basis: list[MultiPoly], nvars: int) -> bool:

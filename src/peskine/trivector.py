@@ -27,11 +27,11 @@ from .polyring import (
     MAX_DIGITS,
     MultiPoly,
     _coeff_normalize,
-    _groebner,
     _integral,
     _pack,
     _sum_of_products,
     basis_has_finite_zeros,
+    buchberger,
     exact_div,
     gcd_multivariate,
     normal_form,
@@ -333,8 +333,13 @@ def verify_flag(sigma: Trivector, flag: Flag) -> bool:
 
 
 def rank_at_point(sigma: Trivector, v) -> int:
-    """Exact rank of the contraction at v; always even."""
-    if all(x == 0 for x in v):
+    """Exact rank of the contraction at v; always even.  Each entry of v
+    is read by _coeff_normalize, so over F_p a vector that is zero mod p
+    is the zero vector, at which the rank is undefined (ValueError)."""
+    v = [_coeff_normalize(x, sigma.p) for x in v]
+    if len(v) != DIM:
+        raise ValueError("vector must have 10 coordinates")
+    if not any(v):
         raise ValueError("rank at the zero vector is undefined")
     return rank(contract(sigma, v), sigma.p)
 
@@ -464,11 +469,11 @@ def smoothness_checks(cubic: MultiPoly, primes) -> Iterator[SmoothnessVerdict]:
     verdicts are computed as they are drawn.  The primitive part has
     coprime integer coefficients, so its reduction keeps degree 3 for
     every p.  Its six partials are reduced mod N, the product of the
-    primes, and the pair loop _groebner computes one Groebner basis of
-    their ideal over Z/N, not autoreduced: read mod each p it is a
-    basis over F_p (see _groebner).  When a leading coefficient is no
-    unit mod N, as when the cubic is singular mod only some of the
-    primes, each prime gets its own run instead.  When all six partials
+    primes, and the pair loop buchberger computes one Groebner basis of
+    their ideal over Z/N: read mod each p it is a basis over F_p (see
+    buchberger).  When a leading coefficient is no unit mod N, as when
+    the cubic is singular mod only some of the primes, each prime gets
+    its own run instead.  When all six partials
     are nonzero, the loop skips the S-pairs that the Hilbert function
     (1 + t)^6 of a regular sequence of quadrics proves redundant, and
     stops at degree 7 when the cubic is smooth; the basis is the same.
@@ -492,12 +497,12 @@ def smoothness_checks(cubic: MultiPoly, primes) -> Iterator[SmoothnessVerdict]:
 
 
 def _jacobian_basis(prim: MultiPoly, n: int) -> list[MultiPoly]:
-    """A Groebner basis over Z/n, not autoreduced, of the nonzero
-    partials of prim mod n; ZeroDivisionError from _groebner at a lead
-    that is no unit mod n."""
+    """The Groebner basis over Z/n from buchberger of the nonzero
+    partials of prim mod n; ZeroDivisionError at a lead that is no unit
+    mod n."""
     reduced = prim.reduce_mod(n)
     partials = [reduced.derivative(i) for i in range(6)]
-    return _groebner([q for q in partials if not q.is_zero()])
+    return buchberger([q for q in partials if not q.is_zero()])
 
 
 def _jacobian_run(prim: MultiPoly, n: int) -> tuple[str, dict]:

@@ -1,10 +1,11 @@
 """Shared helpers for tests: block lattices, orthogonal complements, the
 cyclic q-value match, membership checks, a reference row reduction, a
 reference square scan and square walk, the reference grevlex order, a reference
-polynomial evaluation, a reference normal form over F_p, a reference
-exact division and content over Q in Fractions, the 45 quartics of a
-trivector on a subspace as 45 separate Pfaffian expansions, and the
-smoothness verdict of a cubic from one reduced basis per prime.
+polynomial evaluation, a reference normal form over F_p, the reduced
+Groebner basis, a reference exact division and content over Q in
+Fractions, the 45 quartics of a trivector on a subspace as 45 separate
+Pfaffian expansions, and the smoothness verdict of a cubic from one
+reduced basis per prime.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -20,7 +21,13 @@ from math import gcd, isqrt, lcm
 
 from peskine.lattice import GramLattice, field_kernel, mat_vec, smith_normal_form
 from peskine.ntheory import CertificateError
-from peskine.polyring import buchberger, primitive_part, principal_pfaffians
+from peskine.polyring import (
+    MultiPoly,
+    buchberger,
+    normal_form,
+    primitive_part,
+    principal_pfaffians,
+)
 from peskine.trivector import symbolic_contract
 
 # Cartan matrix of E8: chain 1..7 with node 8 attached to node 5.
@@ -357,6 +364,38 @@ def reference_normal_form(terms, basis, p: int) -> dict:
     return out
 
 
+def reduced_basis(gens) -> list:
+    """The reduced grevlex Groebner basis of gens over F_p or over Z/N:
+    monic, sorted by ascending leading monomial, and no term of an
+    element divisible by the lead of another.
+
+    buchberger's basis, autoreduced.  Each element whose lead another
+    lead divides is dropped (of equal leads the first is kept); the tail
+    of each survivor is reduced by normal_form against all survivors and
+    its lead put back.  Grevlex refines divisibility, so no tail term,
+    nor any term its reduction writes, is divisible by the element's own
+    lead.  The reduced basis is unique, so it does not depend on the
+    order of the pair loop.  Over Z/N the basis read mod a prime q | N
+    is the reduced basis over F_q: the leads are units, and normal_form
+    reads mod q as the normal form over F_q.
+    """
+    basis = buchberger(gens)
+    leads = [b.leading_monomial() for b in basis]
+    kept = [
+        b
+        for i, (b, lead) in enumerate(zip(basis, leads))
+        if not any(
+            k != i and (other != lead or k < i) and all(x <= y for x, y in zip(other, lead))
+            for k, other in enumerate(leads)
+        )
+    ]
+    out = []
+    for b in sorted(kept, key=lambda b: grevlex_key(b.leading_monomial())):
+        head = MultiPoly(b.nvars, {b.leading_monomial(): 1}, b.p)
+        out.append(head + normal_form(b - head, kept))
+    return out
+
+
 def exact_div_reference(num: dict, den: dict) -> dict:
     """num / den over Q for dicts from exponent tuples to coefficients.
 
@@ -413,16 +452,16 @@ def smoothness_reference(cubic, p: int) -> str:
     """"smooth" or "singular": the Jacobian verdict of a rational cubic in
     6 variables over F_p, one reduced basis per prime.
 
-    The partials of the primitive part mod p go through the public
-    buchberger (autoreduced, one run for p alone); the Euler relation is
-    checked by reference_normal_form against that basis (CertificateError
+    The partials of the primitive part mod p go through reduced_basis
+    (one run for p alone); the Euler relation is checked by
+    reference_normal_form against that basis (CertificateError
     naming p if the cubic is not in the ideal), and the verdict read off
     its leads: smooth when they hold a constant or a pure power of every
     variable.  No Z/N run, no shared remainder.
     """
     reduced = primitive_part(cubic).reduce_mod(p)
     partials = [reduced.derivative(i) for i in range(6)]
-    basis = [dict(b.terms) for b in buchberger([q for q in partials if not q.is_zero()])]
+    basis = [dict(b.terms) for b in reduced_basis([q for q in partials if not q.is_zero()])]
     if reference_normal_form(reduced.terms, basis, p):
         raise CertificateError(f"Euler relation failed against the reduced basis mod {p}")
     leads = [max(b, key=grevlex_key) for b in basis]

@@ -10,7 +10,7 @@ import pytest
 
 from peskine.cli import main
 from peskine.fixtures import appendix_cubic, appendix_sigma, appendix_sigma_text
-from peskine.lattice import rank
+from peskine.lattice import mat_vec, rank
 from peskine.polyring import (
     MultiPoly,
     buchberger,
@@ -46,7 +46,13 @@ from peskine.trivector import (
     x7_kernel,
 )
 
-from _models import integer_inverse, restriction_reference, same_lattice, smoothness_reference
+from _models import (
+    integer_inverse,
+    reduced_basis,
+    restriction_reference,
+    same_lattice,
+    smoothness_reference,
+)
 
 P = 10007
 E = [tuple(int(i == j) for i in range(DIM)) for j in range(DIM)]
@@ -635,6 +641,36 @@ def _pullback(sigma, a):
     return Trivector(coeffs, sigma.p)
 
 
+class TestGeneralFrame:
+    def test_the_appendix_in_a_general_frame(self, monkeypatch):
+        # sigma∘B on the flag B^-1·flag restricts to the same forms in the
+        # coordinates of the 6-space, so the cubic is the same; the pivot
+        # of _quartics is then a linear form of several terms, and its 36
+        # quotients are long divisions
+        sigma, flag = appendix_sigma(), standard_flag()
+        cubic = extract_cubic(sigma, flag)
+        verdicts = list(smoothness_checks(cubic, (P, 31013)))
+        divisors = []
+        exact = trivector.exact_div
+        monkeypatch.setattr(
+            trivector, "exact_div", lambda num, den: divisors.append(den) or exact(num, den)
+        )
+        for seed in range(3):
+            b = _random_unimodular(random.Random(seed))
+            binv = integer_inverse(b)
+            moved = Flag(mat_vec(binv, flag.w1), tuple(mat_vec(binv, row) for row in flag.w6))
+            pulled = _pullback(sigma, b)
+            divisors.clear()
+            moved_cubic = extract_cubic(pulled, moved)
+            assert moved_cubic == cubic
+            pivots = [d for d in divisors if d.total_degree() == 1]
+            assert len(pivots) == 36 and all(len(d.terms) > 1 for d in pivots)
+            # the certificate divides each nonzero restricted quartic by the
+            # cubic: more of them than the 5 of the standard flag
+            assert len([d for d in divisors if d.total_degree() == 3]) > 5
+            assert list(smoothness_checks(moved_cubic, (P, 31013))) == verdicts
+
+
 class TestRankAtPoint:
     def test_appendix(self):
         assert rank_at_point(appendix_sigma(), E[0]) == 4
@@ -649,6 +685,16 @@ class TestRankAtPoint:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             rank_at_point(Trivector({}), (0,) * DIM)
+
+    def test_a_vector_zero_mod_p_is_the_zero_vector(self):
+        sigma = appendix_sigma(P)
+        for v in ((P,) + (0,) * 9, (P, 2 * P) + (0,) * 8):
+            with pytest.raises(ValueError, match="^rank at the zero vector is undefined$"):
+                rank_at_point(sigma, v)
+        assert rank_at_point(sigma, (P + 1,) + (0,) * 9) == 4
+        for bad in ((), (1,) * 9):
+            with pytest.raises(ValueError, match="^vector must have 10 coordinates$"):
+                rank_at_point(sigma, bad)
 
 
 class TestRestriction:
@@ -793,9 +839,8 @@ def flagged_cubic(rng):
 
 def jacobian_bases(cubic, p, monkeypatch):
     """(plain, Hilbert-driven) Jacobian bases mod p with the _reduce calls
-    of each, less the one autoreduction per element of the basis: the
-    number of S-pairs reduced.  The plain loop runs when the engine is
-    given no Hilbert targets."""
+    of each, one per S-pair reduced.  The plain loop runs when the engine
+    is given no Hilbert targets."""
     reduced = primitive_part(cubic).reduce_mod(p)
     partials = [reduced.derivative(i) for i in range(6)]
     calls = []
@@ -805,8 +850,7 @@ def jacobian_bases(cubic, p, monkeypatch):
     for targets in (lambda gens: None, polyring._hilbert_targets):
         monkeypatch.setattr(polyring, "_hilbert_targets", targets)
         calls.clear()
-        basis = buchberger(partials)
-        out.append((basis, len(calls) - len(basis)))
+        out.append((buchberger(partials), len(calls)))
     return out
 
 
@@ -820,9 +864,9 @@ def patch_everywhere(monkeypatch, name, wrap):
             monkeypatch.setattr(module, name, wrapper)
 
 
-def recording_groebner(monkeypatch):
-    """Patch the pair loop _groebner everywhere with a wrapper that records
-    (modulus, basis or the exception raised)."""
+def recording_buchberger(monkeypatch):
+    """Patch the pair loop buchberger everywhere with a wrapper that
+    records (modulus, basis or the exception raised)."""
     calls = []
 
     def wrap(groebner):
@@ -838,7 +882,7 @@ def recording_groebner(monkeypatch):
 
         return recording
 
-    patch_everywhere(monkeypatch, "_groebner", wrap)
+    patch_everywhere(monkeypatch, "buchberger", wrap)
     return calls
 
 
@@ -891,7 +935,7 @@ class TestSmoothness:
         assert smoothness_check(fermat, P).is_smooth()
 
     def test_one_groebner_basis_per_prime(self, monkeypatch):
-        calls = recording_groebner(monkeypatch)
+        calls = recording_buchberger(monkeypatch)
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
         fermat = sum((x**3 for x in xs[1:]), xs[0] ** 3)
         for cubic in (fermat, xs[0] ** 3, appendix_cubic(), nodal_cubic()):
@@ -910,11 +954,12 @@ class TestSmoothness:
 
     @pytest.mark.parametrize("p", [P, 31013])
     def test_hilbert_driven_basis_of_the_appendix(self, p, monkeypatch):
-        # 37 S-pairs are reduced instead of 160; the basis is the same
+        # 37 S-pairs are reduced instead of 160; the basis is the same:
+        # 6 partials and 37 remainders
         (plain, plain_pairs), (driven, driven_pairs) = jacobian_bases(
             appendix_cubic(), p, monkeypatch
         )
-        assert driven == plain and len(plain) == 39
+        assert driven == plain and len(plain) == 43
         assert (plain_pairs, driven_pairs) == (160, 37)
 
     def test_hilbert_driven_basis_of_flagged_cubics(self, monkeypatch):
@@ -935,28 +980,11 @@ class TestSmoothness:
         )
         assert driven == plain and (plain_pairs, driven_pairs) == (115, 101)
         assert smoothness_check(nodal_cubic(), P).kind == "singular"
-        for cubic in (x[0] ** 3, (x[4] - x[0] * MultiPoly.constant(3, 6)) * quadric):
-            (plain, _), (driven, _) = jacobian_bases(cubic, P, monkeypatch)
-            assert driven == plain
-
-    def test_pairs_above_the_top_wait(self, monkeypatch):
-        # the smooth appendix cubic covers degree 7 before a pair above it
-        # would pop, so 643 pairs are queued, not 903; the singular cubics
-        # never cover it and queue the waiting pairs: the basis is the same
-        pushes = []
-        heappush = polyring.heapq.heappush
-        monkeypatch.setattr(
-            polyring.heapq, "heappush", lambda heap, pair: pushes.append(1) or heappush(heap, pair)
-        )
         shapes = singular_cubics()
-        for cubic in (appendix_cubic(), nodal_cubic(), shapes["cone"], shapes["l*quadric"]):
+        for cubic in (shapes["cone"], shapes["l*quadric"],
+                      (x[4] - x[0] * MultiPoly.constant(3, 6)) * quadric):
             (plain, _), (driven, _) = jacobian_bases(cubic, P, monkeypatch)
             assert driven == plain
-        for p in (P, 31013, P * 31013):
-            reduced = primitive_part(appendix_cubic()).reduce_mod(p)
-            pushes.clear()
-            polyring._groebner([reduced.derivative(i) for i in range(6)])
-            assert len(pushes) == 643
 
     def test_bad_primes(self):
         xs = [MultiPoly.variable(i, 6) for i in range(6)]
@@ -995,7 +1023,7 @@ class TestJointSmoothness:
         return [appendix_cubic()] + [flagged_cubic(rng) for _ in range(20)]
 
     def test_one_run_gives_the_per_prime_verdicts_and_bases(self, monkeypatch):
-        calls = recording_groebner(monkeypatch)
+        calls = recording_buchberger(monkeypatch)
         for cubic in self.cubics():
             separate = {}
             for p in {p for primes in self.PRIME_SETS for p in primes}:
@@ -1013,7 +1041,7 @@ class TestJointSmoothness:
     @pytest.mark.parametrize("which", ["lead", "singular-mod-one"])
     def test_a_lead_that_is_no_unit_splits_the_run(self, which, monkeypatch):
         cubic = split_cubic(which)
-        calls = recording_groebner(monkeypatch)
+        calls = recording_buchberger(monkeypatch)
         verdicts = list(smoothness_checks(cubic, (P, 31013)))
         assert [m for m, _ in calls] == [P * 31013, P, 31013]
         assert isinstance(calls[0][1], ZeroDivisionError)
@@ -1023,7 +1051,7 @@ class TestJointSmoothness:
             assert [v.kind for v in verdicts] == ["singular", "smooth"]
 
     def test_verdicts_are_drawn_lazily(self, monkeypatch):
-        calls = recording_groebner(monkeypatch)
+        calls = recording_buchberger(monkeypatch)
         verdicts = smoothness_checks(appendix_cubic(), (P, 31013))
         assert calls == []
         assert next(verdicts) == trivector.SmoothnessVerdict("smooth", P)
@@ -1068,8 +1096,7 @@ class TestJointSmoothness:
                 next(verdicts)
 
     def test_one_unreduced_run_and_one_normal_form(self, monkeypatch):
-        calls = recording_groebner(monkeypatch)
-        reduced = counting_calls(monkeypatch, "buchberger")
+        calls = recording_buchberger(monkeypatch)
         remainders = counting_calls(monkeypatch, "normal_form")
         for primes in self.PRIME_SETS:
             calls.clear()
@@ -1077,13 +1104,12 @@ class TestJointSmoothness:
             assert all(v.is_smooth() for v in smoothness_checks(appendix_cubic(), primes))
             [(_, basis)] = calls
             assert len(remainders) == 1
-            # 6 partials and 37 S-pair remainders; autoreduction keeps 39
-            assert len(basis) == 43 and len(buchberger(basis)) == 39
+            # 6 partials and 37 S-pair remainders; the reduced basis has 39
+            assert len(basis) == 43 and len(reduced_basis(basis)) == 39
         calls.clear()
         remainders.clear()
         list(smoothness_checks(split_cubic("lead"), (P, 31013)))
         assert len(calls) == 3 and len(remainders) == 2
-        assert reduced == []
 
     @pytest.mark.parametrize(
         "primes, message",
@@ -1095,7 +1121,7 @@ class TestJointSmoothness:
             smoothness_checks(appendix_cubic(), primes)
 
     def test_verify_appendix_makes_one_groebner_run(self, monkeypatch, capsys):
-        calls = recording_groebner(monkeypatch)
+        calls = recording_buchberger(monkeypatch)
         assert main(["verify-appendix"]) == 0
         assert [m for m, _ in calls] == [P * 31013]
         assert capsys.readouterr().out.endswith(
