@@ -19,7 +19,6 @@ from .markings import (
     MarkingGram,
     admissible,
     disc_form_closed,
-    hls_set,
     lambda11,
     marking_gram,
 )

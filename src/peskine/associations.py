@@ -278,14 +278,8 @@ def check_fixture() -> list[str]:
     problems = []
     for d, fix in sorted(table1_fixture().items()):
         row = association_row(d)
-        if row.assoc_k3 != fix.assoc_k3:
-            problems.append(
-                f"d = {d}: computed assoc_k3 = {row.assoc_k3}, "
-                f"fixture says {fix.assoc_k3}"
-            )
-        if row.assoc_cubic != fix.assoc_cubic:
-            problems.append(
-                f"d = {d}: computed assoc_cubic = {row.assoc_cubic}, "
-                f"fixture says {fix.assoc_cubic}"
-            )
+        for column in ("assoc_k3", "assoc_cubic"):
+            computed, expected = getattr(row, column), getattr(fix, column)
+            if computed != expected:
+                problems.append(f"d = {d}: computed {column} = {computed}, fixture says {expected}")
     return problems

@@ -18,9 +18,9 @@ def appendix_sigma_text() -> str:
     return _read("appendix_sigma.tvec")
 
 
-def appendix_sigma(p: int | None = None) -> Trivector:
+def appendix_sigma() -> Trivector:
     """The distinguished trivector with an isolated singular point."""
-    return parse_trivector(appendix_sigma_text(), p)
+    return parse_trivector(appendix_sigma_text())
 
 
 def appendix_cubic_text() -> str:

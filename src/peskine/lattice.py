@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .ntheory import CertificateError, QmodTwoZ, square_roots_mod
@@ -31,7 +31,9 @@ def _to_matrix(rows) -> Matrix:
     return tuple(tuple(map(_integral, row)) for row in rows)
 
 
-def mat_vec(m, v) -> tuple[int, ...]:
+def mat_vec(m, v) -> tuple:
+    """The product m.v of a matrix given by its rows and a vector, in
+    their own entries (ints, or Fractions over Q)."""
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
@@ -239,10 +241,7 @@ class DiscGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def is_cyclic(self) -> bool:
         return len(self.invariant_factors) <= 1

@@ -1,9 +1,9 @@
 """Classification of markings of special Peskine sixfolds.
 
-Admissible discriminants, the HLS exclusion set, the rank-3 marking Gram
-matrix for each admissible discriminant, and the closed-form values of
-the discriminant group and its Q/2Z form, cross-validated against the
-generic lattice machinery in :mod:`peskine.lattice`.
+Admissible discriminants, the rank-3 marking Gram matrix for each
+admissible discriminant, and the closed-form values of the discriminant
+group and its Q/2Z form, cross-validated against the generic lattice
+machinery in :mod:`peskine.lattice`.
 """
 
 from __future__ import annotations
@@ -107,11 +107,6 @@ def range_cost(lo: int, hi: int) -> int:
     return total
 
 
-def hls_set() -> frozenset[int]:
-    """Discriminants whose Heegner divisor misses the trivector moduli."""
-    return frozenset({2, 6, 8, 10, 18})
-
-
 @functools.cache
 def lambda11() -> GramLattice:
     """The fixed rank-2 lattice ((15, 7), (7, 4)) of discriminant 11."""
@@ -160,9 +155,6 @@ class ClosedDiscForm:
 
     invariant_factors: tuple[int, ...]
     q: QmodTwoZ | None
-
-    def is_cyclic(self) -> bool:
-        return len(self.invariant_factors) <= 1
 
 
 def disc_form_closed(d: int) -> ClosedDiscForm:

@@ -1080,6 +1080,8 @@ def buchberger(gens) -> list[MultiPoly]:
 
     for g in gens:
         add(g._packed)
+    # once 1 lies in J every remainder is zero, so the basis is complete
+    unit = any(lt == zero for lt, _ in basis)
 
     def chain_criterion(i: int, j: int, lcm_ij: int) -> bool:
         for k in range(len(basis)):
@@ -1095,7 +1097,7 @@ def buchberger(gens) -> list[MultiPoly]:
                 return True
         return False
 
-    while heap:
+    while heap and not unit:
         lcm_ij, j, i = heapq.heappop(heap)
         pending.remove(j << 32 | i)
         if targets is not None:
@@ -1117,6 +1119,7 @@ def buchberger(gens) -> list[MultiPoly]:
         r = _reduce(s, basis, nvars, p, cache)
         if r:
             add(r)
+            unit = max(r) == zero
     return [MultiPoly._raw(nvars, terms, p) for _, terms in basis]
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from .lattice import field_kernel, rank
+from .lattice import field_kernel, mat_vec, rank
 from .ntheory import CertificateError, is_prime
 from .polyring import (
     MAX_DIGITS,
@@ -51,18 +51,8 @@ _DENOMINATOR_LIMIT = 10**MAX_DIGITS
 
 def _sort_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
     """Sorted index triple and the sign of the sorting permutation."""
-    sign = 1
-    t = [i, j, k]
-    if t[0] > t[1]:
-        t[0], t[1] = t[1], t[0]
-        sign = -sign
-    if t[1] > t[2]:
-        t[1], t[2] = t[2], t[1]
-        sign = -sign
-    if t[0] > t[1]:
-        t[0], t[1] = t[1], t[0]
-        sign = -sign
-    return (t[0], t[1], t[2]), sign
+    inversions = (i > j) + (i > k) + (j > k)
+    return tuple(sorted((i, j, k))), -1 if inversions % 2 else 1
 
 
 class TripleError(ValueError):
@@ -141,9 +131,6 @@ class Trivector:
             return 0
         key, sign = _sort_triple(i - 1, j - 1, k - 1)
         return _coeff_normalize(sign * self.coeffs.get(key, 0), self.p)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def trilinear(self, u, v, w):
         """sigma(u, v, w) for coordinate vectors of length 10, each entry
@@ -272,16 +259,15 @@ def peskine_equations(sigma: Trivector) -> PeskineSystem:
     """All principal 8x8 Pfaffians of the symbolic contraction M.
 
     A skew matrix has even rank, so rank <= 6 is rank < 8, which is the
-    simultaneous vanishing of these 45 degree-4 forms.  M x = 0, since
-    sigma(x, x, .) = 0, so _quartics builds them: the nine that delete
-    the first index of a nonzero row of M are expanded (index 1 unless
-    no triple holds it), the other 36 are exact quotients by that
-    coordinate; a term it does not divide raises CertificateError.
+    simultaneous vanishing of these 45 degree-4 forms.  They are
+    restrict_to_subspace on the standard basis, whose coordinate forms
+    are the variables x_1..x_10: the nine that delete the first index of
+    a nonzero row of M are expanded (index 1 unless no triple holds it),
+    the other 36 are exact quotients by that coordinate.
     """
-    p = sigma.p
-    x = [MultiPoly.variable(i, DIM, p) for i in range(DIM)]
     return PeskineSystem(
-        tuple((a + 1, b + 1) for a, b in _PAIRS), tuple(_quartics(symbolic_contract(sigma), x))
+        tuple((a + 1, b + 1) for a, b in _PAIRS),
+        tuple(restrict_to_subspace(sigma, _STANDARD_BASIS)),
     )
 
 
@@ -316,20 +302,12 @@ def standard_flag() -> Flag:
 def verify_flag(sigma: Trivector, flag: Flag) -> bool:
     """Whether sigma(w1, w6, V10) vanishes identically.
 
-    Checked as 60 trilinear evaluations: each row of w6 against each
-    standard basis vector.
+    Checked as 60 trilinear evaluations: the contraction M at w1 times
+    each row of w6, entry k of which is sigma(w1, e_k, row) =
+    -sigma(w1, row, e_k) as M is skew.
     """
     m = contract(sigma, flag.w1)
-    for row in flag.w6:
-        pair = [0] * DIM
-        for j, rj in enumerate(row):
-            if rj:
-                mrow = m[j]
-                for k in range(DIM):
-                    pair[k] += rj * mrow[k]
-        if any(_coeff_normalize(x, sigma.p) for x in pair):
-            return False
-    return True
+    return not any(any(_coeff_normalize(x, sigma.p) for x in mat_vec(m, row)) for row in flag.w6)
 
 
 def rank_at_point(sigma: Trivector, v) -> int:
@@ -363,16 +341,17 @@ def _subspace_rows(rows, count: int | None, name: str, p: int | None) -> list[tu
 def restrict_to_subspace(sigma: Trivector, rows) -> list[MultiPoly]:
     """The 45 quartics of sigma on the subspace spanned by rows.
 
-    Entry t is the quartic that peskine_equations lists t-th, composed
-    with x = sum_a y_a rows[a].  Taking a Pfaffian commutes with that
-    substitution, so the forms are the principal Pfaffians of the
-    contraction built on the rows themselves, in len(rows) variables,
-    and that contraction annihilates the coordinate forms x_i =
-    sum_a rows[a][i] y_a, which are not all zero as the rows have full
-    rank.  So _quartics builds them: on the standard flag row 1 of the
-    contraction is zero, the pivot is x_2 = y_2, and one 8x8 expansion
-    remains; on general rows the pivot is a form of several terms, and
-    the 36 quotients are long divisions.
+    Entry t is the principal 8x8 Pfaffian of the symbolic contraction
+    that deletes the pair _PAIRS[t], composed with x = sum_a y_a rows[a].
+    Taking a Pfaffian commutes with that substitution, so the forms are
+    the principal Pfaffians of the contraction built on the rows
+    themselves, in len(rows) variables, and that contraction annihilates
+    the coordinate forms x_i = sum_a rows[a][i] y_a, which are not all
+    zero as the rows have full rank.  So _quartics builds them: on the
+    standard basis (peskine_equations) the forms are the variables; on
+    the standard flag row 1 of the contraction is zero, the pivot is
+    x_2 = y_2, and one 8x8 expansion remains; on general rows the pivot
+    is a form of several terms, and the 36 quotients are long divisions.
     """
     p = sigma.p
     rows = _subspace_rows(rows, None, "rows", p)
@@ -554,15 +533,8 @@ def x7_kernel(sigma: Trivector, v7, domain: str = "v7") -> list[tuple]:
     kernel = field_kernel(forms, sigma.p)
     if domain == "v10":
         return kernel
-    out = []
-    for vec in kernel:
-        amb = [0] * DIM
-        for s in range(7):
-            if vec[s]:
-                for t in range(DIM):
-                    amb[t] += vec[s] * rows[s][t]
-        out.append(tuple(_coeff_normalize(x, sigma.p) for x in amb))
-    return out
+    columns = tuple(zip(*rows))
+    return [tuple(_coeff_normalize(x, sigma.p) for x in mat_vec(columns, vec)) for vec in kernel]
 
 
 def line_in_peskine(sigma: Trivector, v2) -> bool:

@@ -214,6 +214,15 @@ class TestTable:
         assert check_fixture() == []
         assert len(table1_fixture()) == 20
 
+    def test_a_fixture_mismatch_is_reported(self, monkeypatch):
+        fixture = dict(table1_fixture())
+        fixture[194] = AssociationRow(194, False, False, True, True)
+        monkeypatch.setattr(associations, "table1_fixture", lambda: fixture)
+        assert check_fixture() == [
+            "d = 194: computed assoc_k3 = True, fixture says False",
+            "d = 194: computed assoc_cubic = True, fixture says False",
+        ]
+
     def test_mismatch_is_loud(self, monkeypatch):
         monkeypatch.setattr(associations, "k3_witness", lambda d: None)
         with pytest.raises(CriterionMismatchError):

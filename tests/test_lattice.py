@@ -199,6 +199,11 @@ class TestRowReduction:
         with pytest.raises(ValueError, match=f"entry {bad} is not an integer"):
             bareiss_determinant(m)
 
+    def test_determinant_needs_a_square_matrix(self):
+        for m in ([[1, 2]], [[1, 2], [3]]):
+            with pytest.raises(ValueError, match="^determinant needs a square matrix$"):
+                bareiss_determinant(m)
+
     def test_determinant_reads_integral_values(self):
         det = bareiss_determinant([[Fraction(4, 2), 1], [1, 2.0]])
         assert det == 3 and type(det) is int
@@ -257,6 +262,15 @@ class TestDiscriminantGroup:
         assert lat == GramLattice(lat.gram)
         assert repr(lat) == "GramLattice(gram=((15, 7, 3), (7, 4, 1), (3, 1, 3)))"
 
+    def test_a_generator_outside_the_dual_lattice_is_refused(self, monkeypatch):
+        # with V the identity, the column e2 of ((2, 1), (1, 2)), whose
+        # Smith form is diag(1, 3), pairs to (1, 2), not 0 mod 3
+        snf = lattice.smith_normal_form
+        monkeypatch.setattr(lattice, "smith_normal_form", lambda m: snf(m)[:2] + (((1, 0), (0, 1)),))
+        message = "^discriminant group generator not in the dual lattice$"
+        with pytest.raises(CertificateError, match=message):
+            discriminant_group(GramLattice(((2, 1), (1, 2))))
+
     def test_generators_are_dual_vectors(self):
         lat = marking_gram(30).lattice()
         g = discriminant_group(lat)
@@ -271,6 +285,13 @@ class TestCyclicQMatches:
     def test_unit_square_orbit(self):
         assert cyclic_q_matches(5, QmodTwoZ(2, 5), QmodTwoZ(8, 5))
         assert not cyclic_q_matches(5, QmodTwoZ(2, 5), QmodTwoZ(1, 5))
+
+    def test_generator_search_needs_a_nontrivial_cyclic_group(self):
+        # Z/2 x Z/2, and the trivial group
+        for gram in (((2, 0), (0, 2)), ((1, 0), (0, 1))):
+            lat = GramLattice(gram)
+            with pytest.raises(ValueError, match="^needs a nontrivial cyclic group$"):
+                generator_with_q_value(lat, discriminant_group(lat), QmodTwoZ(1, 2))
 
     def test_generator_with_q_value(self):
         lat = marking_gram(24).lattice()

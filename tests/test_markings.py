@@ -21,7 +21,6 @@ from peskine.markings import (
     disc_form_agrees,
     disc_form_closed,
     exhibit_generator,
-    hls_set,
     lambda11,
     marking_gram,
     range_cost,
@@ -103,16 +102,10 @@ class TestRequireAdmissible:
 
 
 class TestHlsSet:
-    def test_exact_value(self):
-        assert hls_set() == {2, 6, 8, 10, 18}
-
-    def test_membership(self):
-        assert 18 in hls_set()
-        assert 22 not in hls_set()
-        assert 24 not in hls_set()
-
     def test_hls_values_are_the_small_admissible_ones(self):
-        assert {d for d in range(1, 22) if admissible(d)} == hls_set()
+        # the HLS exclusion set, the discriminants whose Heegner divisor
+        # misses the trivector moduli, is the admissible d below 22
+        assert {d for d in range(1, 22) if admissible(d)} == {2, 6, 8, 10, 18}
 
 
 class TestMarkingGram:
@@ -169,6 +162,10 @@ class TestCrossValidation:
     def test_sample_discriminants(self):
         for d in (18, 22, 24, 30, 44, 66, 88, 110, 242, 484, 2662):
             assert disc_form_agrees(d), d
+
+    def test_a_failed_certificate_reads_false(self, monkeypatch):
+        monkeypatch.setattr(markings, "generator_with_q_value", lambda *args: None)
+        assert not disc_form_agrees(24)
 
     def test_one_smith_form_per_discriminant(self, monkeypatch):
         calls = []

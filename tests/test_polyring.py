@@ -16,6 +16,7 @@ from peskine.polyring import (
     format_integer,
     format_poly,
     gcd_multivariate,
+    basis_has_finite_zeros,
     normal_form,
     only_zero_at_origin,
     parse_coefficient,
@@ -1021,6 +1022,18 @@ class TestBuchberger:
                 for j in range(i):
                     assert not reference_normal_form(_spoly(gb[i], gb[j]).terms, basis, P)
 
+    def test_the_loop_stops_at_the_unit_ideal(self, monkeypatch):
+        # the constant joins the basis at the 11th S-pair reduction; the
+        # pairs still queued would reduce to zero and change nothing
+        x, y, z = variables(3, P)
+        one = MultiPoly.constant(1, 3, P)
+        calls = []
+        reduce = polyring._reduce
+        monkeypatch.setattr(polyring, "_reduce", lambda *a: calls.append(1) or reduce(*a))
+        gb = buchberger([x * x + y, x * y + one, y * y + x, z * x + z * y])
+        assert gb[-1] == one and len(gb) == 9
+        assert len(calls) == 11
+
     def test_deterministic(self):
         rng = random.Random(25)
         gens = [random_poly(rng, 3, 2, 5, p=P) for _ in range(3)]
@@ -1190,6 +1203,18 @@ class TestOnlyZeroAtOrigin:
         assert not only_zero_at_origin([])
         assert not only_zero_at_origin([MultiPoly.zero(3, P)])
 
+    def test_a_constant_generator_needs_no_basis(self, monkeypatch):
+        monkeypatch.setattr(polyring, "buchberger", lambda gens: pytest.fail("ran buchberger"))
+        x = MultiPoly.variable(0, 3, P)
+        assert only_zero_at_origin([x * x, MultiPoly.constant(5, 3, P)])
+
+    def test_a_constant_in_the_basis_has_no_zeros(self):
+        # the constant's lead (0, 0, 0) names no variable, so only the
+        # shortcut reads it
+        x = MultiPoly.variable(0, 3, P)
+        assert basis_has_finite_zeros([x * x, MultiPoly.constant(1, 3, P)], 3)
+        assert not basis_has_finite_zeros([x * x], 3)
+
     def test_monotone_in_generators(self):
         rng = random.Random(26)
         xs = variables(3, P)
@@ -1200,6 +1225,28 @@ class TestOnlyZeroAtOrigin:
         )
         if only_zero_at_origin(base):
             assert only_zero_at_origin(base + [extra])
+
+
+_X, _Y = variables(2)
+_XP, _YP = variables(2, P)
+
+REFUSALS = {
+    "zero polynomial has no leading monomial": lambda: MultiPoly.zero(2).leading_monomial(),
+    "negative power": lambda: _X ** -1,
+    "already over a prime field": lambda: _X.reduce_mod(P).reduce_mod(P),
+    "ragged substitution matrix": lambda: substitute_linear(_X * _Y, [(1, 0), (1,)]),
+    "cannot infer the ring of an empty matrix; use size >= 2": lambda: pfaffian([]),
+    "content normalization is for Q-coefficients": lambda: primitive_part(_XP),
+    "gcd_multivariate works over Q": lambda: gcd_multivariate(_XP, _YP),
+    "normal_form works over F_p or Z/N": lambda: normal_form(_X, [_Y]),
+    "generators live in different rings": lambda: buchberger([_XP, MultiPoly.variable(0, 2, 7)]),
+}
+
+
+@pytest.mark.parametrize("message", REFUSALS)
+def test_each_refusal_names_its_reason(message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        REFUSALS[message]()
 
 
 class TestPrimeFieldRationals:

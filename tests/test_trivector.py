@@ -594,6 +594,16 @@ class TestVerifyFlag:
     def test_zero_trivector(self):
         assert verify_flag(Trivector({}), standard_flag())
 
+    @pytest.mark.parametrize("k", range(1, DIM + 1))
+    def test_each_coordinate_is_read(self, k):
+        # w1 = e_a in <e_a, e_b, ...> with e_k outside: sigma = e_a^e_k^e_b
+        # pairs w6 with V10 only in sigma(w1, e_k, e_b), coordinate k
+        a, b = [i for i in range(1, DIM + 1) if i != k][:2]
+        w6 = [i for i in range(1, DIM + 1) if i != k][:6]
+        flag = Flag(E[a - 1], basis_rows(*w6))
+        for p in (None, P):
+            assert not verify_flag(Trivector({(a, k, b): 1}, p), flag)
+
     def test_flag_forces_rank_four(self):
         # a flagged trivector has rank <= 4 at the marked point, and the
         # property survives a unimodular change of basis
@@ -687,7 +697,7 @@ class TestRankAtPoint:
             rank_at_point(Trivector({}), (0,) * DIM)
 
     def test_a_vector_zero_mod_p_is_the_zero_vector(self):
-        sigma = appendix_sigma(P)
+        sigma = parse_trivector(appendix_sigma_text(), P)
         for v in ((P,) + (0,) * 9, (P, 2 * P) + (0,) * 8):
             with pytest.raises(ValueError, match="^rank at the zero vector is undefined$"):
                 rank_at_point(sigma, v)
@@ -794,12 +804,42 @@ class TestExtractCubic:
         with pytest.raises(CubicExtractionError, match="not cubic times a linear form"):
             extract_cubic(appendix_sigma(), standard_flag())
 
+    def test_a_common_factor_of_the_wrong_degree(self, monkeypatch):
+        # proportional quartics: their GCD is the quartic itself
+        v = [MultiPoly.variable(i, 6) for i in range(6)]
+        quartic = v[0] ** 4 + v[1] * v[2] ** 3
+        quartics = [quartic, quartic * MultiPoly.constant(-2, 6)]
+        monkeypatch.setattr(trivector, "restrict_to_subspace", lambda sigma, rows: quartics)
+        with pytest.raises(CubicExtractionError, match="^common factor has degree 4, expected 3$"):
+            extract_cubic(appendix_sigma(), standard_flag())
+
+    def test_refuses_a_prime_field(self):
+        sigma = parse_trivector(appendix_sigma_text(), P)
+        with pytest.raises(ValueError, match="^cubic extraction needs rational coefficients$"):
+            extract_cubic(sigma, standard_flag())
+
+    @pytest.mark.parametrize("scale", [2, -3, Fraction(7, 5), Fraction(1, 10**40)])
+    def test_scaling_sigma_leaves_the_cubic_unchanged(self, scale):
+        # the restricted quartics scale by scale^4 and the cubic is their
+        # primitive GCD, so lambda*sigma has the cubic of sigma
+        rng = random.Random(52)
+        flag = standard_flag()
+        planted = [flagged_trivector(rng, 1, range(1, 7)) for _ in range(3)]
+        for sigma in [appendix_sigma()] + planted:
+            scaled = Trivector(
+                {(i + 1, j + 1, k + 1): scale * c for (i, j, k), c in sigma.coeffs.items()}
+            )
+            cubic, scaled_cubic = extract_cubic(sigma, flag), extract_cubic(scaled, flag)
+            assert scaled_cubic == cubic
+            verdicts = [v.kind for v in smoothness_checks(cubic, (P, 31013))]
+            assert [v.kind for v in smoothness_checks(scaled_cubic, (P, 31013))] == verdicts
+
     def test_points_found_on_cubic_lie_on_locus(self):
         # intersect the cubic with random lines over a small prime field;
         # each root is a point of the sliced locus, so the contraction of
         # the trivector there must drop rank
         q = 101
-        sigma_q = appendix_sigma(p=q)
+        sigma_q = parse_trivector(appendix_sigma_text(), q)
         cubic_q = appendix_cubic().reduce_mod(q)
         rng = random.Random(49)
         found = 0
@@ -827,14 +867,7 @@ def nodal_cubic():
 
 def flagged_cubic(rng):
     """The cubic of a trivector over Q that vanishes on the flag e1 in <e1..e6>."""
-    coeffs = {}
-    for i, j, k in combinations(range(1, DIM + 1), 3):
-        if i == 1 and j <= 6:
-            continue
-        c = rng.randint(-9, 9)
-        if c:
-            coeffs[(i, j, k)] = c
-    return extract_cubic(Trivector(coeffs), standard_flag())
+    return extract_cubic(flagged_trivector(rng, 1, range(1, 7)), standard_flag())
 
 
 def jacobian_bases(cubic, p, monkeypatch):
@@ -1010,6 +1043,11 @@ class TestSmoothness:
         x0 = MultiPoly.variable(0, 6)
         with pytest.raises(ValueError):
             smoothness_check(x0 * x0, P)
+
+    def test_rejects_a_cubic_outside_q_in_six_variables(self):
+        for cubic in (MultiPoly.variable(0, 6, P) ** 3, MultiPoly.variable(0, 5) ** 3):
+            with pytest.raises(ValueError, match="^expected a rational cubic in 6 variables$"):
+                smoothness_checks(cubic, (P,))
 
 
 class TestJointSmoothness:
