@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from operator import mul
 
 from .lattice import field_kernel, mat_vec, rank
 from .ntheory import CertificateError, is_prime
@@ -133,27 +134,25 @@ class Trivector:
         return _coeff_normalize(sign * self.coeffs.get(key, 0), self.p)
 
     def trilinear(self, u, v, w):
-        """sigma(u, v, w) for coordinate vectors of length 10, each entry
-        read by _coeff_normalize."""
-        u, v, w = ([_coeff_normalize(x, self.p) for x in vec] for vec in (u, v, w))
-        total = 0
-        for (i, j, k), c in self.coeffs.items():
-            det = (
-                u[i] * (v[j] * w[k] - v[k] * w[j])
-                - u[j] * (v[i] * w[k] - v[k] * w[i])
-                + u[k] * (v[i] * w[j] - v[j] * w[i])
-            )
-            if det:
-                total += c * det
-        return _coeff_normalize(total, self.p)
+        """sigma(u, v, w) = v . contract(sigma, u) w for vectors of 10
+        coordinates, each read by _read_vector."""
+        mw = mat_vec(contract(self, u), _read_vector(w, self.p))
+        return _coeff_normalize(sum(map(mul, _read_vector(v, self.p), mw)), self.p)
+
+
+def _read_vector(v, p: int | None) -> list:
+    """The entries of v read by _coeff_normalize, once there are 10 of
+    them (else ValueError)."""
+    v = [_coeff_normalize(x, p) for x in v]
+    if len(v) != DIM:
+        raise ValueError("vector must have 10 coordinates")
+    return v
 
 
 def contract(sigma: Trivector, v) -> list[list]:
-    """The 10x10 skew matrix M[j][k] = sigma(v, e_j, e_k); each entry of v
-    is read by _coeff_normalize."""
-    if len(v) != DIM:
-        raise ValueError("vector must have 10 coordinates")
-    v = [_coeff_normalize(x, sigma.p) for x in v]
+    """The 10x10 skew matrix M[j][k] = sigma(v, e_j, e_k), v read by
+    _read_vector: the one evaluation of sigma."""
+    v = _read_vector(v, sigma.p)
     m = [[0] * DIM for _ in range(DIM)]
     for (i, j, k), c in sigma.coeffs.items():
         m[j][k] += v[i] * c
@@ -165,14 +164,12 @@ def contract(sigma: Trivector, v) -> list[list]:
     return [[_coeff_normalize(x, sigma.p) for x in row] for row in m]
 
 
-def symbolic_contract(sigma: Trivector, rows=None) -> list[list[MultiPoly]]:
+def symbolic_contract(sigma: Trivector, rows) -> list[list[MultiPoly]]:
     """The 10x10 skew matrix of linear forms sum_a y_a contract(sigma, rows[a]).
 
-    The forms live in len(rows) variables; the rows default to the
-    standard basis, which gives the entries sum_i sigma_ijk x_i.
+    The forms live in len(rows) variables; on the standard basis the
+    entries are sum_i sigma_ijk x_i.
     """
-    if rows is None:
-        rows = _STANDARD_BASIS
     n = len(rows)
     entries = [[{} for _ in range(DIM)] for _ in range(DIM)]
     for y_a, row in zip(_variable_keys(n), rows):
@@ -314,9 +311,7 @@ def rank_at_point(sigma: Trivector, v) -> int:
     """Exact rank of the contraction at v; always even.  Each entry of v
     is read by _coeff_normalize, so over F_p a vector that is zero mod p
     is the zero vector, at which the rank is undefined (ValueError)."""
-    v = [_coeff_normalize(x, sigma.p) for x in v]
-    if len(v) != DIM:
-        raise ValueError("vector must have 10 coordinates")
+    v = _read_vector(v, sigma.p)
     if not any(v):
         raise ValueError("rank at the zero vector is undefined")
     return rank(contract(sigma, v), sigma.p)
@@ -506,11 +501,17 @@ def _verdicts(prim: MultiPoly, primes: tuple[int, ...]) -> Iterator[SmoothnessVe
 
 
 def x6_membership(sigma: Trivector, v6) -> bool:
-    """Whether sigma restricts to zero on the 6-space spanned by v6."""
+    """Whether sigma restricts to zero on the 6-space spanned by v6.
+
+    For rows a < c, the entries of rows . contract(sigma, a) c are
+    sigma(a, b, c) for every row b.
+    """
     rows = _subspace_rows(v6, 6, "v6", sigma.p)
-    for a, b, c in combinations(range(6), 3):
-        if sigma.trilinear(rows[a], rows[b], rows[c]) != 0:
-            return False
+    for a in range(5):
+        m = contract(sigma, rows[a])
+        for c in rows[a + 1 :]:
+            if any(_coeff_normalize(x, sigma.p) for x in mat_vec(rows, mat_vec(m, c))):
+                return False
     return True
 
 
@@ -519,20 +520,18 @@ def x7_kernel(sigma: Trivector, v7, domain: str = "v7") -> list[tuple]:
 
     domain "v7" restricts v to the span of v7 (vectors are returned in
     ambient coordinates); domain "v10" takes v through all of V10.  The
-    linear forms are written on the domain's own basis: the rows of v7,
-    or the standard basis of V10.
+    form of the pair (a, b) is u -> sigma(b, u, a) = u . contract(sigma,
+    b) a, a vector in V10 coordinates; on "v7" its coefficients on the
+    rows are rows . form.
     """
     if domain not in ("v7", "v10"):
         raise ValueError("domain must be 'v7' or 'v10'")
     rows = _subspace_rows(v7, 7, "v7", sigma.p)
-    basis = rows if domain == "v7" else _STANDARD_BASIS
-    forms = [
-        [sigma.trilinear(u, rows[a], rows[b]) for u in basis]
-        for a, b in combinations(range(7), 2)
-    ]
-    kernel = field_kernel(forms, sigma.p)
+    contractions = [contract(sigma, b) for b in rows]
+    forms = [mat_vec(contractions[b], rows[a]) for a, b in combinations(range(7), 2)]
     if domain == "v10":
-        return kernel
+        return field_kernel(forms, sigma.p)
+    kernel = field_kernel([mat_vec(rows, form) for form in forms], sigma.p)
     columns = tuple(zip(*rows))
     return [tuple(_coeff_normalize(x, sigma.p) for x in mat_vec(columns, vec)) for vec in kernel]
 

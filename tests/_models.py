@@ -4,8 +4,8 @@ reference square scan and square walk, the reference grevlex order, a reference
 polynomial evaluation, a reference normal form over F_p, the reduced
 Groebner basis, a reference exact division and content over Q in
 Fractions, the 45 quartics of a trivector on a subspace as 45 separate
-Pfaffian expansions, and the smoothness verdict of a cubic from one
-reduced basis per prime.
+Pfaffian expansions, the value of a trivector as its multilinear sum,
+and the smoothness verdict of a cubic from one reduced basis per prime.
 
 The *_model functions build explicit even lattices in the genus of the
 marking complement and of the K3/cubic-side complements.  By the
@@ -16,7 +16,7 @@ ground truth for the congruence constants.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt, lcm
 
 from peskine.lattice import GramLattice, field_kernel, mat_vec, smith_normal_form
@@ -440,12 +440,30 @@ _PAIR_COMPLEMENTS = [
 ]
 
 
-def restriction_reference(sigma, rows=None) -> list:
-    """The 45 quartics of sigma on the span of rows (V10 itself when rows
-    is None), in lexicographic order of the deleted pair: each principal
-    8x8 Pfaffian of the symbolic contraction expanded on its own, with
-    no pivot, no Pfaffian relation and no exact quotient."""
+def restriction_reference(sigma, rows) -> list:
+    """The 45 quartics of sigma on the span of rows, in lexicographic
+    order of the deleted pair: each principal 8x8 Pfaffian of the
+    symbolic contraction expanded on its own, with no pivot, no Pfaffian
+    relation and no exact quotient."""
     return principal_pfaffians(symbolic_contract(sigma, rows), _PAIR_COMPLEMENTS)
+
+
+def trilinear_reference(sigma):
+    """The map (u, v, w) -> sigma(u, v, w) on integer 10-vectors: the
+    multilinear sum of u_i v_j w_k sigma(e_i, e_j, e_k) over the 1 000
+    ordered index triples, read mod p over F_p.  It reads sigma only
+    through coefficient, so it shares no code with trivector.contract."""
+    terms = [
+        (t, c)
+        for t in product(range(10), repeat=3)
+        if (c := sigma.coefficient(*(x + 1 for x in t)))
+    ]
+
+    def value(u, v, w):
+        total = sum(u[i] * v[j] * w[k] * c for (i, j, k), c in terms)
+        return total if sigma.p is None else total % sigma.p
+
+    return value
 
 
 def smoothness_reference(cubic, p: int) -> str:

@@ -10,7 +10,7 @@ import pytest
 
 from peskine.cli import main
 from peskine.fixtures import appendix_cubic, appendix_sigma, appendix_sigma_text
-from peskine.lattice import mat_vec, rank
+from peskine.lattice import field_kernel, mat_vec, rank
 from peskine.polyring import (
     MultiPoly,
     buchberger,
@@ -52,6 +52,7 @@ from _models import (
     restriction_reference,
     same_lattice,
     smoothness_reference,
+    trilinear_reference,
 )
 
 P = 10007
@@ -77,6 +78,29 @@ def basis_rows(*indices):
 def unit_rows(count, length):
     """The first count unit vectors of length length."""
     return [tuple(int(i == j) for i in range(length)) for j in range(count)]
+
+
+def planted_trivector(rng, p=None):
+    """Seeded sigma with sigma(e1 or e2, V7, V7) = 0 for V7 = span(e1..e7),
+    zero on V6 = span(e1..e6), and annihilated by the flag e1 in V6:
+    every triple that breaks one of these is zero, every other drawn."""
+    coeffs = {}
+    for i, j, k in combinations(range(1, DIM + 1), 3):
+        if (i <= 2 and k <= 7) or k <= 6 or (i == 1 and j <= 6):
+            continue
+        c = rng.randint(-9, 9) if p is None else rng.randrange(p)
+        if c:
+            coeffs[(i, j, k)] = c
+    return Trivector(coeffs, p)
+
+
+def general_frame(rng, rows, p=None):
+    """Seeded integer combinations of rows, as many and of full rank."""
+    columns = list(zip(*rows))
+    while True:
+        mixed = [mat_vec(columns, [rng.randint(-3, 3) for _ in rows]) for _ in rows]
+        if rank(mixed, p) == len(rows):
+            return mixed
 
 
 class TestTrivector:
@@ -156,6 +180,28 @@ class TestTrivector:
         assert sigma.trilinear(u, v, w) == sigma.trilinear(v, w, u)
         assert sigma.trilinear(u, u, w) == 0
 
+    @pytest.mark.parametrize("p", [None, P])
+    def test_trilinear_matches_the_multilinear_sum(self, p):
+        rng = random.Random(53 + (p or 0))
+        for density in (0.2, 1.0):
+            sigma = random_trivector(rng, p, density=density)
+            reference = trilinear_reference(sigma)
+            for _ in range(5):
+                u, v, w = ([rng.randint(-5, 5) for _ in range(DIM)] for _ in range(3))
+                assert sigma.trilinear(u, v, w) == reference(u, v, w)
+
+    @pytest.mark.parametrize("p", [None, P])
+    @pytest.mark.parametrize("length", [9, 11])
+    @pytest.mark.parametrize("position", range(3))
+    def test_trilinear_reads_exactly_ten_coordinates(self, p, length, position):
+        # a 9-entry vector raised IndexError, and an 11-entry one was read
+        # up to its 10th entry
+        sigma = Trivector({(1, 2, 3): 1, (1, 2, 10): 2}, p)
+        vectors = [list(E[0]), list(E[1]), list(E[2])]
+        vectors[position] = (vectors[position] + [0])[:length]
+        with pytest.raises(ValueError, match="^vector must have 10 coordinates$"):
+            sigma.trilinear(*vectors)
+
 
 class TestContract:
     def test_single_term(self):
@@ -190,14 +236,15 @@ class TestContract:
             mv = [sum(m[j][k] * v[k] for k in range(DIM)) for j in range(DIM)]
             assert sum(v[j] * mv[j] for j in range(DIM)) == 0
 
-    def test_matches_trilinear(self):
+    def test_matches_the_multilinear_sum(self):
         rng = random.Random(42)
         sigma = random_trivector(rng)
+        reference = trilinear_reference(sigma)
         v = [rng.randint(-4, 4) for _ in range(DIM)]
         m = contract(sigma, v)
         for j in range(DIM):
             for k in range(DIM):
-                assert m[j][k] == sigma.trilinear(v, E[j], E[k])
+                assert m[j][k] == reference(v, E[j], E[k])
 
 
 class TestExactReading:
@@ -255,7 +302,7 @@ class TestSymbolicContract:
     def test_specialization(self):
         rng = random.Random(43)
         sigma = random_trivector(rng, p=P)
-        sym = symbolic_contract(sigma)
+        sym = symbolic_contract(sigma, E)
         for _ in range(20):
             v = [rng.randrange(P) for _ in range(DIM)]
             num = contract(sigma, v)
@@ -266,14 +313,14 @@ class TestSymbolicContract:
     def test_skew(self):
         rng = random.Random(44)
         sigma = random_trivector(rng)
-        sym = symbolic_contract(sigma)
+        sym = symbolic_contract(sigma, E)
         for j in range(DIM):
             assert sym[j][j].is_zero()
             for k in range(j):
                 assert (sym[j][k] + sym[k][j]).is_zero()
 
     def test_zero_trivector(self):
-        sym = symbolic_contract(Trivector({}))
+        sym = symbolic_contract(Trivector({}), E)
         assert all(entry.is_zero() for row in sym for entry in row)
 
 
@@ -321,7 +368,7 @@ class TestPeskineEquations:
     def test_agrees_with_public_pfaffian(self):
         rng = random.Random(47)
         sigma = random_trivector(rng, p=P)
-        sym = symbolic_contract(sigma)
+        sym = symbolic_contract(sigma, E)
         system = peskine_equations(sigma)
         # spot-check one removed pair against the polyring operation
         pair = (2, 5)
@@ -378,7 +425,7 @@ class TestCofactorQuotients:
         rng = random.Random(int(density * 10) + 100 * (p or 1))
         for _ in range(2):
             sigma = random_trivector(rng, p, density=density)
-            assert list(peskine_equations(sigma).quartics) == restriction_reference(sigma)
+            assert list(peskine_equations(sigma).quartics) == restriction_reference(sigma, E)
 
     @pytest.mark.parametrize("p", [None, P])
     def test_zero_first_row(self, p):
@@ -387,7 +434,7 @@ class TestCofactorQuotients:
         # product x_j Pf_0k of a numerator does, and the two cancel exactly
         sigma = random_trivector(random.Random(7), p, indices=range(2, DIM + 1))
         quartics = peskine_equations(sigma).quartics
-        assert list(quartics) == restriction_reference(sigma)
+        assert list(quartics) == restriction_reference(sigma, E)
         assert all(q.total_degree() == 4 for q in quartics[: DIM - 1])
         assert all(q.is_zero() for q in quartics[DIM - 1 :])
 
@@ -401,7 +448,7 @@ class TestCofactorQuotients:
         ):
             quartics = peskine_equations(sigma).quartics
             assert len(quartics) == 45 and all(q.is_zero() for q in quartics)
-            assert list(quartics) == restriction_reference(sigma)
+            assert list(quartics) == restriction_reference(sigma, E)
 
     def test_planted_fault_in_a_numerator(self, monkeypatch, capsys, tmp_path):
         # a term without x_1 in one numerator: the quotient is refused
@@ -679,6 +726,41 @@ class TestGeneralFrame:
             # cubic: more of them than the 5 of the standard flag
             assert len([d for d in divisors if d.total_degree() == 3]) > 5
             assert list(smoothness_checks(moved_cubic, (P, 31013))) == verdicts
+
+
+    @pytest.mark.parametrize("which", ["appendix", None, P])
+    def test_verifiers_in_a_general_frame(self, which):
+        # sigma' = sigma∘B reads on B^-1·x what sigma reads on x, so each
+        # verifier answers the same on moved vectors, and x7_kernel moves
+        # by B^-1 up to span (its kernels are not saturated)
+        rng = random.Random(61 + (which == P))
+        sigma = appendix_sigma() if which == "appendix" else planted_trivector(rng, which)
+        p = sigma.p
+        flag = standard_flag()
+        points = [E[0]] + [[rng.randint(-3, 3) for _ in range(DIM)] for _ in range(2)]
+        v6s = [E[:6], general_frame(rng, E[:6])]
+        v2s = [E[:2], [[rng.randint(-3, 3) for _ in range(DIM)] for _ in range(2)]]
+        v7 = general_frame(rng, E[:7])
+        for _ in range(2):
+            b = _random_unimodular(rng)
+            binv = integer_inverse(b)
+
+            def move(rows):
+                return [mat_vec(binv, row) for row in rows]
+
+            pulled = _pullback(sigma, b)
+            moved_flag = Flag(mat_vec(binv, flag.w1), move(flag.w6))
+            assert verify_flag(pulled, moved_flag) == verify_flag(sigma, flag)
+            for v in points:
+                assert rank_at_point(pulled, mat_vec(binv, v)) == rank_at_point(sigma, v)
+            for rows in v6s:
+                assert x6_membership(pulled, move(rows)) == x6_membership(sigma, rows)
+            for rows in v2s:
+                assert line_in_peskine(pulled, move(rows)) == line_in_peskine(sigma, rows)
+            for domain in ("v7", "v10"):
+                got = x7_kernel(pulled, move(v7), domain)
+                moved = move(x7_kernel(sigma, v7, domain))
+                assert rank(got, p) == rank(moved, p) == rank(got + moved, p)
 
 
 class TestRankAtPoint:
@@ -1241,6 +1323,32 @@ class TestX7Kernel:
                 for domain in ("v7", "v10"):
                     with pytest.raises(ValueError, match="v7 must be 7 linearly independent"):
                         x7_kernel(sigma, unit_rows(7, length), domain)
+
+
+class TestVerifierForms:
+    """x6_membership and both domains of x7_kernel against forms built
+    from the multilinear sum, with rows in a general frame of V6 and V7."""
+
+    @pytest.mark.parametrize("p", [None, P])
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_against_the_multilinear_sum(self, p, planted):
+        rng = random.Random(54 + planted + (p or 0))
+        for _ in range(2):
+            sigma = planted_trivector(rng, p) if planted else random_trivector(rng, p, density=0.5)
+            reference = trilinear_reference(sigma)
+            v6, v7 = general_frame(rng, E[:6], p), general_frame(rng, E[:7], p)
+            vanishes = not any(reference(a, b, c) for a, b, c in combinations(v6, 3))
+            assert x6_membership(sigma, v6) == vanishes == planted
+            pairs = list(combinations(v7, 2))
+            kernel = field_kernel([[reference(u, a, b) for u in E] for a, b in pairs], p)
+            assert x7_kernel(sigma, v7, "v10") == kernel
+            on_rows = field_kernel([[reference(u, a, b) for u in v7] for a, b in pairs], p)
+            image = [mat_vec(list(zip(*v7)), vec) for vec in on_rows]
+            if p is not None:
+                image = [tuple(x % p for x in vec) for vec in image]
+            assert x7_kernel(sigma, v7, "v7") == image
+            # e1 and e2 lie in the planted kernel
+            assert (len(image) >= 2) == planted
 
 
 class TestLineInPeskine:
